@@ -3,10 +3,13 @@
 Candidates are addressed by index = sum_i s_i p^i (the package-wide
 lexicographic order).  With the upper coefficients fixed, the s_0 axis
 is contiguous in index space and chi((base + s_0) mod p) is a plain
-slice of a doubled character table; the kernels exploit that instead of
-re-evaluating polynomials per candidate.  All accumulation is integer
-exact (float64 appears only where every intermediate is an integer well
-below 2^53).
+slice of a doubled character table.  ``chi_blocks`` is the one kernel
+that turns blocks of candidates into int8 character values this way;
+correlations, complete sums, window matrices and sign matrices are
+reductions over it.  At d = 1 the correlation is a single sliding dot
+product instead, which is faster there.  All accumulation is integer
+exact: float32 and float64 appear only where every intermediate is an
+integer the type represents exactly (below 2^24 and 2^53).
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ import numpy as np
 
 from .ffield import PrimeModulus, _chi_ext_table_cached, _chi_table_cached
 from .limits import BudgetExceeded, check_ops
-from .poly import is_squarefree, poly_from_index
+from .poly import is_squarefree, mul, poly_from_index, poly_index, squarefree_count
+
+# Cells (rows x points x p) per block yielded by chi_blocks; about 2^16
+# measured fastest, small enough that a block stays in cache.
+BLOCK_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=64)
@@ -46,12 +53,25 @@ def _run_partitioned(fn, n: int, threads: int) -> None:
             fut.result()
 
 
-def _x_powers(p: int, top: int, xs: np.ndarray) -> np.ndarray:
-    xp = np.empty((top + 1, len(xs)), dtype=np.int64)
+def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, patched: bool = False):
+    """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
+
+    Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
+    candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
+    monic degree-d g of index (h + r)*p + s_0; patched selects chi(0) = +1.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    xp = np.empty((d + 1, len(xs)), dtype=np.int64)
     xp[0] = 1
-    for i in range(1, top + 1):
+    for i in range(1, d + 1):
         xp[i] = xp[i - 1] * xs % p
-    return xp
+    # windows[b] = chi((b + s_0) mod p) for s_0 = 0..p-1, a view of the doubled table
+    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, patched, "int8"), p)
+    place = p ** np.arange(d - 1, dtype=np.int64)
+    step = max(1, BLOCK_CELLS // (len(xs) * p))
+    for h in range(lo, hi, step):
+        digits = np.arange(h, min(hi, h + step), dtype=np.int64)[:, None] // place % p
+        yield h, windows[(xp[d] + digits @ xp[1:d]) % p]
 
 
 def windowed_correlations(
@@ -74,44 +94,29 @@ def windowed_correlations(
         raise ValueError("weights must match the window length")
 
     if d == 1:
-        # corr[s] = sum_j w[j] * chi2[x0 + s + j]: one sliding dot product
+        # c[t] = sum_j w[j] * chi2[t + j] for t < p is one sliding dot product that
+        # stays inside the doubled table; corr[s] = c[(x0 + s) mod p]
         chi2 = _chi2(p, False, "float64")
-        seg = chi2[x0 : x0 + p - 1 + m]
-        corr = np.correlate(seg, w.astype(np.float64), mode="valid")
-        return np.rint(corr).astype(np.int64)
+        c = np.correlate(chi2[: p - 1 + m], w.astype(np.float64), mode="valid")
+        np.rint(c, out=c)
+        corr = np.empty(p, dtype=np.int64)
+        corr[: p - x0] = c[x0:]
+        corr[p - x0 :] = c[:x0]
+        return corr
 
-    chi2 = _chi2(p, False, "int64")
-    n_high = p ** (d - 1)
     xs = (x0 + np.arange(m, dtype=np.int64)) % p
-    xp = _x_powers(p, d, xs)
     wi = w.astype(np.int64)
-    pos = np.nonzero(wi == 1)[0]
-    neg = np.nonzero(wi == -1)[0]
-    rest = np.nonzero((wi != 0) & (wi != 1) & (wi != -1))[0]
-    corr = np.empty(p**d, dtype=np.int64)
+    # float32 halves the cost and stays exact while every partial sum is below 2^24
+    ftype = np.float32 if m * int(np.abs(wi).max()) < 1 << 24 else np.float64
+    wf = wi.astype(ftype)
+    corr = np.empty((p ** (d - 1), p), dtype=np.int64)
 
     def run(lo: int, hi: int) -> None:
-        row = np.empty(p, dtype=np.int64)
-        for h in range(lo, hi):
-            base = xp[d].copy()
-            hh = h
-            for i in range(1, d):
-                si = hh % p
-                hh //= p
-                if si:
-                    base += si * xp[i]
-            base %= p
-            row[:] = 0
-            for j in pos:
-                row += chi2[base[j] : base[j] + p]
-            for j in neg:
-                row -= chi2[base[j] : base[j] + p]
-            for j in rest:
-                row += wi[j] * chi2[base[j] : base[j] + p]
-            corr[h * p : (h + 1) * p] = row
+        for h, block in chi_blocks(p, d, xs, lo, hi):
+            corr[h : h + len(block)] = wf @ block.astype(ftype)
 
-    _run_partitioned(run, n_high, threads)
-    return corr
+    _run_partitioned(run, p ** (d - 1), threads)
+    return corr.reshape(-1)
 
 
 def all_monic_char_sums(
@@ -119,34 +124,7 @@ def all_monic_char_sums(
 ) -> np.ndarray:
     """Complete character sums sum_x chi(F(x)) for every monic degree-D F."""
     check_ops(p ** (degree + 1), budget, "complete character-sum scan")
-    if degree == 1:
-        return windowed_correlations(p, 1, 0, p, np.ones(p, dtype=np.int64))
-    n_high = p ** (degree - 1)
-    chi2 = _chi2(p, False, "int8")
-    xs = np.arange(p, dtype=np.int64)
-    xp = _x_powers(p, degree, xs)
-    out = np.empty(p**degree, dtype=np.int64)
-    s0 = np.arange(p, dtype=np.int64)
-    chunk = max(1, (1 << 21) // p)
-
-    def run(lo: int, hi: int) -> None:
-        for c0 in range(lo, hi, chunk):
-            c1 = min(hi, c0 + chunk)
-            hs = np.arange(c0, c1, dtype=np.int64)
-            base = np.broadcast_to(xp[degree], (c1 - c0, p)).copy()
-            hh = hs.copy()
-            for i in range(1, degree):
-                si = hh % p
-                hh //= p
-                base += si[:, None] * xp[i][None, :]
-            base %= p
-            block = np.zeros((c1 - c0, p), dtype=np.int64)
-            for j in range(p):
-                block += chi2[base[:, j][:, None] + s0[None, :]]
-            out[c0 * p : c1 * p] = block.reshape(-1)
-
-    _run_partitioned(run, n_high, threads)
-    return out
+    return windowed_correlations(p, degree, 0, p, np.ones(p, dtype=np.int64), threads)
 
 
 def perfect_square_indices(p: int, degree: int, budget: int | None = None) -> np.ndarray:
@@ -155,25 +133,9 @@ def perfect_square_indices(p: int, degree: int, budget: int | None = None) -> np
         return np.empty(0, dtype=np.int64)
     m = degree // 2
     check_ops(p**m * (m + 1) ** 2, budget, "perfect-square enumeration")
-    out = np.empty(p**m, dtype=np.int64)
-    for gi in range(p**m):
-        g = []
-        t = gi
-        for _ in range(m):
-            g.append(t % p)
-            t //= p
-        g.append(1)
-        sq = [0] * (2 * m + 1)
-        for i, a in enumerate(g):
-            if a == 0:
-                continue
-            for j, b in enumerate(g):
-                sq[i + j] = (sq[i + j] + a * b) % p
-        idx = 0
-        for c in reversed(sq[:-1]):
-            idx = idx * p + c
-        out[gi] = idx
-    return out
+    modulus = PrimeModulus(p)
+    roots = (poly_from_index(m, modulus, gi) for gi in range(p**m))
+    return np.array([poly_index(mul(g, g)) for g in roots], dtype=np.int64)
 
 
 def squarefree_mask(p: int, d: int, budget: int | None = None) -> np.ndarray:
@@ -181,11 +143,11 @@ def squarefree_mask(p: int, d: int, budget: int | None = None) -> np.ndarray:
     if d == 1:
         return np.ones(p, dtype=bool)
     if d == 2:
-        # x^2 + s_1 x + s_0 has a repeated root iff s_1^2 - 4 s_0 = 0
-        idx = np.arange(p * p, dtype=np.int64)
-        s1 = idx // p
-        s0 = idx % p
-        return (s1 * s1 - 4 * s0) % p != 0
+        # x^2 + s_1 x + s_0 has a repeated root iff s_0 = s_1^2 / 4
+        s1 = np.arange(p, dtype=np.int64)
+        mask = np.ones(p * p, dtype=bool)
+        mask[s1 * p + s1 * s1 % p * pow(4, -1, p) % p] = False
+        return mask
     total = p**d
     check_ops(total * d * d * 8, budget, "square-free scan")
     modulus = PrimeModulus(p)
@@ -195,26 +157,18 @@ def squarefree_mask(p: int, d: int, budget: int | None = None) -> np.ndarray:
     return mask
 
 
+def _chi_matrix(p: int, d: int, xs: np.ndarray, patched: bool = False) -> np.ndarray:
+    # rows all monic degree-d g in index order, columns the points xs
+    out = np.empty((p ** (d - 1), p, len(xs)), dtype=np.int8)
+    for h, block in chi_blocks(p, d, xs, 0, p ** (d - 1), patched):
+        out[h : h + len(block)] = block.transpose(0, 2, 1)
+    return out.reshape(p**d, len(xs))
+
+
 def chi_window_matrix(p: int, d: int, x0: int, m: int, budget: int | None = None) -> np.ndarray:
     """int8 matrix of chi(g(x)): rows all monic degree-d g, columns the window."""
     check_ops(p**d * m, budget, "window matrix")
-    chi2 = _chi2(p, False, "int8")
-    n_high = p ** (d - 1)
-    xs = (x0 + np.arange(m, dtype=np.int64)) % p
-    xp = _x_powers(p, d, xs)
-    out = np.empty((p**d, m), dtype=np.int8)
-    for h in range(n_high):
-        base = xp[d].copy()
-        hh = h
-        for i in range(1, d):
-            si = hh % p
-            hh //= p
-            if si:
-                base += si * xp[i]
-        base %= p
-        for j in range(m):
-            out[h * p : (h + 1) * p, j] = chi2[base[j] : base[j] + p]
-    return out
+    return _chi_matrix(p, d, (x0 + np.arange(m, dtype=np.int64)) % p)
 
 
 def sf_sign_matrix(
@@ -225,28 +179,10 @@ def sf_sign_matrix(
     Returns (A, indices): A[r, x] = chi_ext(g_r(x)) as int8, rows in index
     order over the square-free monic degree-d polynomials.
     """
-    mask = squarefree_mask(p, d)
-    idx = np.nonzero(mask)[0]
-    if len(idx) > max_order:
+    order = squarefree_count(PrimeModulus(p), d)
+    if order > max_order:
         raise BudgetExceeded(
-            f"{len(idx)} square-free candidates exceed the dense-matrix budget {max_order}"
+            f"{order} square-free candidates exceed the dense-matrix budget {max_order}"
         )
-    chie2 = _chi2(p, True, "int8")
-    a = np.empty((len(idx), p), dtype=np.int8)
-    if d == 1:
-        for r, s in enumerate(idx):
-            a[r] = chie2[s : s + p]
-        return a, idx
-    xs = np.arange(p, dtype=np.int64)
-    chie = chie2[:p]
-    for r, ci in enumerate(idx):
-        digits = []
-        t = int(ci)
-        for _ in range(d):
-            digits.append(t % p)
-            t //= p
-        acc = np.ones(p, dtype=np.int64)
-        for c in reversed(digits):
-            acc = (acc * xs + c) % p
-        a[r] = chie[acc]
-    return a, idx
+    idx = np.nonzero(squarefree_mask(p, d))[0]
+    return _chi_matrix(p, d, np.arange(p, dtype=np.int64), patched=True)[idx], idx

@@ -16,6 +16,7 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,19 +106,11 @@ class WeightVector:
         return len(self.entries)
 
 
-def _eval_chi_values(f: MonicPoly, xs: np.ndarray) -> np.ndarray:
-    p = f.modulus.p
-    acc = np.ones(len(xs), dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = (acc * xs + c) % p
-    return chi_table(f.modulus)[acc].astype(np.int64)
-
-
 def complete_char_sum(f: MonicPoly) -> int:
     """sum over all of F_p of chi(f(x)); exact integer."""
     p = f.modulus.p
     xs = np.arange(p, dtype=np.int64)
-    return int(_eval_chi_values(f, xs).sum())
+    return int(chi_table(f.modulus)[f.eval_array(xs)].sum())
 
 
 def short_char_sum(f: MonicPoly, m: int) -> int:
@@ -126,7 +119,7 @@ def short_char_sum(f: MonicPoly, m: int) -> int:
     if not 1 <= m < p:
         raise ValueError("window must satisfy 1 <= M < p")
     xs = np.arange(1, m + 1, dtype=np.int64)
-    return int(_eval_chi_values(f, xs).sum())
+    return int(chi_table(f.modulus)[f.eval_array(xs)].sum())
 
 
 def pair_identity(a: FpElement, b: FpElement) -> int:
@@ -162,12 +155,8 @@ def multilinear_form_sum(
     chi = chi_table(modulus).astype(np.int64)
     s0 = np.arange(p, dtype=np.int64)
     total = 0
-    for h in range(p ** (d - 1)):
-        rest = []
-        t = h
-        for _ in range(d - 1):
-            rest.append(t % p)
-            t //= p
+    # the sum runs over all of F_p^d, so (S_1, ..., S_{d-1}) may come in any order
+    for rest in itertools.product(range(p), repeat=d - 1):
         prod = np.ones(p, dtype=np.int64)
         for form in reduced:
             shift = form.constant
@@ -312,13 +301,14 @@ def sweep_weil_short(
     rows = []
     for p in primes:
         modulus = PrimeModulus(p)
+        chi = chi_table(modulus)
         xs = np.arange(1, p, dtype=np.int64)
         for d in degrees:
             rng = _random.Random(f"{seed}:{p}:{d}")
             for i in range(samples):
                 g, h = _sample_distinct_squarefree(modulus, d, rng)
                 product = mul(g, h)
-                partial = np.cumsum(_eval_chi_values(product, xs))
+                partial = np.cumsum(chi[product.eval_array(xs)], dtype=np.int64)
                 measured = int(np.max(np.abs(partial)))
                 bound = short_weil_bound(2 * d, p, constant)
                 rows.append(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import statistics
 import sys
@@ -30,10 +29,15 @@ from . import charsum, quantum, reconstruct
 from .ffield import PrimeModulus
 from .limits import DEFAULT_OP_BUDGET, BudgetExceeded
 from .oracle import OracleSession
-from .poly import MonicPoly, is_squarefree, parse_poly, random_squarefree, squarefree_count
-from .reconstruct import AlgorithmParams
+from .poly import MonicPoly, is_squarefree, parse_poly, random_squarefree
 
-ALGORITHMS = ("brute", "short", "two-stage")
+# CLI name -> solver; `recover` reports short as "short-window"
+SOLVERS = {
+    "brute": reconstruct.brute_force_recover,
+    "short": reconstruct.short_window_recover,
+    "two-stage": reconstruct.two_stage_recover,
+}
+ALGORITHMS = tuple(SOLVERS)
 LEMMAS = ("pair-identity", "weil", "weil-short", "mult-weil", "average")
 
 
@@ -47,8 +51,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _json_dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit_report(payload: dict, args: argparse.Namespace) -> None:
+    # JSON with --json, otherwise one `key: value` line per field in the same order
+    if args.json:
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "".join(f"{key}: {json.dumps(value)}\n" for key, value in payload.items())
+    _emit(text, args.out)
 
 
 def _load_modulus(p: int) -> PrimeModulus:
@@ -83,22 +92,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        if args.algo == "brute":
-            report = reconstruct.brute_force_recover(
-                session, args.d, threads=args.threads, budget=args.budget, reps=args.reps
-            )
-        elif args.algo == "short":
-            report = reconstruct.short_window_recover(
-                session, args.d, threads=args.threads, budget=args.budget, reps=args.reps
-            )
-        else:
-            report = reconstruct.two_stage_recover(
-                session, args.d, threads=args.threads, reps=args.reps
-            )
-    except BudgetExceeded as exc:
-        _err(str(exc))
-        return 2
-    except ValueError as exc:
+        report = SOLVERS[args.algo](
+            session, args.d, threads=args.threads, budget=args.budget, reps=args.reps
+        )
+    except (BudgetExceeded, ValueError) as exc:
         _err(str(exc))
         return 2
 
@@ -115,11 +112,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     }
     payload.update(report.to_dict(include_timing=not args.no_timing))
 
-    if args.json:
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [f"{key}: {json.dumps(value)}" for key, value in payload.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit_report(payload, args)
     return 0 if match else 1
 
 
@@ -240,11 +233,7 @@ def cmd_quantum(args: argparse.Namespace) -> int:
         "p_correct": dist.outcomes[hidden],
         "residual_mass": dist.residual_mass,
     }
-    if args.json:
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [f"{key}: {json.dumps(value)}" for key, value in payload.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit_report(payload, args)
     return 0
 
 
@@ -253,28 +242,10 @@ def cmd_quantum(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _work_count(report, sf_count: int, p: int, d: int) -> int:
-    # deterministic candidate*window products actually scanned
-    params = report.params
-    if report.algorithm == "brute":
-        return sf_count * p
-    if report.algorithm == "short-window":
-        return sf_count * params.M
-    work = sf_count * params.N
-    if report.survivors_stage1:
-        work += report.survivors_stage1 * params.M
-    if report.fallback:
-        work += max(report.survivors_stage2 or 0, report.survivors_stage1 or 0) * p
-    return work
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     algos = args.algos or list(ALGORITHMS)
-    lines = (
-        ["p,d,algo,seeds,status,success,median_queries,work,median_ms"]
-        if not args.no_timing
-        else ["p,d,algo,seeds,status,success,median_queries,work"]
-    )
+    columns = "p,d,algo,seeds,status,success,median_queries,work"
+    lines = [columns if args.no_timing else columns + ",median_ms"]
     worst_failure = 0
     for p in args.p:
         try:
@@ -282,56 +253,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             _err(str(exc))
             return 2
-        sf_count = squarefree_count(modulus, args.d)
         for algo in algos:
             if algo not in ALGORITHMS:
                 _err(f"unknown algorithm {algo!r}")
                 return 2
             queries, works, times, successes = [], [], [], 0
-            status = "ok"
             for seed in range(args.seeds):
                 hidden = random_squarefree(modulus, args.d, random.Random(seed))
                 session = OracleSession(hidden, rng_seed=seed)
                 try:
-                    if algo == "brute":
-                        report = reconstruct.brute_force_recover(
-                            session, args.d, threads=args.threads, budget=args.budget
-                        )
-                    elif algo == "short":
-                        report = reconstruct.short_window_recover(
-                            session, args.d, threads=args.threads, budget=args.budget
-                        )
-                    else:
-                        report = reconstruct.two_stage_recover(
-                            session, args.d, threads=args.threads
-                        )
+                    report = SOLVERS[algo](
+                        session, args.d, threads=args.threads, budget=args.budget
+                    )
                 except (BudgetExceeded, ValueError):
-                    status = "skipped"
+                    cells = ["skipped", "", "", "", ""]
                     break
                 queries.append(report.total_queries)
-                works.append(_work_count(report, sf_count, p, args.d))
+                works.append(report.work)
                 times.append(sum(report.stage_seconds.values()) * 1000.0)
                 successes += report.recovered == hidden
-            if status == "skipped":
-                row = [str(p), str(args.d), algo, str(args.seeds), status, "", "", ""]
-                if not args.no_timing:
-                    row.append("")
-            else:
+            else:  # every seed ran
                 if successes < args.seeds:
                     worst_failure = 1
-                row = [
-                    str(p),
-                    str(args.d),
-                    algo,
-                    str(args.seeds),
-                    status,
-                    str(successes),
-                    str(statistics.median(queries)),
-                    str(statistics.median(works)),
-                ]
-                if not args.no_timing:
-                    row.append(f"{statistics.median(times):.3f}")
-            lines.append(",".join(row))
+                cells = ["ok", str(successes), str(statistics.median(queries)),
+                         str(statistics.median(works)), f"{statistics.median(times):.3f}"]
+            row = [str(p), str(args.d), algo, str(args.seeds), *cells]
+            lines.append(",".join(row[:-1] if args.no_timing else row))
     _emit("\n".join(lines) + "\n", args.out)
     return worst_failure
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .ffield import FpElement, PrimeModulus
 from .limits import DEFAULT_ENUM_LIMIT, BudgetExceeded
 
@@ -56,6 +58,14 @@ class MonicPoly:
         acc = 1  # leading coefficient
         for c in reversed(self.coeffs):
             acc = (acc * xv + c) % p
+        return acc
+
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """Horner evaluation at every point of an int64 array; int64 residues."""
+        p = self.modulus.p
+        acc = np.ones(len(xs), dtype=np.int64)
+        for c in reversed(self.coeffs):
+            acc = (acc * xs + c) % p
         return acc
 
     def lex_key(self) -> tuple:
@@ -138,16 +148,6 @@ def is_squarefree(f: MonicPoly) -> bool:
     return len(_poly_gcd(full, deriv, p)) == 1
 
 
-def _mul_full(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def is_perfect_square(f: MonicPoly) -> bool:
     """True iff f = g^2 for some monic g.
 
@@ -167,7 +167,8 @@ def is_perfect_square(f: MonicPoly) -> bool:
         for u in range(m - j + 1, m):
             acc += g[u] * g[2 * m - j - u]
         g[m - j] = (full[2 * m - j] - acc) * inv2 % p
-    return _mul_full(g, g, p) == full
+    root = MonicPoly(g[:-1], f.modulus)
+    return mul(root, root) == f
 
 
 def poly_from_index(d: int, modulus: PrimeModulus, index: int) -> MonicPoly:
@@ -224,18 +225,14 @@ def enumerate_monic(
         yield f
 
 
-def squarefree_count(modulus: PrimeModulus, d: int, *, exact_limit: int = 10**4) -> int:
+def squarefree_count(modulus: PrimeModulus, d: int) -> int:
     """Number of square-free monic degree-d polynomials over F_p.
 
-    Counted by enumeration when the space is small, otherwise by the
-    closed form p^d - p^(d-1) (d >= 2; every degree-1 monic is square-free).
+    The closed form p^d - p^(d-1) for d >= 2; every degree-1 monic is
+    square-free.
     """
     p = modulus.p
-    if d == 1:
-        return p
-    if p**d <= exact_limit:
-        return sum(1 for _ in enumerate_monic(d, modulus, squarefree_only=True))
-    return p**d - p ** (d - 1)
+    return p if d == 1 else p**d - p ** (d - 1)
 
 
 def random_squarefree(modulus: PrimeModulus, d: int, rng: random.Random) -> MonicPoly:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .ffield import PrimeModulus, chi_ext_table
-from .poly import MonicPoly, is_squarefree, poly_from_index, poly_index
+from .poly import MonicPoly, is_squarefree, poly_from_index
 
 __all__ = [
     "SignState",
@@ -94,12 +94,8 @@ def build_state(g: MonicPoly) -> SignState:
     """Sign vector chi_ext(g(x)) for x = 0..p-1; g must be square-free."""
     if not is_squarefree(g):
         raise ValueError("candidate states exist only for square-free polynomials")
-    p = g.modulus.p
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.ones(p, dtype=np.int64)
-    for c in reversed(g.coeffs):
-        acc = (acc * xs + c) % p
-    return SignState(poly=g, signs=chi_ext_table(g.modulus)[acc])
+    xs = np.arange(g.modulus.p, dtype=np.int64)
+    return SignState(poly=g, signs=chi_ext_table(g.modulus)[g.eval_array(xs)])
 
 
 def pair_overlap(g: MonicPoly, h: MonicPoly) -> Fraction:
@@ -231,7 +227,3 @@ def measurement_distribution(
         outcomes=outcomes,
         residual_mass=residual,
     )
-
-
-def _poly_sort_key(g: MonicPoly) -> int:
-    return poly_index(g)

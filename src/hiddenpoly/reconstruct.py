@@ -10,6 +10,10 @@ Three algorithms over the square-free monic degree-d candidates:
   M = min(ceil(d sqrt(p) ln^2 p), p), natural logs.
 * short_window_recover: single-stage signed argmax over [1, M].
 
+brute and short-window share one windowed-argmax body and differ only in
+the window.  Every solver records the candidate x window cells it
+scanned in RecoveryReport.work.
+
 Oracle answers over a window are queried once, cached, and reused by
 every candidate, so query counts are exact.  Correctness is guaranteed
 for exact oracles (gamma = 1); noisy sessions can be driven best-effort
@@ -96,6 +100,7 @@ class RecoveryReport:
     params: Optional[AlgorithmParams]
     fallback: bool = False
     ambiguous: bool = False
+    work: int = 0  # candidate x window cells scanned; not part of the report
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -125,6 +130,7 @@ class _WindowCache:
             raise ValueError("reps must be 1 or a positive odd integer")
         self.session = session
         self.reps = reps
+        self.queries_before = session.query_count
         p = session.p
         self.values = np.zeros(p, dtype=np.int64)
         self.seen = np.zeros(p, dtype=bool)
@@ -146,22 +152,9 @@ class _WindowCache:
     def distinct(self) -> int:
         return int(self.seen.sum())
 
-
-def _candidate_window_sum(
-    modulus: PrimeModulus, d: int, index: int, x0: int, m: int, weights: np.ndarray
-) -> int:
-    p = modulus.p
-    xs = (x0 + np.arange(m, dtype=np.int64)) % p
-    digits = []
-    t = index
-    for _ in range(d):
-        digits.append(t % p)
-        t //= p
-    acc = np.ones(m, dtype=np.int64)
-    for c in reversed(digits):
-        acc = (acc * xs + c) % p
-    chi = chi_table(modulus).astype(np.int64)
-    return int(np.dot(weights, chi[acc]))
+    @property
+    def queries(self) -> int:
+        return self.session.query_count - self.queries_before
 
 
 def query_lower_bound(modulus: PrimeModulus, d: int) -> int:
@@ -179,38 +172,49 @@ def query_lower_bound(modulus: PrimeModulus, d: int) -> int:
     return k
 
 
-def _finish_report(
-    algorithm: str,
-    session: OracleSession,
-    queries_before: int,
-    cache: _WindowCache,
-    recovered: Optional[MonicPoly],
-    stage_seconds: dict[str, float],
-    params: Optional[AlgorithmParams],
-    survivors_stage1: Optional[int] = None,
-    survivors_stage2: Optional[int] = None,
-    fallback: bool = False,
-    ambiguous: bool = False,
-) -> RecoveryReport:
-    return RecoveryReport(
-        algorithm=algorithm,
-        recovered=recovered,
-        survivors_stage1=survivors_stage1,
-        survivors_stage2=survivors_stage2,
-        total_queries=session.query_count - queries_before,
-        distinct_points_queried=cache.distinct,
-        stage_seconds=stage_seconds,
-        params=params,
-        fallback=fallback,
-        ambiguous=ambiguous,
-    )
-
-
 def _try_params(modulus: PrimeModulus, d: int) -> Optional[AlgorithmParams]:
     try:
         return AlgorithmParams.for_problem(modulus, d)
     except ValueError:
         return None
+
+
+def _argmax_recover(
+    algorithm: str,
+    session: OracleSession,
+    d: int,
+    x0: int,
+    m: int,
+    params: Optional[AlgorithmParams],
+    threads: int,
+    budget: int | None,
+    reps: int,
+) -> RecoveryReport:
+    # signed correlation argmax over the window x0 .. x0+m-1; ties go to the
+    # smallest index and are flagged as ambiguous
+    modulus = session.modulus
+    p = modulus.p
+    check_ops(p**d * m, budget, f"{algorithm} scan")
+    cache = _WindowCache(session, reps)
+    t0 = time.perf_counter()
+    mask = _kernels.squarefree_mask(p, d, budget)
+    weights = cache.window(x0, m)
+    corr = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
+    corr_sf = np.where(mask, corr, np.iinfo(np.int64).min)
+    best = int(np.max(corr_sf))
+    winners = np.nonzero(corr_sf == best)[0]
+    return RecoveryReport(
+        algorithm=algorithm,
+        recovered=poly_from_index(d, modulus, int(winners[0])),
+        survivors_stage1=None,
+        survivors_stage2=None,
+        total_queries=cache.queries,
+        distinct_points_queried=cache.distinct,
+        stage_seconds={"scan": time.perf_counter() - t0},
+        params=params,
+        ambiguous=len(winners) > 1,
+        work=squarefree_count(modulus, d) * m,
+    )
 
 
 def brute_force_recover(
@@ -222,29 +226,23 @@ def brute_force_recover(
     reps: int = 1,
 ) -> RecoveryReport:
     """Query all p points and return the full-range correlation argmax."""
-    modulus = session.modulus
-    p = modulus.p
-    check_ops(p**d * p, budget, "brute-force scan")
-    queries_before = session.query_count
-    cache = _WindowCache(session, reps)
-    t0 = time.perf_counter()
-    weights = cache.window(0, p)
-    corr = _kernels.windowed_correlations(p, d, 0, p, weights, threads=threads)
-    mask = _kernels.squarefree_mask(p, d, budget)
-    corr_sf = np.where(mask, corr, np.iinfo(np.int64).min)
-    best = int(np.max(corr_sf))
-    winners = np.nonzero(corr_sf == best)[0]
-    recovered = poly_from_index(d, modulus, int(winners[0]))
-    elapsed = {"scan": time.perf_counter() - t0}
-    return _finish_report(
-        "brute",
-        session,
-        queries_before,
-        cache,
-        recovered,
-        elapsed,
-        _try_params(modulus, d),
-        ambiguous=len(winners) > 1,
+    params = _try_params(session.modulus, d)
+    return _argmax_recover("brute", session, d, 0, session.p, params, threads, budget, reps)
+
+
+def short_window_recover(
+    session: OracleSession,
+    d: int,
+    params: Optional[AlgorithmParams] = None,
+    *,
+    threads: int = 1,
+    budget: int | None = None,
+    reps: int = 1,
+) -> RecoveryReport:
+    """Single-stage signed argmax over the window [1, M]."""
+    params = params or AlgorithmParams.for_problem(session.modulus, d)
+    return _argmax_recover(
+        "short-window", session, d, 1, params.M, params, threads, budget, reps
     )
 
 
@@ -254,11 +252,13 @@ def _stage1_indices(
     params: AlgorithmParams,
     cache: _WindowCache,
     threads: int,
+    budget: int | None = None,
 ) -> np.ndarray:
     p = session.p
+    # the mask carries the d >= 3 budget check, so it comes before any p^d array
+    mask = _kernels.squarefree_mask(p, d, budget)
     weights = cache.window(1, params.N)
     corr = _kernels.windowed_correlations(p, d, 1, params.N, weights, threads=threads)
-    mask = _kernels.squarefree_mask(p, d)
     keep = mask & (np.abs(corr) >= params.stage1_threshold)
     return np.nonzero(keep)[0]
 
@@ -285,6 +285,7 @@ def two_stage_recover(
     params: Optional[AlgorithmParams] = None,
     *,
     threads: int = 1,
+    budget: int | None = None,
     reps: int = 1,
 ) -> RecoveryReport:
     """Stage-1 sieve on [1, N], signed stage-2 confirmation on [1, M].
@@ -296,87 +297,45 @@ def two_stage_recover(
     modulus = session.modulus
     p = modulus.p
     params = params or AlgorithmParams.for_problem(modulus, d)
-    queries_before = session.query_count
     cache = _WindowCache(session, reps)
+    chi = chi_table(modulus)
+
+    def window_sum(i: int, xs: np.ndarray, weights: np.ndarray) -> int:
+        return int(np.dot(weights, chi[poly_from_index(d, modulus, i).eval_array(xs)]))
 
     t0 = time.perf_counter()
-    surv1 = _stage1_indices(session, d, params, cache, threads)
+    surv1 = [int(i) for i in _stage1_indices(session, d, params, cache, threads, budget)]
     t1 = time.perf_counter()
     stage_seconds = {"stage1": t1 - t0}
 
+    xs2 = np.arange(1, params.M + 1, dtype=np.int64) % p
     weights2 = cache.window(1, params.M)
-    surv2 = [
-        int(i)
-        for i in surv1
-        if _candidate_window_sum(modulus, d, int(i), 1, params.M, weights2)
-        >= params.stage2_threshold
-    ]
+    surv2 = [i for i in surv1 if window_sum(i, xs2, weights2) >= params.stage2_threshold]
     stage_seconds["stage2"] = time.perf_counter() - t1
 
+    work = squarefree_count(modulus, d) * params.N + len(surv1) * params.M
     fallback = len(surv2) != 1
     if not fallback:
         recovered = poly_from_index(d, modulus, surv2[0])
     else:
         # ambiguity: decide on the full range among the surviving pool
         t2 = time.perf_counter()
-        pool = surv2 if surv2 else [int(i) for i in surv1]
+        pool = surv2 or surv1
         full = cache.window(0, p)
-        best_idx = None
-        best_val = None
-        for i in pool:
-            v = _candidate_window_sum(modulus, d, i, 0, p, full)
-            if best_val is None or v > best_val:
-                best_val = v
-                best_idx = i
-        recovered = None if best_idx is None else poly_from_index(d, modulus, best_idx)
+        sums = [window_sum(i, np.arange(p, dtype=np.int64), full) for i in pool]
+        recovered = poly_from_index(d, modulus, pool[int(np.argmax(sums))]) if pool else None
+        work += len(surv1) * p
         stage_seconds["fallback"] = time.perf_counter() - t2
 
-    return _finish_report(
-        "two-stage",
-        session,
-        queries_before,
-        cache,
-        recovered,
-        stage_seconds,
-        params,
+    return RecoveryReport(
+        algorithm="two-stage",
+        recovered=recovered,
         survivors_stage1=len(surv1),
         survivors_stage2=len(surv2),
+        total_queries=cache.queries,
+        distinct_points_queried=cache.distinct,
+        stage_seconds=stage_seconds,
+        params=params,
         fallback=fallback,
-    )
-
-
-def short_window_recover(
-    session: OracleSession,
-    d: int,
-    params: Optional[AlgorithmParams] = None,
-    *,
-    threads: int = 1,
-    budget: int | None = None,
-    reps: int = 1,
-) -> RecoveryReport:
-    """Single-stage signed argmax over the window [1, M]."""
-    modulus = session.modulus
-    p = modulus.p
-    params = params or AlgorithmParams.for_problem(modulus, d)
-    check_ops(p**d * params.M, budget, "short-window scan")
-    queries_before = session.query_count
-    cache = _WindowCache(session, reps)
-    t0 = time.perf_counter()
-    weights = cache.window(1, params.M)
-    corr = _kernels.windowed_correlations(p, d, 1, params.M, weights, threads=threads)
-    mask = _kernels.squarefree_mask(p, d, budget)
-    corr_sf = np.where(mask, corr, np.iinfo(np.int64).min)
-    best = int(np.max(corr_sf))
-    winners = np.nonzero(corr_sf == best)[0]
-    recovered = poly_from_index(d, modulus, int(winners[0]))
-    elapsed = {"scan": time.perf_counter() - t0}
-    return _finish_report(
-        "short-window",
-        session,
-        queries_before,
-        cache,
-        recovered,
-        elapsed,
-        params,
-        ambiguous=len(winners) > 1,
+        work=work,
     )

@@ -1,10 +1,14 @@
 """CLI tests: schemas, exit codes, determinism, file output.
 
 Everything runs in-process through main(argv) so coverage tools and
-debuggers see the command paths.
+debuggers see the command paths, except the refusal-cost checks, which
+need a fresh interpreter to measure its time and peak memory.
 """
 
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -231,3 +235,51 @@ class TestFileOutput:
             "--out", str(target),
         )
         assert target.read_text() == out
+
+
+# Runs the CLI in a fresh interpreter, then prints that process's peak RSS in kB.
+# VmHWM counts only memory touched since exec; ru_maxrss of a child would
+# also count the pages of the forking test process.
+MEASURED_CHILD = """
+import sys
+from pathlib import Path
+from hiddenpoly.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    status = Path("/proc/self/status").read_text().splitlines()
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
+sys.exit(code)
+"""
+
+
+def run_measured(*argv):
+    """(exit code, stdout, stderr, seconds, peak RSS in MB) of one fresh CLI run."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURED_CHILD, *argv], capture_output=True, text=True
+    )
+    seconds = time.perf_counter() - start
+    *out, hwm = proc.stdout.splitlines()
+    return proc.returncode, "\n".join(out), proc.stderr, seconds, int(hwm) / 1024
+
+
+class TestRefusalCost:
+    """Budget refusals exit 2 before the allocation they guard."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("recover", "--p", "10007", "--d", "3", "--algo", "two-stage"),
+            ("recover", "--p", "10007", "--d", "3", "--algo", "two-stage", "--budget", "1000"),
+            ("quantum", "--p", "10007", "--d", "2"),
+        ],
+    )
+    def test_refuses_fast_and_small(self, argv):
+        code, out, err, seconds, rss_mb = run_measured(*argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert seconds < 1.0
+        assert rss_mb < 100.0

@@ -1,0 +1,68 @@
+"""Golden reports: CLI output must stay byte-identical.
+
+Each tests/golden/<name>.txt is the stdout of `hiddenpoly <argv>` for one
+command below.  The files were captured before the candidate-scan
+kernels were consolidated, so a refactor that changes any reported
+number, order or format fails here.  Recovery and bench reports use
+--no-timing; quantum and verify-bounds print no wall times.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hiddenpoly.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "recover_d1_p101_brute": "recover --p 101 --d 1 --algo brute --seed 1 --json --no-timing",
+    "recover_d1_p101_short": "recover --p 101 --d 1 --algo short --seed 1 --json --no-timing",
+    "recover_d1_p101_two_stage":
+        "recover --p 101 --d 1 --algo two-stage --seed 1 --json --no-timing",
+    "recover_d1_p1009_brute": "recover --p 1009 --d 1 --algo brute --seed 2 --json --no-timing",
+    "recover_d1_p1009_short": "recover --p 1009 --d 1 --algo short --seed 2 --json --no-timing",
+    "recover_d1_p1009_two_stage":
+        "recover --p 1009 --d 1 --algo two-stage --seed 2 --json --no-timing",
+    "recover_d2_p101_brute": "recover --p 101 --d 2 --algo brute --seed 3 --json --no-timing",
+    "recover_d2_p101_short": "recover --p 101 --d 2 --algo short --seed 3 --json --no-timing",
+    "recover_d2_p101_two_stage": "recover --p 101 --d 2 --algo two-stage --seed 3 --no-timing",
+    "recover_d1_p1009_noisy": "recover --p 1009 --d 1 --algo two-stage --gamma 0.9 --reps 3 "
+                              "--seed 4 --json --no-timing",
+    "recover_d2_p251_two_stage":
+        "recover --p 251 --d 2 --seed 7 --algo two-stage --json --no-timing",
+    "quantum_d1_p101": "quantum --p 101 --d 1 --json",
+    "quantum_d2_p13": "quantum --p 13 --d 2 --json",
+    "bounds_pair_identity": "verify-bounds --lemma pair-identity --p 7",
+    "bounds_weil": "verify-bounds --lemma weil --p 5 7 11",
+    "bounds_weil_short": "verify-bounds --lemma weil-short --p 11 --seed 1",
+    "bounds_mult_weil": "verify-bounds --lemma mult-weil --p 5 --seed 3",
+    "bounds_average": "verify-bounds --lemma average --p 7 --seed 2",
+    "bench_small": "bench --p 101 --d 1 --seeds 2 --no-timing",
+    "bench_default": "bench --no-timing",
+}
+
+# the scans that split work across threads, rerun with other thread counts
+THREADED = ("recover_d2_p101_brute", "recover_d2_p251_two_stage", "bounds_weil", "bench_small")
+
+
+def _stdout(capsys, argv: list[str]) -> bytes:
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_report_matches_golden(name, capsys):
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert _stdout(capsys, COMMANDS[name].split()) == expected
+
+
+@pytest.mark.parametrize("threads", ["2", "8"])
+@pytest.mark.parametrize("name", THREADED)
+def test_threads_do_not_change_reports(name, threads, capsys):
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert _stdout(capsys, COMMANDS[name].split() + ["--threads", threads]) == expected
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(COMMANDS)

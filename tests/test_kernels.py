@@ -1,0 +1,131 @@
+"""Property tests: every scan kernel against a plain per-candidate loop.
+
+The reference evaluates each monic candidate with MonicPoly.eval_int and
+takes the character from legendre_euler (patched: +1 at 0), one point at
+a time.  chi_blocks, every reduction over it, the d = 1 correlation and
+the array Horner evaluation must reproduce it exactly.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiddenpoly import _kernels
+from hiddenpoly.ffield import FpElement, PrimeModulus, legendre_euler
+from hiddenpoly.poly import is_squarefree, poly_from_index
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# keeps p^d * p reference evaluations small
+MAX_P = {1: 31, 2: 31, 3: 11}
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def reference_matrix(p, d, xs, patched=False):
+    """[candidate index, j] -> chi(g(xs[j])) by plain loops."""
+    modulus = PrimeModulus(p)
+    chi = [legendre_euler(FpElement(v, modulus)) for v in range(p)]
+    if patched:
+        chi[0] = 1
+    rows = []
+    for i in range(p**d):
+        g = poly_from_index(d, modulus, i)
+        rows.append([chi[g.eval_int(int(x))] for x in xs])
+    return np.array(rows, dtype=np.int64).reshape(p**d, len(xs))
+
+
+@st.composite
+def problems(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([q for q in PRIMES if q <= MAX_P[d]]))
+    x0 = draw(st.integers(0, p - 1))
+    m = draw(st.integers(1, p))
+    return p, d, x0, m
+
+
+def window(p, x0, m):
+    return (x0 + np.arange(m, dtype=np.int64)) % p
+
+
+@SETTINGS
+@given(problems(), st.booleans(), st.data())
+def test_chi_blocks_match_reference(problem, patched, data):
+    p, d, x0, m = problem
+    rows = p ** (d - 1)
+    lo = data.draw(st.integers(0, rows - 1))
+    hi = data.draw(st.integers(lo + 1, rows))
+    xs = window(p, x0, m)
+    seen = []
+    for h, block in _kernels.chi_blocks(p, d, xs, lo, hi, patched):
+        assert block.dtype == np.int8 and block.shape[1:] == (m, p)
+        assert h == lo + len(seen) // p
+        seen.extend(block.transpose(0, 2, 1).reshape(-1, m))
+    expected = reference_matrix(p, d, xs, patched)[lo * p : hi * p]
+    assert np.array_equal(np.array(seen).reshape(-1, m), expected)
+
+
+@SETTINGS
+@given(problems(), st.sampled_from([1, 5]), st.data())
+def test_windowed_correlations_match_reference(problem, bound, data):
+    p, d, x0, m = problem
+    draw = st.lists(st.integers(-bound, bound), min_size=m, max_size=m)
+    weights = np.array(data.draw(draw), dtype=np.int64)
+    expected = reference_matrix(p, d, window(p, x0, m)) @ weights
+    for threads in (1, 3):
+        got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+def test_windowed_correlations_large_weights_stay_exact():
+    # |weights| * m beyond 2^24 takes the float64 reduction
+    p, d, x0, m = 13, 2, 4, 9
+    weights = np.array([(-1) ** j * (10**7 + j) for j in range(m)], dtype=np.int64)
+    expected = reference_matrix(p, d, window(p, x0, m)) @ weights
+    assert np.array_equal(_kernels.windowed_correlations(p, d, x0, m, weights), expected)
+
+
+@SETTINGS
+@given(problems(), st.sampled_from([1, 3]))
+def test_complete_sums_match_reference(problem, threads):
+    p, d, _, _ = problem
+    expected = reference_matrix(p, d, np.arange(p)).sum(axis=1)
+    assert np.array_equal(_kernels.all_monic_char_sums(p, d, threads=threads), expected)
+
+
+@SETTINGS
+@given(problems())
+def test_window_matrix_matches_reference(problem):
+    p, d, x0, m = problem
+    got = _kernels.chi_window_matrix(p, d, x0, m)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, reference_matrix(p, d, window(p, x0, m)))
+
+
+@SETTINGS
+@given(problems())
+def test_sign_matrix_matches_reference(problem):
+    p, d, _, _ = problem
+    modulus = PrimeModulus(p)
+    squarefree = [i for i in range(p**d) if is_squarefree(poly_from_index(d, modulus, i))]
+    a, idx = _kernels.sf_sign_matrix(p, d, max_order=p**d)
+    assert idx.tolist() == squarefree
+    assert np.array_equal(a, reference_matrix(p, d, np.arange(p), patched=True)[squarefree])
+
+
+@SETTINGS
+@given(problems())
+def test_squarefree_mask_matches_gcd_test(problem):
+    p, d, _, _ = problem
+    modulus = PrimeModulus(p)
+    expected = [is_squarefree(poly_from_index(d, modulus, i)) for i in range(p**d)]
+    assert _kernels.squarefree_mask(p, d).tolist() == expected
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_eval_array_matches_eval_int(problem, data):
+    p, d, x0, m = problem
+    g = poly_from_index(d, PrimeModulus(p), data.draw(st.integers(0, p**d - 1)))
+    xs = window(p, x0, m)
+    assert g.eval_array(xs).tolist() == [g.eval_int(int(x)) for x in xs]

@@ -182,11 +182,6 @@ class TestEnumeration:
             else:
                 assert n == p**d - p ** (d - 1)
 
-    def test_count_formula_vs_enumeration_route(self):
-        # force the enumeration route with a generous exact limit
-        m = PrimeModulus(7)
-        assert squarefree_count(m, 2, exact_limit=1) == squarefree_count(m, 2)
-
     def test_window(self):
         m = PrimeModulus(5)
         window = list(enumerate_monic(2, m, start=3, stop=8))
