@@ -253,9 +253,10 @@ def sweep_weil(
         PrimeModulus(p)  # validate
         for degree in range(1, max_degree + 1):
             sums = _kernels.all_monic_char_sums(p, degree, threads=threads, budget=budget)
-            mask = np.ones(len(sums), dtype=bool)
-            mask[_kernels.perfect_square_indices(p, degree, budget)] = False
-            measured = int(np.max(np.abs(sums[mask])))
+            # zeroing the perfect squares in place leaves the max of |sum| over
+            # the non-squares unchanged and allocates no second p^D array
+            sums[_kernels.perfect_square_indices(p, degree, budget)] = 0
+            measured = int(np.max(np.abs(sums, out=sums)))
             bound = weil_bound(degree, p)
             rows.append(
                 BoundCheckRow(

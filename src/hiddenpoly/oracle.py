@@ -7,7 +7,9 @@ in {-1, 0, 1}) or the patched character (patched mode, values in
 probability 1 - gamma, uniformly over the incorrect values of the
 mode's codomain.  Noise draws are a pure function of
 (rng_seed, x, draw index), so answers do not depend on global query
-order and concurrent callers see a consistent oracle.
+order and concurrent callers see a consistent oracle.  query_block
+answers a whole array of points in one call, with the same answers and
+counts as the scalar calls.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import hashlib
 import struct
 import threading
 
-from .ffield import FpElement, PrimeModulus, legendre, legendre_ext
+import numpy as np
+
+from .ffield import FpElement, PrimeModulus, chi_ext_table, chi_table, legendre, legendre_ext
 from .poly import MonicPoly, is_squarefree
 
 SIGNED = "signed"
@@ -46,6 +50,7 @@ class OracleSession:
         self.gamma = float(gamma)
         self.rng_seed = int(rng_seed) & _MASK64
         self.mode = mode
+        self._codomain = (-1, 0, 1) if mode == SIGNED else (-1, 1)
         self._count = 0
         self._draws: dict[int, int] = {}
         self._lock = threading.Lock()
@@ -83,31 +88,67 @@ class OracleSession:
         pick = int.from_bytes(digest[8:16], "little")
         return u, pick
 
-    def query(self, x) -> int:
-        """One oracle answer at x; increments the query counter by one."""
-        xv = x.value if isinstance(x, FpElement) else int(x) % self.p
-        with self._lock:
-            self._count += 1
-            if self.gamma < 1.0:
-                draw = self._draws.get(xv, 0)
-                self._draws[xv] = draw + 1
-        truth = self._truth(xv)
+    def _take_draws(self, xv: int, t: int) -> int:
+        # caller holds the lock; returns the first of t fresh draw indices at xv
+        draw = self._draws.get(xv, 0)
+        self._draws[xv] = draw + t
+        return draw
+
+    def _vote(self, xv: int, truth: int, first: int, t: int) -> int:
+        # plurality of the noisy answers to draws first .. first+t-1,
+        # smallest value on ties; the one body behind every public query
         if self.gamma == 1.0:
             return truth
-        u, pick = self._noise_words(xv, draw)
-        if u < self.gamma:
-            return truth
-        codomain = (-1, 0, 1) if self.mode == SIGNED else (-1, 1)
-        wrong = [v for v in codomain if v != truth]
-        return wrong[pick % len(wrong)]
-
-    def majority_estimate(self, x, t: int) -> int:
-        """Plurality of t repeated queries at x; t odd, smallest value on ties."""
-        if t < 1 or t % 2 == 0:
-            raise ValueError("t must be a positive odd integer")
+        wrong = [v for v in self._codomain if v != truth]
         counts: dict[int, int] = {}
-        for _ in range(t):
-            v = self.query(x)
+        for draw in range(first, first + t):
+            u, pick = self._noise_words(xv, draw)
+            v = truth if u < self.gamma else wrong[pick % len(wrong)]
             counts[v] = counts.get(v, 0) + 1
         best = max(counts.values())
         return min(v for v, c in counts.items() if c == best)
+
+    def _answer(self, x, t: int) -> int:
+        xv = x.value if isinstance(x, FpElement) else int(x) % self.p
+        with self._lock:
+            self._count += t
+            first = self._take_draws(xv, t) if self.gamma < 1.0 else 0
+        return self._vote(xv, self._truth(xv), first, t)
+
+    def query(self, x) -> int:
+        """One oracle answer at x; increments the query counter by one."""
+        return self._answer(x, 1)
+
+    def majority_estimate(self, x, t: int) -> int:
+        """Plurality of t repeated queries at x; t odd, smallest value on ties."""
+        _check_votes(t)
+        return self._answer(x, t)
+
+    def query_block(self, xs, reps: int = 1) -> np.ndarray:
+        """majority_estimate(x, reps) for every x of xs in order, as int8.
+
+        Counters and noise draws advance exactly as that sequence of
+        scalar calls would advance them, so a block and the scalar calls
+        are interchangeable.  The truth comes from the cached p-entry
+        character table instead of a per-point Jacobi reduction.
+        """
+        _check_votes(reps)
+        xs = np.asarray(xs, dtype=np.int64) % self.p
+        table = chi_table(self.modulus) if self.mode == SIGNED else chi_ext_table(self.modulus)
+        truth = table[self._hidden.eval_array(xs)]
+        with self._lock:
+            self._count += reps * len(xs)
+            if self.gamma == 1.0:
+                return truth
+            points = xs.tolist()
+            firsts = [self._take_draws(xv, reps) for xv in points]
+        votes = [
+            self._vote(xv, tv, first, reps)
+            for xv, tv, first in zip(points, truth.tolist(), firsts)
+        ]
+        return np.array(votes, dtype=np.int8)
+
+
+def _check_votes(t: int) -> None:
+    if t < 1 or t % 2 == 0:
+        raise ValueError("t must be a positive odd integer")

@@ -61,12 +61,19 @@ class MonicPoly:
         return acc
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        """Horner evaluation at every point of an int64 array; int64 residues."""
+        """Horner evaluation at every residue of an int64 array; int64 residues.
+
+        Where p(p-1) exceeds 2^63 - 1, acc * x + c would wrap in int64, so
+        the evaluation runs on Python integers (object dtype) instead.
+        """
         p = self.modulus.p
-        acc = np.ones(len(xs), dtype=np.int64)
+        xs = np.asarray(xs, dtype=np.int64)
+        dtype = object if p * (p - 1) > np.iinfo(np.int64).max else np.int64
+        xs = xs.astype(dtype, copy=False)
+        acc = np.ones(len(xs), dtype=dtype)
         for c in reversed(self.coeffs):
             acc = (acc * xs + c) % p
-        return acc
+        return acc.astype(np.int64, copy=False)
 
     def lex_key(self) -> tuple:
         return tuple(reversed(self.coeffs))

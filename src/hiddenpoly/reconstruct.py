@@ -136,16 +136,12 @@ class _WindowCache:
         self.seen = np.zeros(p, dtype=bool)
 
     def window(self, x0: int, m: int) -> np.ndarray:
-        p = self.session.p
-        xs = (x0 + np.arange(m, dtype=np.int64)) % p
-        for x in xs:
-            xi = int(x)
-            if not self.seen[xi]:
-                if self.reps == 1:
-                    self.values[xi] = self.session.query(xi)
-                else:
-                    self.values[xi] = self.session.majority_estimate(xi, self.reps)
-                self.seen[xi] = True
+        # m <= p, so the window's residues are distinct and each unseen one
+        # is queried once
+        xs = (x0 + np.arange(m, dtype=np.int64)) % self.session.p
+        unseen = xs[~self.seen[xs]]
+        self.values[unseen] = self.session.query_block(unseen, self.reps)
+        self.seen[unseen] = True
         return self.values[xs]
 
     @property

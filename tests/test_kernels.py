@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import FpElement, PrimeModulus, legendre_euler
-from hiddenpoly.poly import is_squarefree, poly_from_index
+from hiddenpoly.poly import MonicPoly, is_squarefree, poly_from_index
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # keeps p^d * p reference evaluations small
@@ -129,3 +129,22 @@ def test_eval_array_matches_eval_int(problem, data):
     g = poly_from_index(d, PrimeModulus(p), data.draw(st.integers(0, p**d - 1)))
     xs = window(p, x0, m)
     assert g.eval_array(xs).tolist() == [g.eval_int(int(x)) for x in xs]
+
+
+# either side of p(p-1) = 2^63 - 1, where int64 Horner would wrap, and 61/62/63-bit
+WIDE_PRIMES = (3037000493, 3037000507, 2**61 - 1, 2**62 - 57, 2**63 - 25)
+
+
+@SETTINGS
+@given(st.sampled_from(WIDE_PRIMES), st.integers(1, 4), st.data())
+def test_eval_array_exact_at_wide_primes(p, d, data):
+    residues = st.integers(0, p - 1)
+    g = MonicPoly(data.draw(st.lists(residues, min_size=d, max_size=d)), PrimeModulus(p))
+    xs = data.draw(st.lists(residues, min_size=1, max_size=20))
+    assert g.eval_array(np.array(xs, dtype=np.int64)).tolist() == [g.eval_int(x) for x in xs]
+
+
+def test_eval_array_wide_prime_regression():
+    p = 2**61 - 1
+    g = MonicPoly([123456789, 987654321], PrimeModulus(p))
+    assert g.eval_array([p - 1]).tolist() == [2305843008349496420] == [g.eval_int(p - 1)]

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiddenpoly.ffield import PrimeModulus, legendre_euler
 from hiddenpoly.oracle import PATCHED, SIGNED, OracleSession
@@ -163,3 +166,47 @@ class TestMajorityVote:
         session = OracleSession(f, gamma=0.9, rng_seed=0)
         session.majority_estimate(5, 51)
         assert session.query_count == 51
+
+
+def _scalar(session, x, reps):
+    return session.query(x) if reps == 1 else session.majority_estimate(x, reps)
+
+
+class TestQueryBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from((3, 7, 13, 31, 101)),
+        st.integers(1, 3),
+        st.sampled_from((SIGNED, PATCHED)),
+        st.sampled_from((1.0, 0.6, 0.9)),
+        st.sampled_from((1, 3, 5)),
+        st.data(),
+    )
+    def test_block_equals_scalar_calls(self, p, d, mode, gamma, reps, data):
+        f = random_squarefree(PrimeModulus(p), d, random.Random(data.draw(st.integers(0, 99))))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        block = OracleSession(f, gamma=gamma, rng_seed=seed, mode=mode)
+        scalar = OracleSession(f, gamma=gamma, rng_seed=seed, mode=mode)
+        # repeats and representatives outside [0, p) included
+        xs = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=40))
+        got = block.query_block(np.array(xs, dtype=np.int64), reps)
+        assert got.tolist() == [_scalar(scalar, x, reps) for x in xs]
+        assert block.query_count == scalar.query_count == reps * len(xs)
+        # later calls, scalar and block, see the same draws on both sessions
+        more = data.draw(st.lists(st.integers(0, p - 1), max_size=20))
+        assert [block.query(x) for x in more] == [scalar.query(x) for x in more]
+        got = block.query_block(more, reps)
+        assert got.tolist() == [_scalar(scalar, x, reps) for x in more]
+        assert [_scalar(block, x, reps) for x in more] == [_scalar(scalar, x, reps) for x in more]
+        assert block.query_count == scalar.query_count
+
+    def test_requires_odd_reps(self):
+        session = OracleSession(parse_poly("x + 3", PrimeModulus(7)), rng_seed=0)
+        with pytest.raises(ValueError):
+            session.query_block([1, 2], 2)
+        assert session.query_count == 0
+
+    def test_empty_block(self):
+        session = OracleSession(parse_poly("x + 3", PrimeModulus(7)), gamma=0.9)
+        assert session.query_block([], 3).tolist() == []
+        assert session.query_count == 0

@@ -16,6 +16,7 @@ from hiddenpoly.oracle import OracleSession
 from hiddenpoly.poly import enumerate_monic, parse_poly, random_squarefree
 from hiddenpoly.reconstruct import (
     AlgorithmParams,
+    _WindowCache,
     brute_force_recover,
     query_lower_bound,
     short_window_recover,
@@ -272,3 +273,28 @@ class TestReportShape:
         session = OracleSession(parse_poly("x + 30", m), rng_seed=0)
         report = two_stage_recover(session, 1)
         assert report.total_queries == report.distinct_points_queried == 101
+        # the same under noise with 3 votes per point, over windows [1, 22] and
+        # [1, 60] that overlap, plus the full range whenever stage 2 falls back
+        noisy = OracleSession(parse_poly("x + 30", m), gamma=0.9, rng_seed=0)
+        params = AlgorithmParams(
+            epsilon=0.5, N=22, M=60, stage1_threshold=21, stage2_threshold=59
+        )
+        report = two_stage_recover(noisy, 1, params, reps=3)
+        assert report.distinct_points_queried >= 60
+        assert report.total_queries == 3 * report.distinct_points_queried
+
+    def test_window_cache_answers_wrapping_windows_once(self):
+        m = PrimeModulus(101)
+        f = parse_poly("x^2 + x + 30", m)
+        session = OracleSession(f, gamma=0.6, rng_seed=4)
+        cache = _WindowCache(session, reps=3)
+
+        def first_answer(x):
+            # a point is voted on once, with its first 3 draws
+            return OracleSession(f, gamma=0.6, rng_seed=4).majority_estimate(x, 3)
+
+        for x0, length in ((90, 30), (0, 15), (95, 101)):
+            xs = [(x0 + j) % 101 for j in range(length)]
+            assert cache.window(x0, length).tolist() == [first_answer(x) for x in xs]
+        assert cache.distinct == 101
+        assert cache.queries == session.query_count == 3 * 101
