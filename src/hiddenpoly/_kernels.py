@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ffield import PrimeModulus, _chi_ext_table_cached, _chi_table_cached
-from .limits import BudgetExceeded, check_ops
-from .poly import is_squarefree, mul, poly_from_index, poly_index, squarefree_count
+from .limits import check_ops
+from .poly import is_squarefree, mul, poly_from_index, poly_index
 
 # Cells (rows x points x p) per block yielded by chi_blocks; about 2^16
 # measured fastest, small enough that a block stays in cache.
@@ -171,18 +171,13 @@ def chi_window_matrix(p: int, d: int, x0: int, m: int, budget: int | None = None
     return _chi_matrix(p, d, (x0 + np.arange(m, dtype=np.int64)) % p)
 
 
-def sf_sign_matrix(
-    p: int, d: int, max_order: int = 5000
-) -> tuple[np.ndarray, np.ndarray]:
+def sf_sign_matrix(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Patched-character sign matrix over the square-free candidates.
 
     Returns (A, indices): A[r, x] = chi_ext(g_r(x)) as int8, rows in index
-    order over the square-free monic degree-d polynomials.
+    order over the square-free monic degree-d polynomials.  This is the
+    dense route that the orbit-form Gram matrix of ``quantum`` is
+    cross-checked against.
     """
-    order = squarefree_count(PrimeModulus(p), d)
-    if order > max_order:
-        raise BudgetExceeded(
-            f"{order} square-free candidates exceed the dense-matrix budget {max_order}"
-        )
     idx = np.nonzero(squarefree_mask(p, d))[0]
     return _chi_matrix(p, d, np.arange(p, dtype=np.int64), patched=True)[idx], idx

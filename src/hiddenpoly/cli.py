@@ -9,7 +9,7 @@ Subcommands:
 
 Reports go to stdout (JSON or CSV; --out additionally writes a file),
 logs and errors to stderr.  Exit codes: 0 success, 1 semantic failure
-(recovery mismatch, bound violation, non-convergence), 2 usage errors.
+(recovery mismatch, bound violation), 2 usage errors and budget refusals.
 Identical flags and seed give byte-identical reports; --no-timing drops
 the wall-time fields so outputs are reproducible, and --threads never
 changes any output, only how scans are partitioned.  Field names are
@@ -209,15 +209,12 @@ def cmd_quantum(args: argparse.Namespace) -> int:
         )
 
     try:
-        sigma = quantum.sigma_2d(modulus, args.d)
-        gram = quantum.gram_matrix(modulus, args.d, k)
-        dist = quantum.measurement_distribution(hidden, args.d, k, gram=gram)
+        gram = quantum.gram_matrix(modulus, args.d, k, budget=args.budget)
     except BudgetExceeded as exc:
         _err(str(exc))
         return 2
-    except quantum.PowerIterationError as exc:
-        _err(str(exc))
-        return 1
+    sigma = quantum.sigma_2d(modulus, args.d, gram=gram)
+    dist = quantum.measurement_distribution(hidden, args.d, k, gram=gram)
 
     payload = {
         "p": args.p,

@@ -8,11 +8,23 @@ c_gh = (sum_x chi_ext(g(x)) chi_ext(h(x))) / p raised to the k-th power;
 the simulation therefore works in this factored form and never
 materialises p^k amplitudes.
 
+Translation (tau_a g)(x) = g(x + a) maps square-free candidates to
+square-free candidates and preserves every overlap, so the candidates
+fall into orbits of size p, or of size 1 for the translation-invariant
+candidates that exist only when p divides d.  Everything is read from
+one exact integer tensor over orbit representatives g_r,
+
+    C[r, s, t] = sum_x chi_ext(g_r(x)) chi_ext(g_s(x + t)),
+
+since tau_a g_r and tau_b g_s overlap in C[r, s, b - a] / p.  The Gram
+matrix G[g, h] = c_gh^k is therefore block-circulant in the shifts, and
+its eigenvalues are those of the p Hermitian blocks obtained by a
+Fourier transform over t (Gray, "Toeplitz and Circulant Matrices").
+
 The identification POVM scales every projector onto a candidate's
-k-copy state by alpha = (1 - 1e-12) / lambda_max of the Gram matrix
-G[g,h] = c_gh^k, leaving a residual outcome with the remaining mass.
-Measuring the state of the true polynomial f yields outcome f with
-probability exactly alpha.
+k-copy state by alpha = (1 - 1e-12) / lambda_max of G, leaving a
+residual outcome with the remaining mass.  Measuring the state of the
+true polynomial f yields outcome f with probability exactly alpha.
 """
 
 from __future__ import annotations
@@ -26,30 +38,24 @@ import numpy as np
 
 from . import _kernels
 from .ffield import PrimeModulus, chi_ext_table
-from .poly import MonicPoly, is_squarefree, poly_from_index
+from .limits import check_ops
+from .poly import MonicPoly, is_squarefree, poly_from_index, poly_index
 
 __all__ = [
     "SignState",
     "GramMatrix",
     "PovmResult",
-    "PowerIterationError",
     "build_state",
     "pair_overlap",
     "sigma_2d",
     "sigma_bound",
     "choose_k",
     "gram_matrix",
-    "dominant_eigenvalue",
     "povm_alpha",
     "measurement_distribution",
 ]
 
-DEFAULT_MAX_ORDER = 5000
 ALPHA_MARGIN = 1e-12
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when the eigenvalue iteration fails to converge."""
 
 
 @dataclass
@@ -71,12 +77,22 @@ class SignState:
 
 @dataclass
 class GramMatrix:
-    """G[i, j] = pair_overlap(g_i, g_j)^k over the square-free candidates."""
+    """G[g, h] = pair_overlap(g, h)^k over the square-free candidates, in orbit form.
 
-    order: int
-    entries: np.ndarray  # float64, shape (order, order)
+    members[r, a] is the index of tau_a g_r; the row of a translation-invariant
+    (fixed) orbit is constant.  G[tau_a g_r, tau_b g_s] = (overlaps[r, s, b - a] / p)^k.
+    """
+
+    order: int  # number of square-free candidates
     k: int
-    polys: list[MonicPoly]  # row/column order (lexicographic)
+    d: int
+    modulus: PrimeModulus
+    members: np.ndarray  # int64, shape (orbits, p)
+    overlaps: np.ndarray  # int64, shape (orbits, orbits, p): C[r, s, t]
+
+    @property
+    def fixed(self) -> np.ndarray:
+        return (self.members == self.members[:, :1]).all(axis=1)
 
 
 @dataclass
@@ -90,12 +106,15 @@ class PovmResult:
     residual_mass: Optional[float] = None
 
 
+def _signs(g: MonicPoly) -> np.ndarray:
+    return chi_ext_table(g.modulus)[g.eval_array(np.arange(g.modulus.p, dtype=np.int64))]
+
+
 def build_state(g: MonicPoly) -> SignState:
     """Sign vector chi_ext(g(x)) for x = 0..p-1; g must be square-free."""
     if not is_squarefree(g):
         raise ValueError("candidate states exist only for square-free polynomials")
-    xs = np.arange(g.modulus.p, dtype=np.int64)
-    return SignState(poly=g, signs=chi_ext_table(g.modulus)[g.eval_array(xs)])
+    return SignState(poly=g, signs=_signs(g))
 
 
 def pair_overlap(g: MonicPoly, h: MonicPoly) -> Fraction:
@@ -108,14 +127,23 @@ def pair_overlap(g: MonicPoly, h: MonicPoly) -> Fraction:
 
 
 def sigma_2d(
-    modulus: PrimeModulus, d: int, *, max_order: int = DEFAULT_MAX_ORDER
+    modulus: PrimeModulus,
+    d: int,
+    *,
+    gram: Optional[GramMatrix] = None,
+    budget: int | None = None,
 ) -> int:
-    """Exact max over distinct square-free pairs of |sum_x chi_ext(g) chi_ext(h)|."""
-    a, _ = _kernels.sf_sign_matrix(modulus.p, d, max_order)
-    af = a.astype(np.float64)
-    inner = af @ af.T
-    np.fill_diagonal(inner, 0.0)
-    return int(round(float(np.max(np.abs(inner)))))
+    """Exact max over distinct square-free pairs of |sum_x chi_ext(g) chi_ext(h)|.
+
+    Read from gram's overlap tensor when one is given (any k).
+    """
+    gram = gram or gram_matrix(modulus, d, 1, budget=budget)
+    c = np.abs(gram.overlaps)
+    diag = np.arange(len(c))
+    c[diag, diag, 0] = 0  # (r, r, 0) pairs each candidate with itself
+    fixed = np.flatnonzero(gram.fixed)
+    c[fixed, fixed] = 0  # so does every shift of a fixed orbit
+    return int(c.max(initial=0))
 
 
 def sigma_bound(modulus: PrimeModulus, d: int) -> float:
@@ -132,62 +160,69 @@ def choose_k(d: int, epsilon: float) -> int:
     return math.ceil(2 * (d + 1) / epsilon)
 
 
+def _translates(p: int, d: int, idx: np.ndarray) -> np.ndarray:
+    """out[i, a] = index of g(x + a) for the monic degree-d g of index idx[i]."""
+    coeffs = idx[:, None] // p ** np.arange(d + 1, dtype=np.int64) % p
+    coeffs[:, d] = 1
+    powers = np.ones((d + 1, p), dtype=np.int64)  # powers[e] = a^e mod p
+    for e in range(1, d + 1):
+        powers[e] = powers[e - 1] * np.arange(p) % p
+    out = np.zeros((len(idx), p), dtype=np.int64)
+    for i in range(d):
+        # coefficient i of g(x + a) is sum_{j >= i} c_j binom(j, i) a^(j - i)
+        ci = np.zeros_like(out)
+        for j in range(i, d + 1):
+            ci = (ci + coeffs[:, j, None] * (math.comb(j, i) % p * powers[j - i] % p)) % p
+        out += ci * p**i
+    return out
+
+
 def gram_matrix(
-    modulus: PrimeModulus,
-    d: int,
-    k: int,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
+    modulus: PrimeModulus, d: int, k: int, *, budget: int | None = None
 ) -> GramMatrix:
-    """Gram matrix of the k-copy candidate states (square-free, index order)."""
+    """Gram matrix of the k-copy candidate states, in translation-orbit form."""
     if k < 1:
         raise ValueError("k must be at least 1")
     p = modulus.p
-    a, idx = _kernels.sf_sign_matrix(p, d, max_order)
-    af = a.astype(np.float64)
-    overlaps = (af @ af.T) / p  # exact integers divided by p
-    entries = overlaps**k
-    polys = [poly_from_index(d, modulus, int(i)) for i in idx]
-    return GramMatrix(order=len(idx), entries=entries, k=k, polys=polys)
-
-
-def dominant_eigenvalue(
-    matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 10**5
-) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic all-ones start; stops when successive Rayleigh
-    quotients agree to relative tolerance tol.
-    """
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("matrix must be square")
-    x = np.full(n, 1.0 / math.sqrt(n))
-    lam_prev = None
-    for _ in range(max_iter):
-        y = matrix @ x
-        lam = float(x @ y)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-    raise PowerIterationError(f"no convergence within {max_iter} iterations")
+    # orbit count: p^(d-1) free orbits at most, plus the fixed ones when p | d,
+    # which lie in F_p[x^p - x]; the tensor costs m^2 p, the eigensolves ~p m^3 / 2
+    m = p ** (d - 1) + (p ** (d // p) if d % p == 0 else 0)
+    check_ops(m * m * p + (p // 2 + 1) * m**3, budget, "quantum orbit tensor")
+    mask = _kernels.squarefree_mask(p, d, budget)
+    if d % p:
+        # tau_a moves s_{d-1} by d*a, so each orbit has one member with s_{d-1} = 0
+        reps = np.flatnonzero(mask[: p ** (d - 1)])
+    else:
+        reps = np.unique(_translates(p, d, np.flatnonzero(mask)).min(axis=1))
+    signs = np.stack([_signs(poly_from_index(d, modulus, int(r))) for r in reps])
+    # C[r, s, t] = sum_x A_r(x) A_s(x + t) is a cyclic cross-correlation; every
+    # value is an integer of size at most p, so rint makes the FFT exact
+    f = np.fft.rfft(signs.astype(np.float64), axis=1)
+    corr = np.fft.irfft(f.conj()[:, None, :] * f[None, :, :], n=p, axis=2)
+    return GramMatrix(
+        order=int(mask.sum()),
+        k=k,
+        d=d,
+        modulus=modulus,
+        members=_translates(p, d, reps),
+        overlaps=np.rint(corr).astype(np.int64),
+    )
 
 
 def povm_alpha(gram: GramMatrix) -> PovmResult:
     """alpha = (1 - 1e-12) / lambda_max, so the residual keeps nonnegative mass.
 
-    The Rayleigh-quotient estimate is floored by max_f (G^2)_ff, also a
-    lower bound on lambda_max for PSD G; this keeps every simulated
-    outcome distribution subnormalized even when the iteration stops
-    early on a tightly clustered spectrum.
+    Lifting G to the (orbit, shift) grid, with weight 1/sqrt(p) on the rows
+    and columns of a fixed orbit, is isometric and block-circulant; its
+    nonzero spectrum is G's, so lambda_max is the top eigenvalue over the
+    Hermitian Fourier blocks, each solved exactly.
     """
-    lam_iter = dominant_eigenvalue(gram.entries)
-    row_quadratic = float(np.max(np.sum(gram.entries * gram.entries, axis=1)))
-    lam = max(lam_iter, row_quadratic)
+    p = gram.modulus.p
+    weight = np.where(gram.fixed, 1.0 / math.sqrt(p), 1.0)
+    # block p - j is the complex conjugate of block j, same eigenvalues: rfft suffices
+    blocks = np.fft.rfft((gram.overlaps / p) ** gram.k, axis=2)
+    blocks *= (weight[:, None] * weight[None, :])[:, :, None]
+    lam = float(np.linalg.eigvalsh(blocks.transpose(2, 0, 1))[:, -1].max())
     return PovmResult(alpha=(1.0 - ALPHA_MARGIN) / lam, lambda_max=lam, k=gram.k)
 
 
@@ -198,7 +233,7 @@ def measurement_distribution(
     *,
     gram: Optional[GramMatrix] = None,
     povm: Optional[PovmResult] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
+    budget: int | None = None,
 ) -> PovmResult:
     """Outcome distribution of the POVM applied to the k-copy state of f.
 
@@ -208,17 +243,24 @@ def measurement_distribution(
     modulus = f.modulus
     if f.degree != d:
         raise ValueError("hidden polynomial degree does not match d")
-    gram = gram or gram_matrix(modulus, d, k, max_order=max_order)
+    gram = gram or gram_matrix(modulus, d, k, budget=budget)
     if gram.k != k:
         raise ValueError("Gram matrix was built for a different k")
+    hits = np.argwhere(gram.members == poly_index(f))
+    if modulus.p != gram.modulus.p or gram.d != d or not len(hits):
+        raise ValueError("hidden polynomial is not in the candidate family")
     povm = povm or povm_alpha(gram)
-    try:
-        fi = gram.polys.index(f)
-    except ValueError:
-        raise ValueError("hidden polynomial is not in the candidate family") from None
-    row = gram.entries[fi]
-    probs = povm.alpha * row * row  # alpha * c^(2k); diagonal gives alpha exactly
-    outcomes = {g: float(pr) for g, pr in zip(gram.polys, probs)}
+    r, a = hits[0]  # f = tau_a g_r
+    # G[f, tau_b g_s] = (C[r, s, b - a] / p)^k; a fixed orbit s is one candidate
+    row = (np.roll(gram.overlaps[r], a, axis=1) / modulus.p) ** k
+    fixed = gram.fixed
+    members = np.concatenate([gram.members[~fixed].ravel(), gram.members[fixed, 0]])
+    row = np.concatenate([row[~fixed].ravel(), row[fixed, 0]])
+    order = np.argsort(members)
+    probs = povm.alpha * row[order] * row[order]  # diagonal gives alpha exactly
+    outcomes = {
+        poly_from_index(d, modulus, int(i)): float(pr) for i, pr in zip(members[order], probs)
+    }
     residual = 1.0 - float(probs.sum())
     return PovmResult(
         alpha=povm.alpha,

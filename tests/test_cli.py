@@ -180,6 +180,25 @@ class TestQuantum:
         assert code == 2
         assert "budget" in err
 
+    def test_budget_flag_is_honoured(self, capsys):
+        code, out, err = run(capsys, "quantum", "--p", "101", "--d", "2", "--budget", "1000")
+        assert code == 2
+        assert out == ""
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line == "error: quantum orbit tensor needs ~53575652 elementary operations, " \
+            "budget is 1000"
+
+    def test_d1_beyond_the_old_candidate_cap(self, capsys):
+        # 10007 candidates: one orbit, so no dense 10007 x 10007 matrix
+        code, out, _ = run(
+            capsys, "quantum", "--p", "10007", "--d", "1", "--json", "--no-timing"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sigma_2d"] <= payload["sigma_bound"]
+        assert payload["p_correct"] == payload["alpha"]
+        assert payload["residual_mass"] >= 0
+
 
 class TestBench:
     def test_csv_shape(self, capsys):

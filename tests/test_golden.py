@@ -3,7 +3,9 @@
 Each tests/golden/<name>.txt is the stdout of `hiddenpoly <argv>` for one
 command below.  The files were captured before the candidate-scan
 kernels were consolidated, so a refactor that changes any reported
-number, order or format fails here.  Recovery and bench reports use
+number, order or format fails here.  The two quantum files were
+captured again when the exact block eigensolve replaced power
+iteration, which had underestimated lambda_max.  Recovery and bench reports use
 --no-timing; quantum and verify-bounds print no wall times.
 """
 

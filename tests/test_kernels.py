@@ -108,7 +108,7 @@ def test_sign_matrix_matches_reference(problem):
     p, d, _, _ = problem
     modulus = PrimeModulus(p)
     squarefree = [i for i in range(p**d) if is_squarefree(poly_from_index(d, modulus, i))]
-    a, idx = _kernels.sf_sign_matrix(p, d, max_order=p**d)
+    a, idx = _kernels.sf_sign_matrix(p, d)
     assert idx.tolist() == squarefree
     assert np.array_equal(a, reference_matrix(p, d, np.arange(p), patched=True)[squarefree])
 

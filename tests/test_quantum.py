@@ -1,8 +1,10 @@
 """Quantum identification simulation tests.
 
-Overlaps are exact rationals, so most checks are zero-tolerance; the
-power iteration is validated against numpy's dense symmetric
-eigensolver on both structured and random matrices.
+Overlaps are exact rationals, so most checks are zero-tolerance.  The
+Gram matrix lives in translation-orbit form; the tests expand it to the
+dense candidate x candidate matrix and check it, and the exact block
+eigensolve behind alpha, against an independent dense route built from
+the square-free sign matrix and numpy's dense symmetric eigensolver.
 """
 
 import random
@@ -10,15 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, legendre_ext
 from hiddenpoly.limits import BudgetExceeded
-from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly
+from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, poly_from_index
 from hiddenpoly.quantum import (
-    PowerIterationError,
     build_state,
     choose_k,
-    dominant_eigenvalue,
     gram_matrix,
     measurement_distribution,
     pair_overlap,
@@ -26,6 +29,32 @@ from hiddenpoly.quantum import (
     sigma_2d,
     sigma_bound,
 )
+
+
+def dense(gram):
+    """(polys, entries): the orbit form expanded to the candidate x candidate matrix.
+
+    Candidate tau_a g_r sits at members[r, a]; a fixed orbit is one candidate.
+    """
+    p = gram.modulus.p
+    where = {}
+    for r, row in enumerate(gram.members):
+        for a, index in enumerate(row):
+            where.setdefault(int(index), (r, a))
+    order = sorted(where)
+    rs = np.array([where[i][0] for i in order])
+    shifts = np.array([where[i][1] for i in order])
+    counts = gram.overlaps[rs[:, None], rs[None, :], (shifts[None, :] - shifts[:, None]) % p]
+    polys = [poly_from_index(gram.d, gram.modulus, i) for i in order]
+    return polys, (counts / p) ** gram.k
+
+
+def dense_route(p, d, k):
+    """(indices, A A^T, ((A A^T) / p)^k) from the square-free sign matrix."""
+    a, idx = _kernels.sf_sign_matrix(p, d)
+    af = a.astype(np.float64)
+    inner = af @ af.T
+    return idx, inner, (inner / p) ** k
 
 
 class TestSignState:
@@ -118,7 +147,7 @@ class TestSigma:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            sigma_2d(PrimeModulus(101), 2, max_order=100)
+            sigma_2d(PrimeModulus(101), 2, budget=100)
 
 
 class TestChooseK:
@@ -138,57 +167,92 @@ class TestGramMatrix:
     def test_entry_anchor(self):
         # (overlap of x and x+1)^2 = 1/49 at k=2
         m = PrimeModulus(7)
-        gram = gram_matrix(m, 1, 2)
+        polys, entries = dense(gram_matrix(m, 1, 2))
         f, g = parse_poly("x", m), parse_poly("x + 1", m)
-        i, j = gram.polys.index(f), gram.polys.index(g)
-        assert gram.entries[i, j] == pytest.approx(1 / 49, abs=1e-15)
+        i, j = polys.index(f), polys.index(g)
+        assert entries[i, j] == pytest.approx(1 / 49, abs=1e-15)
 
     def test_diagonal_is_one(self):
-        gram = gram_matrix(PrimeModulus(101), 1, 8)
-        assert (np.diag(gram.entries) == 1.0).all()
+        _, entries = dense(gram_matrix(PrimeModulus(101), 1, 8))
+        assert (np.diag(entries) == 1.0).all()
 
     def test_symmetric(self):
-        gram = gram_matrix(PrimeModulus(13), 2, 3)
-        assert (gram.entries == gram.entries.T).all()
+        _, entries = dense(gram_matrix(PrimeModulus(13), 2, 3))
+        assert (entries == entries.T).all()
 
     def test_k1_matches_exact_overlaps(self):
         # dual route: float matrix vs rational pair_overlap, exact because
         # every entry is a small integer divided by p
         m = PrimeModulus(13)
-        gram = gram_matrix(m, 1, 1)
-        for i, f in enumerate(gram.polys):
-            for j, g in enumerate(gram.polys):
-                assert gram.entries[i, j] == float(pair_overlap(f, g))
+        polys, entries = dense(gram_matrix(m, 1, 1))
+        for i, f in enumerate(polys):
+            for j, g in enumerate(polys):
+                assert entries[i, j] == float(pair_overlap(f, g))
 
     def test_positive_semidefinite(self):
-        gram = gram_matrix(PrimeModulus(101), 1, 8)
-        eigs = np.linalg.eigvalsh(gram.entries)
+        _, entries = dense(gram_matrix(PrimeModulus(101), 1, 8))
+        eigs = np.linalg.eigvalsh(entries)
         assert eigs.min() >= -1e-12
 
+    @pytest.mark.parametrize("p, d, orbits, fixed", [(13, 2, 12, 0), (3, 3, 8, 3), (5, 1, 1, 0)])
+    def test_orbits(self, p, d, orbits, fixed):
+        # fixed orbits (x^p - x + c and the like) exist only when p | d
+        gram = gram_matrix(PrimeModulus(p), d, 1)
+        assert gram.members.shape == (orbits, p)
+        assert int(gram.fixed.sum()) == fixed
+        polys, _ = dense(gram)
+        assert gram.order == len(polys) == len(set(polys))
 
-class TestDominantEigenvalue:
-    def test_identity(self):
-        assert dominant_eigenvalue(np.eye(5)) == pytest.approx(1.0, rel=1e-9)
 
-    def test_random_psd_vs_numpy(self):
-        rng = np.random.default_rng(0)
-        for n in (3, 10, 40):
-            for _ in range(5):
-                b = rng.normal(size=(n, n))
-                mat = b @ b.T
-                want = float(np.linalg.eigvalsh(mat)[-1])
-                got = dominant_eigenvalue(mat)
-                assert got == pytest.approx(want, rel=1e-8)
+@st.composite
+def small_families(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([q for q in (3, 5, 7, 11, 13, 17, 31) if q**d <= 1400]))
+    return p, d, draw(st.integers(1, 16))
 
-    def test_gram_vs_numpy(self):
-        for p in (13, 101):
-            gram = gram_matrix(PrimeModulus(p), 1, 4)
-            want = float(np.linalg.eigvalsh(gram.entries)[-1])
-            assert dominant_eigenvalue(gram.entries) == pytest.approx(want, rel=1e-9)
 
-    def test_iteration_cap(self):
-        with pytest.raises(PowerIterationError):
-            dominant_eigenvalue(np.diag([2.0, 1.0]), tol=1e-16, max_iter=1)
+class TestDenseCrossCheck:
+    """The orbit path against ((A A^T) / p)^k from the dense sign matrix."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_families())
+    @example((3, 3, 4))
+    @example((3, 6, 5))
+    @example((5, 5, 3))
+    def test_orbit_path_matches_dense(self, family):
+        p, d, k = family
+        modulus = PrimeModulus(p)
+        gram = gram_matrix(modulus, d, k)
+        idx, inner, entries = dense_route(p, d, k)
+        polys, expanded = dense(gram)
+        assert [poly_from_index(d, modulus, int(i)) for i in idx] == polys
+        assert np.array_equal(expanded, entries)
+
+        lam = float(np.linalg.eigvalsh(entries)[-1])
+        povm = povm_alpha(gram)
+        assert povm.lambda_max == pytest.approx(lam, rel=1e-12, abs=0)
+        assert povm.alpha * lam <= 1.0
+
+        np.fill_diagonal(inner, 0.0)
+        assert sigma_2d(modulus, d, gram=gram) == int(np.abs(inner).max(initial=0))
+
+        # first, middle and last candidate, and one of a fixed orbit if any
+        picks = {0, len(polys) // 2, len(polys) - 1}
+        picks.update(idx.tolist().index(i) for i in gram.members[gram.fixed, 0][:1])
+        for i in picks:
+            dist = measurement_distribution(polys[i], d, k, gram=gram, povm=povm)
+            assert list(dist.outcomes) == polys
+            want = dist.alpha * entries[i] * entries[i]
+            assert np.array_equal(np.array(list(dist.outcomes.values())), want)
+            assert dist.outcomes[polys[i]] == dist.alpha
+            assert dist.residual_mass >= 0
+
+    @pytest.mark.parametrize("p", [13, 31])
+    def test_alpha_never_exceeds_dense_inverse(self, p):
+        # tightly clustered top eigenvalues: an underestimate pushes alpha * lambda over 1
+        _, _, entries = dense_route(p, 2, 12)
+        povm = povm_alpha(gram_matrix(PrimeModulus(p), 2, 12))
+        assert povm.alpha * np.linalg.eigvalsh(entries)[-1] <= 1.0
 
 
 class TestPovm:
@@ -199,8 +263,8 @@ class TestPovm:
                 povm = povm_alpha(gram)
                 assert 0 < povm.alpha < 1
                 # weight must not exceed the top eigenvalue's inverse
-                top = float(np.linalg.eigvalsh(gram.entries)[-1])
-                assert povm.alpha * top <= 1.0 + 1e-9
+                top = float(np.linalg.eigvalsh(dense(gram)[1])[-1])
+                assert povm.alpha * top <= 1.0
 
     def test_lambda_at_least_one(self):
         gram = gram_matrix(PrimeModulus(13), 1, 2)
