@@ -31,14 +31,16 @@ from .limits import DEFAULT_OP_BUDGET, BudgetExceeded
 from .oracle import OracleSession
 from .poly import MonicPoly, is_squarefree, parse_poly, random_squarefree
 
-# CLI name -> solver; `recover` reports short as "short-window"
+# CLI name -> solver on `reconstruct`; `recover` reports short as "short-window".
+# Solvers are looked up at call time, so wrappers installed on the module
+# afterwards (a tracer, a profiler) see every call.
 SOLVERS = {
-    "brute": reconstruct.brute_force_recover,
-    "short": reconstruct.short_window_recover,
-    "two-stage": reconstruct.two_stage_recover,
+    "brute": "brute_force_recover",
+    "short": "short_window_recover",
+    "two-stage": "two_stage_recover",
 }
 ALGORITHMS = tuple(SOLVERS)
-LEMMAS = ("pair-identity", "weil", "weil-short", "mult-weil", "average")
+LEMMAS = tuple(charsum.SWEEPS)
 
 
 def _err(message: str) -> None:
@@ -92,7 +94,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        report = SOLVERS[args.algo](
+        report = getattr(reconstruct, SOLVERS[args.algo])(
             session, args.d, threads=args.threads, budget=args.budget, reps=args.reps
         )
     except (BudgetExceeded, ValueError) as exc:
@@ -122,30 +124,12 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _bound_rows(args: argparse.Namespace) -> list[charsum.BoundCheckRow]:
-    primes = tuple(args.p) if args.p else None
-    lemmas = (args.lemma,) if args.lemma else LEMMAS
+    # one row list per lemma in report order; --p replaces each sweep's primes
+    primes = (tuple(args.p),) if args.p else ()
     rows: list[charsum.BoundCheckRow] = []
-    for lemma in lemmas:
-        if lemma == "pair-identity":
-            rows += charsum.sweep_pair_identity(primes or charsum.DEFAULT_PAIR_PRIMES)
-        elif lemma == "weil":
-            rows += charsum.sweep_weil(
-                primes or charsum.DEFAULT_WEIL_PRIMES,
-                threads=args.threads,
-                budget=args.budget,
-            )
-        elif lemma == "weil-short":
-            rows += charsum.sweep_weil_short(
-                primes or charsum.DEFAULT_SHORT_PRIMES, seed=args.seed
-            )
-        elif lemma == "mult-weil":
-            rows += charsum.sweep_mult_weil(
-                primes or charsum.DEFAULT_MULT_PRIMES, seed=args.seed, budget=args.budget
-            )
-        else:
-            rows += charsum.sweep_moment(
-                primes or charsum.DEFAULT_MOMENT_PRIMES, seed=args.seed, budget=args.budget
-            )
+    for lemma in (args.lemma,) if args.lemma else LEMMAS:
+        sweep = getattr(charsum, charsum.SWEEPS[lemma])
+        rows += sweep(*primes, seed=args.seed, threads=args.threads, budget=args.budget)
     return rows
 
 
@@ -166,10 +150,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
             for p in args.p:
                 _load_modulus(p)
         rows = _bound_rows(args)
-    except BudgetExceeded as exc:
-        _err(f"budget too small: {exc}")
-        return 2
-    except ValueError as exc:
+    except (BudgetExceeded, ValueError) as exc:
         _err(str(exc))
         return 2
 
@@ -201,18 +182,17 @@ def cmd_quantum(args: argparse.Namespace) -> int:
         _err(str(exc))
         return 2
 
+    try:
+        gram = quantum.gram_matrix(modulus, args.d, k, budget=args.budget)
+    except BudgetExceeded as exc:
+        _err(str(exc))
+        return 2
     if args.d > args.p ** (0.5 - min(args.epsilon, 0.5)):
         print(
             f"note: d={args.d} exceeds p^(1/2-epsilon); the analysis regime "
             "does not apply at this size",
             file=sys.stderr,
         )
-
-    try:
-        gram = quantum.gram_matrix(modulus, args.d, k, budget=args.budget)
-    except BudgetExceeded as exc:
-        _err(str(exc))
-        return 2
     sigma = quantum.sigma_2d(modulus, args.d, gram=gram)
     dist = quantum.measurement_distribution(hidden, args.d, k, gram=gram)
 
@@ -259,7 +239,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 hidden = random_squarefree(modulus, args.d, random.Random(seed))
                 session = OracleSession(hidden, rng_seed=seed)
                 try:
-                    report = SOLVERS[algo](
+                    report = getattr(reconstruct, SOLVERS[algo])(
                         session, args.d, threads=args.threads, budget=args.budget
                     )
                 except (BudgetExceeded, ValueError):

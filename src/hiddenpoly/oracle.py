@@ -49,6 +49,9 @@ class OracleSession:
         self._hidden = hidden
         self.gamma = float(gamma)
         self.rng_seed = int(rng_seed) & _MASK64
+        # the tag and seed open every noise hash; each draw copies this state
+        prefix = b"hiddenpoly-oracle" + struct.pack("<Q", self.rng_seed)
+        self._noise_prefix = hashlib.sha256(prefix)
         self.mode = mode
         self._codomain = (-1, 0, 1) if mode == SIGNED else (-1, 1)
         self._count = 0
@@ -81,9 +84,9 @@ class OracleSession:
         return legendre(value) if self.mode == SIGNED else legendre_ext(value)
 
     def _noise_words(self, xv: int, draw: int) -> tuple[float, int]:
-        digest = hashlib.sha256(
-            b"hiddenpoly-oracle" + struct.pack("<QQQ", self.rng_seed, xv, draw)
-        ).digest()
+        h = self._noise_prefix.copy()
+        h.update(struct.pack("<QQ", xv, draw))
+        digest = h.digest()
         u = int.from_bytes(digest[:8], "little") / 2.0**64
         pick = int.from_bytes(digest[8:16], "little")
         return u, pick

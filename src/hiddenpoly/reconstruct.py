@@ -12,7 +12,8 @@ Three algorithms over the square-free monic degree-d candidates:
 
 brute and short-window share one windowed-argmax body and differ only in
 the window.  Every solver records the candidate x window cells it
-scanned in RecoveryReport.work.
+computed in RecoveryReport.work: the scans cover all p^d monic
+candidates, square-free or not, and a fallback each candidate of its pool.
 
 Oracle answers over a window are queried once, cached, and reused by
 every candidate, so query counts are exact.  Correctness is guaranteed
@@ -100,7 +101,7 @@ class RecoveryReport:
     params: Optional[AlgorithmParams]
     fallback: bool = False
     ambiguous: bool = False
-    work: int = 0  # candidate x window cells scanned; not part of the report
+    work: int = 0  # candidate x window cells computed; not part of the report
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -209,7 +210,7 @@ def _argmax_recover(
         stage_seconds={"scan": time.perf_counter() - t0},
         params=params,
         ambiguous=len(winners) > 1,
-        work=squarefree_count(modulus, d) * m,
+        work=p**d * m,
     )
 
 
@@ -309,7 +310,7 @@ def two_stage_recover(
     surv2 = [i for i in surv1 if window_sum(i, xs2, weights2) >= params.stage2_threshold]
     stage_seconds["stage2"] = time.perf_counter() - t1
 
-    work = squarefree_count(modulus, d) * params.N + len(surv1) * params.M
+    work = p**d * params.N + len(surv1) * params.M
     fallback = len(surv2) != 1
     if not fallback:
         recovered = poly_from_index(d, modulus, surv2[0])
@@ -320,7 +321,7 @@ def two_stage_recover(
         full = cache.window(0, p)
         sums = [window_sum(i, np.arange(p, dtype=np.int64), full) for i in pool]
         recovered = poly_from_index(d, modulus, pool[int(np.argmax(sums))]) if pool else None
-        work += len(surv1) * p
+        work += len(pool) * p
         stage_seconds["fallback"] = time.perf_counter() - t2
 
     return RecoveryReport(

@@ -5,12 +5,13 @@ built on the Euler-criterion character, so the numpy kernels and the
 arithmetic they rely on are validated by a fully independent route.
 """
 
+import itertools
 import math
 import random
 
 import pytest
 
-from hiddenpoly import charsum
+from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
     BoundCheckRow,
     LinearForm,
@@ -144,6 +145,27 @@ class TestMultilinear:
                         prod = prod * ((s0 + form.coefficients[0] * s1 + form.constant) % 7) % 7
                     direct += _chi(m, prod)
             assert got == direct
+
+    @pytest.mark.parametrize("block_cells", [_kernels.BLOCK_CELLS, 8])
+    @pytest.mark.parametrize("p, d", [(5, 1), (7, 2), (5, 3), (3, 4)])
+    def test_every_degree_and_block_size(self, p, d, block_cells, monkeypatch):
+        # 8 cells give one row of S_0 per block, so the block loop is exercised
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", block_cells)
+        m = PrimeModulus(p)
+        rng = random.Random(p * 10 + d)
+        for n_forms in range(4):
+            forms = set()
+            while len(forms) < n_forms:
+                forms.add(LinearForm(tuple(rng.randrange(p) for _ in range(d - 1)),
+                                     rng.randrange(p)))
+            direct = 0
+            for s in itertools.product(range(p), repeat=d):
+                prod = 1
+                for form in forms:
+                    shift = sum(c * v for c, v in zip(form.coefficients, s[1:]))
+                    prod = prod * (s[0] + shift + form.constant) % p
+                direct += _chi(m, prod)
+            assert multilinear_form_sum(tuple(forms), d, m) == direct
 
     def test_duplicate_forms_rejected(self):
         m = PrimeModulus(7)

@@ -9,6 +9,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from hiddenpoly.ffield import (
     FpElement,
@@ -179,6 +182,13 @@ class TestLegendre:
             for a in range(1, p):
                 x = m.element(a)
                 assert legendre_ext(x) == legendre(x)
+
+
+class TestLegendreAgainstSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)), st.integers(-10**9, 10**9))
+    def test_matches_sympy(self, p, a):
+        assert legendre(PrimeModulus(p).element(a)) == int(legendre_symbol(a % p, p))
 
 
 class TestJacobi:

@@ -1,6 +1,8 @@
 """Oracle session tests: exact answers, counters, noise model, voting."""
 
+import hashlib
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -109,6 +111,18 @@ class TestNoise:
         a = [OracleSession(f, gamma=0.6, rng_seed=1).query(x) for x in range(101)]
         b = [OracleSession(f, gamma=0.6, rng_seed=2).query(x) for x in range(101)]
         assert a != b
+
+    def test_noise_hash_is_one_sha256_per_draw(self):
+        # each draw hashes tag + seed + x + draw as one message; the session
+        # reuses a pre-hashed prefix, which must not change a digest
+        f = parse_poly("x + 3", PrimeModulus(101))
+        session = OracleSession(f, gamma=0.8, rng_seed=2**64 + 2**40 + 7)
+        for xv, draw in [(0, 0), (5, 3), (100, 2**40), (2**62, 1)]:
+            message = b"hiddenpoly-oracle" + struct.pack("<QQQ", 2**40 + 7, xv, draw)
+            digest = hashlib.sha256(message).digest()
+            want = (int.from_bytes(digest[:8], "little") / 2.0**64,
+                    int.from_bytes(digest[8:16], "little"))
+            assert session._noise_words(xv, draw) == want
 
     def test_wrong_rate_near_one_minus_gamma(self):
         # each answer is wrong with probability exactly 1 - gamma

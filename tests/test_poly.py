@@ -1,12 +1,16 @@
 """Monic polynomial representation, square-freeness, and enumeration tests.
 
 Square-freeness is validated against degree-2 and degree-3 discriminant
-formulas, a route fully independent of the gcd implementation.
+formulas, a route fully independent of the gcd implementation, and
+against sympy's square-free test over GF(p).
 """
 
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.limits import BudgetExceeded
@@ -135,6 +139,39 @@ class TestSquarefree:
         m = PrimeModulus(7)
         assert not is_squarefree(MonicPoly((2, 6), m))
         assert is_squarefree(MonicPoly((1, 1), m))
+
+
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _sympy_is_sqf(f: MonicPoly) -> bool:
+    # from the square-free factorisation: sympy 1.14's Poly.is_sqf calls a
+    # p-th power such as x^3 + 1 over GF(3) square-free, because f' = 0 there
+    g = sympy.Poly([1, *reversed(f.coeffs)], sympy.Symbol("x"), modulus=f.modulus.p)
+    return all(k == 1 for _, k in g.sqf_list()[1])
+
+
+class TestSquarefreeAgainstSympy:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 4), st.data())
+    def test_any_monic(self, p, d, data):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        f = MonicPoly(coeffs, PrimeModulus(p))
+        assert is_squarefree(f) == _sympy_is_sqf(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 2), st.integers(0, 2), st.data())
+    def test_repeated_factor(self, p, dg, dh, data):
+        # g^2 h with deg g^2 h <= 4 is never square-free; sympy must agree
+        m = PrimeModulus(p)
+        dh = min(dh, 4 - 2 * dg)
+        g = MonicPoly(data.draw(st.lists(st.integers(0, p - 1), min_size=dg, max_size=dg)), m)
+        f = _mul(g, g)
+        if dh:
+            f = _mul(f, MonicPoly(data.draw(
+                st.lists(st.integers(0, p - 1), min_size=dh, max_size=dh)), m))
+        assert not is_squarefree(f)
+        assert not _sympy_is_sqf(f)
 
 
 class TestPerfectSquare:

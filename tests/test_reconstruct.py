@@ -208,6 +208,33 @@ class TestTwoStage:
         assert set(report.stage_seconds) == {"stage1", "stage2"}
 
 
+class TestWork:
+    """RecoveryReport.work counts the candidate x point cells the kernels compute."""
+
+    def test_scans_cover_every_monic_candidate(self):
+        # the seed-0 job of `recover --p 101 --d 2 --algo two-stage`: stage 1 scans
+        # all p^2 monic candidates over N = 43 points, stage 2 one survivor over M
+        m = PrimeModulus(101)
+        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        report = two_stage_recover(session, 2)
+        assert (report.fallback, report.survivors_stage1) == (False, 1)
+        assert report.work == 101**2 * 43 + 101 == 438744
+
+    def test_fallback_covers_the_pool(self):
+        # 7 stage-1 survivors, 3 clear stage 2, and the fallback scans those 3
+        m = PrimeModulus(5)
+        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        report = two_stage_recover(session, 2)
+        assert (report.fallback, report.survivors_stage1, report.survivors_stage2) == (True, 7, 3)
+        assert report.work == 5**2 * 5 + 7 * 5 + 3 * 5
+
+    @pytest.mark.parametrize("solver", [brute_force_recover, short_window_recover])
+    def test_argmax_covers_every_monic_candidate(self, solver):
+        m = PrimeModulus(101)
+        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        assert solver(session, 2).work == 101**2 * 101  # M = p here
+
+
 class TestShortWindow:
     def test_exhaustive_degree_one(self):
         m = PrimeModulus(13)
