@@ -36,7 +36,6 @@ from .reconstruct import (
     brute_force_recover,
     query_lower_bound,
     short_window_recover,
-    stage1_survivors,
     two_stage_recover,
 )
 
@@ -72,6 +71,5 @@ __all__ = [
     "random_squarefree",
     "short_window_recover",
     "squarefree_count",
-    "stage1_survivors",
     "two_stage_recover",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "sweep_mult_weil",
     "sweep_moment",
     "SWEEPS",
-    "default_sweep",
 ]
 
 # Empirical constant for the short-interval bound, pinned from the desk-scale
@@ -124,7 +123,9 @@ def pair_identity(a: FpElement, b: FpElement) -> int:
         raise ValueError("elements of different fields")
     p = a.modulus.p
     xs = np.arange(p, dtype=np.int64)
-    vals = ((xs + a.value) % p) * ((xs + b.value) % p) % p
+    # both factors are below 2p, so the product fits int64 while p < 2^30
+    # (where xs alone is 8 GiB)
+    vals = (xs + a.value) * (xs + b.value) % p
     return int(chi_table(a.modulus)[vals].sum(dtype=np.int64))
 
 
@@ -382,10 +383,3 @@ SWEEPS = {
     "average": "sweep_moment",
 }
 
-
-def default_sweep(
-    seed: int = 0, threads: int = 1, budget: int | None = None
-) -> list[BoundCheckRow]:
-    """The full default grid used by the CLI report."""
-    sweeps = [globals()[name] for name in SWEEPS.values()]
-    return [row for sweep in sweeps for row in sweep(seed=seed, threads=threads, budget=budget)]

@@ -29,7 +29,7 @@ from . import charsum, quantum, reconstruct
 from .ffield import PrimeModulus
 from .limits import DEFAULT_OP_BUDGET, BudgetExceeded
 from .oracle import OracleSession
-from .poly import MonicPoly, is_squarefree, parse_poly, random_squarefree
+from .poly import MonicPoly, is_squarefree, parse_poly, poly_index, random_squarefree
 
 # CLI name -> solver on `reconstruct`; `recover` reports short as "short-window".
 # Solvers are looked up at call time, so wrappers installed on the module
@@ -193,8 +193,8 @@ def cmd_quantum(args: argparse.Namespace) -> int:
             "does not apply at this size",
             file=sys.stderr,
         )
-    sigma = quantum.sigma_2d(modulus, args.d, gram=gram)
-    dist = quantum.measurement_distribution(hidden, args.d, k, gram=gram)
+    sigma = quantum.sigma_2d(gram)
+    dist = quantum.measurement_distribution(hidden, gram)
 
     payload = {
         "p": args.p,
@@ -207,7 +207,7 @@ def cmd_quantum(args: argparse.Namespace) -> int:
         "lambda_max": dist.lambda_max,
         "alpha": dist.alpha,
         "one_minus_alpha_times_p": (1.0 - dist.alpha) * args.p,
-        "p_correct": dist.outcomes[hidden],
+        "p_correct": dist.outcomes[poly_index(hidden)],
         "residual_mass": dist.residual_mass,
     }
     _emit_report(payload, args)

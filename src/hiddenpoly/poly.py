@@ -210,9 +210,8 @@ def enumerate_monic(
 ) -> Iterator[MonicPoly]:
     """All monic degree-d polynomials in lexicographic (s_{d-1},...,s_0) order.
 
-    start/stop select a contiguous index range, which is how scans are
-    partitioned across workers.  Rejects candidate spaces larger than the
-    enumeration limit.
+    start/stop select a contiguous index range.  Rejects candidate spaces
+    larger than the enumeration limit.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")

@@ -25,6 +25,8 @@ The identification POVM scales every projector onto a candidate's
 k-copy state by alpha = (1 - 1e-12) / lambda_max of G, leaving a
 residual outcome with the remaining mass.  Measuring the state of the
 true polynomial f yields outcome f with probability exactly alpha.
+sigma_2d, the POVM weight and the outcome distribution all read one
+GramMatrix; outcomes are addressed by monic index (poly.poly_index).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .limits import check_ops
 from .poly import MonicPoly, is_squarefree, poly_from_index, poly_index
 
 __all__ = [
-    "SignState",
     "GramMatrix",
     "PovmResult",
     "build_state",
@@ -56,23 +57,6 @@ __all__ = [
 ]
 
 ALPHA_MARGIN = 1e-12
-
-
-@dataclass
-class SignState:
-    """Sign pattern of a candidate state; amplitudes are signs / sqrt(p)."""
-
-    poly: MonicPoly
-    signs: np.ndarray  # int8, length p, values in {-1, +1}
-
-    @property
-    def p(self) -> int:
-        return self.poly.modulus.p
-
-    @property
-    def norm_squared(self) -> float:
-        # signs are +/-1 at every point, so the state is unit by construction
-        return float(len(self.signs)) / self.p
 
 
 @dataclass
@@ -97,47 +81,43 @@ class GramMatrix:
 
 @dataclass
 class PovmResult:
-    """Scaling alpha, the eigenvalue behind it, and an optional distribution."""
+    """Scaling alpha, the eigenvalue behind it, and an optional distribution.
+
+    outcomes[i] is the probability of the candidate of monic index i (0 off
+    the square-free family); residual_mass is the inconclusive outcome's.
+    """
 
     alpha: float
     lambda_max: float
     k: int
-    outcomes: Optional[dict[MonicPoly, float]] = None
+    outcomes: Optional[np.ndarray] = None  # float64, length p^d
     residual_mass: Optional[float] = None
 
 
-def _signs(g: MonicPoly) -> np.ndarray:
-    return chi_ext_table(g.modulus)[g.eval_array(np.arange(g.modulus.p, dtype=np.int64))]
+def build_state(g: MonicPoly) -> np.ndarray:
+    """Sign vector chi_ext(g(x)) for x = 0..p-1 (int8); g must be square-free.
 
-
-def build_state(g: MonicPoly) -> SignState:
-    """Sign vector chi_ext(g(x)) for x = 0..p-1; g must be square-free."""
+    The candidate state has amplitudes signs / sqrt(p).
+    """
     if not is_squarefree(g):
         raise ValueError("candidate states exist only for square-free polynomials")
-    return SignState(poly=g, signs=_signs(g))
+    return chi_ext_table(g.modulus)[g.eval_array(np.arange(g.modulus.p, dtype=np.int64))]
 
 
 def pair_overlap(g: MonicPoly, h: MonicPoly) -> Fraction:
     """Single-copy overlap as an exact rational: (sum of sign products) / p."""
     if g.modulus.p != h.modulus.p or g.degree != h.degree:
         raise ValueError("states live in the same candidate family")
-    a = build_state(g).signs.astype(np.int64)
-    b = build_state(h).signs.astype(np.int64)
+    a = build_state(g).astype(np.int64)
+    b = build_state(h).astype(np.int64)
     return Fraction(int(np.dot(a, b)), g.modulus.p)
 
 
-def sigma_2d(
-    modulus: PrimeModulus,
-    d: int,
-    *,
-    gram: Optional[GramMatrix] = None,
-    budget: int | None = None,
-) -> int:
+def sigma_2d(gram: GramMatrix) -> int:
     """Exact max over distinct square-free pairs of |sum_x chi_ext(g) chi_ext(h)|.
 
-    Read from gram's overlap tensor when one is given (any k).
+    Read from gram's overlap tensor, so any k gives the same value.
     """
-    gram = gram or gram_matrix(modulus, d, 1, budget=budget)
     c = np.abs(gram.overlaps)
     diag = np.arange(len(c))
     c[diag, diag, 0] = 0  # (r, r, 0) pairs each candidate with itself
@@ -194,7 +174,7 @@ def gram_matrix(
         reps = np.flatnonzero(mask[: p ** (d - 1)])
     else:
         reps = np.unique(_translates(p, d, np.flatnonzero(mask)).min(axis=1))
-    signs = np.stack([_signs(poly_from_index(d, modulus, int(r))) for r in reps])
+    signs = np.stack([build_state(poly_from_index(d, modulus, int(r))) for r in reps])
     # C[r, s, t] = sum_x A_r(x) A_s(x + t) is a cyclic cross-correlation; every
     # value is an integer of size at most p, so rint makes the FFT exact
     f = np.fft.rfft(signs.astype(np.float64), axis=1)
@@ -226,46 +206,29 @@ def povm_alpha(gram: GramMatrix) -> PovmResult:
     return PovmResult(alpha=(1.0 - ALPHA_MARGIN) / lam, lambda_max=lam, k=gram.k)
 
 
-def measurement_distribution(
-    f: MonicPoly,
-    d: int,
-    k: int,
-    *,
-    gram: Optional[GramMatrix] = None,
-    povm: Optional[PovmResult] = None,
-    budget: int | None = None,
-) -> PovmResult:
+def measurement_distribution(f: MonicPoly, gram: GramMatrix) -> PovmResult:
     """Outcome distribution of the POVM applied to the k-copy state of f.
 
     P(outcome g) = alpha * c_gf^(2k); the correct outcome has probability
     exactly alpha, and the residual outcome absorbs the remaining mass.
     """
-    modulus = f.modulus
-    if f.degree != d:
-        raise ValueError("hidden polynomial degree does not match d")
-    gram = gram or gram_matrix(modulus, d, k, budget=budget)
-    if gram.k != k:
-        raise ValueError("Gram matrix was built for a different k")
+    p = gram.modulus.p
     hits = np.argwhere(gram.members == poly_index(f))
-    if modulus.p != gram.modulus.p or gram.d != d or not len(hits):
+    if f.modulus.p != p or f.degree != gram.d or not len(hits):
         raise ValueError("hidden polynomial is not in the candidate family")
-    povm = povm or povm_alpha(gram)
+    povm = povm_alpha(gram)
     r, a = hits[0]  # f = tau_a g_r
-    # G[f, tau_b g_s] = (C[r, s, b - a] / p)^k; a fixed orbit s is one candidate
-    row = (np.roll(gram.overlaps[r], a, axis=1) / modulus.p) ** k
-    fixed = gram.fixed
-    members = np.concatenate([gram.members[~fixed].ravel(), gram.members[fixed, 0]])
-    row = np.concatenate([row[~fixed].ravel(), row[fixed, 0]])
-    order = np.argsort(members)
-    probs = povm.alpha * row[order] * row[order]  # diagonal gives alpha exactly
-    outcomes = {
-        poly_from_index(d, modulus, int(i)): float(pr) for i, pr in zip(members[order], probs)
-    }
-    residual = 1.0 - float(probs.sum())
+    # G[f, tau_b g_s] = (C[r, s, b - a] / p)^k; the row of a fixed orbit s is
+    # constant, so its repeated writes to one index agree
+    row = (np.roll(gram.overlaps[r], a, axis=1) / p) ** gram.k
+    outcomes = np.zeros(p**gram.d)
+    outcomes[gram.members] = povm.alpha * row * row  # diagonal gives alpha exactly
+    # summed in candidate order, one term per candidate
+    residual = 1.0 - float(outcomes[np.unique(gram.members)].sum())
     return PovmResult(
         alpha=povm.alpha,
         lambda_max=povm.lambda_max,
-        k=k,
+        k=gram.k,
         outcomes=outcomes,
         residual_mass=residual,
     )

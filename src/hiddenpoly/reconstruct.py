@@ -40,7 +40,6 @@ __all__ = [
     "AlgorithmParams",
     "RecoveryReport",
     "brute_force_recover",
-    "stage1_survivors",
     "two_stage_recover",
     "short_window_recover",
     "query_lower_bound",
@@ -169,13 +168,6 @@ def query_lower_bound(modulus: PrimeModulus, d: int) -> int:
     return k
 
 
-def _try_params(modulus: PrimeModulus, d: int) -> Optional[AlgorithmParams]:
-    try:
-        return AlgorithmParams.for_problem(modulus, d)
-    except ValueError:
-        return None
-
-
 def _argmax_recover(
     algorithm: str,
     session: OracleSession,
@@ -223,7 +215,10 @@ def brute_force_recover(
     reps: int = 1,
 ) -> RecoveryReport:
     """Query all p points and return the full-range correlation argmax."""
-    params = _try_params(session.modulus, d)
+    try:  # the windows are reported when they exist; brute does not use them
+        params = AlgorithmParams.for_problem(session.modulus, d)
+    except ValueError:
+        params = None
     return _argmax_recover("brute", session, d, 0, session.p, params, threads, budget, reps)
 
 
@@ -241,39 +236,6 @@ def short_window_recover(
     return _argmax_recover(
         "short-window", session, d, 1, params.M, params, threads, budget, reps
     )
-
-
-def _stage1_indices(
-    session: OracleSession,
-    d: int,
-    params: AlgorithmParams,
-    cache: _WindowCache,
-    threads: int,
-    budget: int | None = None,
-) -> np.ndarray:
-    p = session.p
-    # the mask carries the d >= 3 budget check, so it comes before any p^d array
-    mask = _kernels.squarefree_mask(p, d, budget)
-    weights = cache.window(1, params.N)
-    corr = _kernels.windowed_correlations(p, d, 1, params.N, weights, threads=threads)
-    keep = mask & (np.abs(corr) >= params.stage1_threshold)
-    return np.nonzero(keep)[0]
-
-
-def stage1_survivors(
-    session: OracleSession,
-    d: int,
-    params: Optional[AlgorithmParams] = None,
-    *,
-    threads: int = 1,
-    reps: int = 1,
-) -> list[MonicPoly]:
-    """Square-free candidates passing the stage-1 absolute threshold, in order."""
-    modulus = session.modulus
-    params = params or AlgorithmParams.for_problem(modulus, d)
-    cache = _WindowCache(session, reps)
-    idx = _stage1_indices(session, d, params, cache, threads)
-    return [poly_from_index(d, modulus, int(i)) for i in idx]
 
 
 def two_stage_recover(
@@ -301,7 +263,11 @@ def two_stage_recover(
         return int(np.dot(weights, chi[poly_from_index(d, modulus, i).eval_array(xs)]))
 
     t0 = time.perf_counter()
-    surv1 = [int(i) for i in _stage1_indices(session, d, params, cache, threads, budget)]
+    # the mask carries the d >= 3 budget check, so it comes before any p^d array
+    mask = _kernels.squarefree_mask(p, d, budget)
+    weights1 = cache.window(1, params.N)
+    corr = _kernels.windowed_correlations(p, d, 1, params.N, weights1, threads=threads)
+    surv1 = [int(i) for i in np.nonzero(mask & (np.abs(corr) >= params.stage1_threshold))[0]]
     t1 = time.perf_counter()
     stage_seconds = {"stage1": t1 - t0}
 

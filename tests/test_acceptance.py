@@ -21,7 +21,7 @@ import numpy as np
 from hiddenpoly import charsum, quantum, reconstruct
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.oracle import OracleSession
-from hiddenpoly.poly import enumerate_monic, random_squarefree
+from hiddenpoly.poly import enumerate_monic, poly_index, random_squarefree
 from hiddenpoly.quantum import build_state, choose_k, gram_matrix, measurement_distribution
 from hiddenpoly.reconstruct import query_lower_bound
 
@@ -162,7 +162,7 @@ class TestCorrelationBound:
         ok = True
         for p in (7, 13, 101, 251):
             modulus = PrimeModulus(p)
-            sigma = quantum.sigma_2d(modulus, 1)
+            sigma = quantum.sigma_2d(gram_matrix(modulus, 1, 1))
             bound = quantum.sigma_bound(modulus, 1)
             ok = ok and sigma <= bound
             worst.append(f"p={p}: {sigma} <= {bound:.1f}")
@@ -179,12 +179,12 @@ class TestMeasurementSuccess:
             modulus = PrimeModulus(p)
             gram = gram_matrix(modulus, 1, k)
             hidden = random_squarefree(modulus, 1, random.Random(0))
-            dist = measurement_distribution(hidden, 1, k, gram=gram)
-            total = sum(dist.outcomes.values()) + dist.residual_mass
+            dist = measurement_distribution(hidden, gram)
+            total = float(dist.outcomes.sum()) + dist.residual_mass
             gap = (1.0 - dist.alpha) * p
             ok = ok and gap <= 10.0
             ok = ok and abs(total - 1.0) <= 1e-9
-            ok = ok and abs(dist.outcomes[hidden] - dist.alpha) <= 1e-10
+            ok = ok and abs(dist.outcomes[poly_index(hidden)] - dist.alpha) <= 1e-10
             ok = ok and dist.residual_mass >= 0.0
             details.append(f"p={p}: (1-alpha)p={gap:.2e}")
         elapsed = time.time() - t0
@@ -206,8 +206,8 @@ class TestTensorEquivalence:
         for k in (1, 2, 3):
             for i, f in enumerate(polys):
                 for g in polys[i:]:
-                    sf = build_state(f).signs.astype(np.int64)
-                    sg = build_state(g).signs.astype(np.int64)
+                    sf = build_state(f).astype(np.int64)
+                    sg = build_state(g).astype(np.int64)
                     tf, tg = sf, sg
                     for _ in range(k - 1):
                         tf = np.kron(tf, sf)

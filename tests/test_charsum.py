@@ -26,6 +26,7 @@ from hiddenpoly.charsum import (
     short_weil_bound,
     weil_bound,
 )
+from hiddenpoly.cli import main
 from hiddenpoly.ffield import PrimeModulus, legendre_euler
 from hiddenpoly.poly import MonicPoly, enumerate_monic, is_perfect_square, parse_poly
 
@@ -279,8 +280,11 @@ class TestSweeps:
         # r grid at p=7: {1, 2, ceil(ln 7)} collapses to {1, 2}
         assert {r.d for r in rows} == {1, 2}
 
-    def test_default_sweep_all_pass(self):
-        rows = charsum.default_sweep(seed=0)
-        assert all(r.passed for r in rows)
-        lemmas = {r.lemma for r in rows}
-        assert lemmas == {"pair-identity", "weil", "weil-short", "mult-weil", "average"}
+    def test_default_sweep_all_pass(self, capsys):
+        # the full default grid, through the CLI that reports it
+        assert main(["verify-bounds"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert all(row[-1] == "pass" for row in rows)
+        lemmas = list(dict.fromkeys(row[0] for row in rows))
+        assert lemmas == list(charsum.SWEEPS)
+        assert lemmas == ["pair-identity", "weil", "weil-short", "mult-weil", "average"]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, legendre_ext
 from hiddenpoly.limits import BudgetExceeded
-from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, poly_from_index
+from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, poly_from_index, poly_index
 from hiddenpoly.quantum import (
     build_state,
     choose_k,
@@ -60,21 +60,16 @@ def dense_route(p, d, k):
 class TestSignState:
     def test_signs_anchor(self):
         # patched character of f(x) = x over F_7, x = 0..6
-        st = build_state(parse_poly("x", PrimeModulus(7)))
-        assert tuple(int(s) for s in st.signs) == (1, 1, 1, -1, 1, -1, -1)
-
-    def test_unit_norm(self):
-        for p in (7, 101):
-            m = PrimeModulus(p)
-            for f in enumerate_monic(2, m, squarefree_only=True, stop=20):
-                assert build_state(f).norm_squared == Fraction(1)
+        signs = build_state(parse_poly("x", PrimeModulus(7)))
+        assert signs.dtype == np.int8
+        assert tuple(int(s) for s in signs) == (1, 1, 1, -1, 1, -1, -1)
 
     def test_signs_match_character(self):
         m = PrimeModulus(13)
         f = parse_poly("x^2 + 3*x + 1", m)
-        st = build_state(f)
+        signs = build_state(f)
         for x in range(13):
-            assert int(st.signs[x]) == legendre_ext(f.eval(m.element(x)))
+            assert int(signs[x]) == legendre_ext(f.eval(m.element(x)))
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError):
@@ -119,21 +114,23 @@ class TestPairOverlap:
             pair_overlap(f, h)
 
 
+def sigma(p, d):
+    return sigma_2d(gram_matrix(PrimeModulus(p), d, 1))
+
+
 class TestSigma:
     def test_frozen_values(self):
-        assert sigma_2d(PrimeModulus(7), 1) == 1
-        assert sigma_2d(PrimeModulus(7), 2) == 7
-        assert sigma_2d(PrimeModulus(13), 2) == 11
+        assert sigma(7, 1) == 1
+        assert sigma(7, 2) == 7
+        assert sigma(13, 2) == 11
 
     def test_bound_degree_one(self):
         for p in (7, 13, 101, 251):
-            m = PrimeModulus(p)
-            assert sigma_2d(m, 1) <= sigma_bound(m, 1)
+            assert sigma(p, 1) <= sigma_bound(PrimeModulus(p), 1)
 
     def test_bound_degree_two(self):
         for p in (7, 13):
-            m = PrimeModulus(p)
-            assert sigma_2d(m, 2) <= sigma_bound(m, 2)
+            assert sigma(p, 2) <= sigma_bound(PrimeModulus(p), 2)
 
     def test_matches_pairwise_overlaps(self):
         # sigma is the max |p * overlap| over distinct pairs
@@ -143,11 +140,12 @@ class TestSigma:
         for i, f in enumerate(polys):
             for g in polys[i + 1 :]:
                 best = max(best, abs(int(pair_overlap(f, g) * 13)))
-        assert sigma_2d(m, 1) == best
+        assert sigma(13, 1) == best
 
     def test_budget(self):
+        # the refusal lives where the tensor is built, before sigma can read it
         with pytest.raises(BudgetExceeded):
-            sigma_2d(PrimeModulus(101), 2, budget=100)
+            gram_matrix(PrimeModulus(101), 2, 1, budget=100)
 
 
 class TestChooseK:
@@ -234,17 +232,19 @@ class TestDenseCrossCheck:
         assert povm.alpha * lam <= 1.0
 
         np.fill_diagonal(inner, 0.0)
-        assert sigma_2d(modulus, d, gram=gram) == int(np.abs(inner).max(initial=0))
+        assert sigma_2d(gram) == int(np.abs(inner).max(initial=0))
 
         # first, middle and last candidate, and one of a fixed orbit if any
         picks = {0, len(polys) // 2, len(polys) - 1}
         picks.update(idx.tolist().index(i) for i in gram.members[gram.fixed, 0][:1])
         for i in picks:
-            dist = measurement_distribution(polys[i], d, k, gram=gram, povm=povm)
-            assert list(dist.outcomes) == polys
-            want = dist.alpha * entries[i] * entries[i]
-            assert np.array_equal(np.array(list(dist.outcomes.values())), want)
-            assert dist.outcomes[polys[i]] == dist.alpha
+            dist = measurement_distribution(polys[i], gram)
+            assert dist.alpha == povm.alpha and dist.lambda_max == povm.lambda_max
+            want = np.zeros(p**d)
+            want[idx] = dist.alpha * entries[i] * entries[i]
+            assert np.array_equal(dist.outcomes, want)  # and 0 off the family
+            assert dist.outcomes[idx[i]] == dist.alpha
+            assert dist.residual_mass == 1.0 - float(want[idx].sum())  # candidate order
             assert dist.residual_mass >= 0
 
     @pytest.mark.parametrize("p", [13, 31])
@@ -275,37 +275,48 @@ class TestMeasurementDistribution:
     def test_correct_outcome_equals_alpha(self):
         m = PrimeModulus(101)
         f = parse_poly("x + 3", m)
-        dist = measurement_distribution(f, 1, 8)
-        assert dist.outcomes[f] == dist.alpha
+        dist = measurement_distribution(f, gram_matrix(m, 1, 8))
+        assert dist.outcomes[poly_index(f)] == dist.alpha
 
     def test_total_mass_one(self):
         m = PrimeModulus(101)
         f = parse_poly("x + 3", m)
-        dist = measurement_distribution(f, 1, 8)
-        total = sum(dist.outcomes.values()) + dist.residual_mass
+        dist = measurement_distribution(f, gram_matrix(m, 1, 8))
+        total = dist.outcomes.sum() + dist.residual_mass
         assert total == pytest.approx(1.0, abs=1e-12)
         assert dist.residual_mass >= 0
 
     def test_wrong_outcomes_tiny_at_k8(self):
         m = PrimeModulus(101)
         f = parse_poly("x + 3", m)
-        dist = measurement_distribution(f, 1, 8)
-        wrong = max(v for g, v in dist.outcomes.items() if g != f)
+        dist = measurement_distribution(f, gram_matrix(m, 1, 8))
+        wrong = np.delete(dist.outcomes, poly_index(f)).max()
         assert wrong < 1e-10
 
     def test_gram_reuse_and_validation(self):
         m = PrimeModulus(13)
         f = parse_poly("x + 3", m)
         gram = gram_matrix(m, 1, 4)
-        dist = measurement_distribution(f, 1, 4, gram=gram)
-        assert dist.outcomes[f] == dist.alpha
-        with pytest.raises(ValueError):
-            measurement_distribution(f, 1, 5, gram=gram)  # k mismatch
+        before = gram.overlaps.copy()
+        for g in (f, parse_poly("x + 7", m)):
+            dist = measurement_distribution(g, gram)
+            assert dist.k == 4  # k is the Gram matrix's, there is no second source
+            assert dist.outcomes[poly_index(g)] == dist.alpha
+        sigma_2d(gram)
+        assert np.array_equal(gram.overlaps, before)  # reuse leaves the tensor intact
 
     def test_non_member_rejected(self):
         m = PrimeModulus(13)
-        with pytest.raises(ValueError):
-            measurement_distribution(MonicPoly((1, 4), m), 1, 2)  # degree 2, d=1
+        gram = gram_matrix(m, 1, 2)
+        for f in (
+            MonicPoly((1, 4), m),  # degree 2, index 53 is past the d=1 family
+            MonicPoly((3, 0), m),  # degree 2 x^2 + 3 shares index 3 with x + 3
+            parse_poly("x + 3", PrimeModulus(11)),  # wrong modulus, same index 3
+        ):
+            with pytest.raises(ValueError):
+                measurement_distribution(f, gram)
+        with pytest.raises(ValueError):  # not square-free, so not a candidate
+            measurement_distribution(parse_poly("x^2", m), gram_matrix(m, 2, 2))
 
 
 class TestTensorConsistency:
@@ -315,7 +326,7 @@ class TestTensorConsistency:
         polys = list(enumerate_monic(1, m, squarefree_only=True))
         for f in polys:
             for g in polys:
-                sf = build_state(f).signs.astype(np.int64)
-                sg = build_state(g).signs.astype(np.int64)
+                sf = build_state(f).astype(np.int64)
+                sg = build_state(g).astype(np.int64)
                 t = int(np.kron(sf, sf) @ np.kron(sg, sg))
                 assert Fraction(t, 49) == pair_overlap(f, g) ** 2

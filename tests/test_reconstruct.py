@@ -20,7 +20,6 @@ from hiddenpoly.reconstruct import (
     brute_force_recover,
     query_lower_bound,
     short_window_recover,
-    stage1_survivors,
     two_stage_recover,
 )
 
@@ -164,8 +163,10 @@ class TestTwoStage:
         for seed in range(5):
             hidden = random_squarefree(m, 2, random.Random(seed))
             session = OracleSession(hidden, rng_seed=seed)
-            survivors = stage1_survivors(session, 2)
-            assert hidden in survivors
+            report = two_stage_recover(session, 2)
+            # a truth dropped at stage 1 cannot be confirmed alone at stage 2
+            assert report.recovered == hidden
+            assert not report.fallback
 
     def test_subquadratic_window_at_large_prime(self):
         m = PrimeModulus(10007)
