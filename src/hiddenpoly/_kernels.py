@@ -5,11 +5,11 @@ lexicographic order).  With the upper coefficients fixed, the s_0 axis
 is contiguous in index space and chi((base + s_0) mod p) is a plain
 slice of a doubled character table.  ``chi_blocks`` is the one kernel
 that turns blocks of candidates into int8 character values this way;
-correlations, complete sums, window matrices and sign matrices are
-reductions over it.  At d = 1 the correlation is a single sliding dot
-product instead, which is faster there.  All accumulation is integer
-exact: float32 and float64 appear only where every intermediate is an
-integer the type represents exactly (below 2^24 and 2^53).
+correlations and window matrices are reductions over it.  At d = 1 the
+correlation is a single sliding dot product instead, which is faster
+there.  All accumulation is integer exact: float32 and float64 appear
+only where every intermediate is an integer the type represents exactly
+(below 2^24 and 2^53).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import PrimeModulus, _chi_ext_table_cached, _chi_table_cached
+from .ffield import PrimeModulus, chi_table
 from .limits import check_ops
 from .poly import is_squarefree, mul, poly_from_index, poly_index
 
@@ -29,8 +29,8 @@ BLOCK_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=64)
-def _chi2(p: int, patched: bool, dtype: str) -> np.ndarray:
-    base = _chi_ext_table_cached(p) if patched else _chi_table_cached(p)
+def _chi2(p: int, dtype: str) -> np.ndarray:
+    base = chi_table(PrimeModulus(p))
     arr = np.concatenate([base, base]).astype(dtype)
     arr.setflags(write=False)
     return arr
@@ -53,12 +53,12 @@ def _run_partitioned(fn, n: int, threads: int) -> None:
             fut.result()
 
 
-def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, patched: bool = False):
+def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int):
     """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
 
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
     candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
-    monic degree-d g of index (h + r)*p + s_0; patched selects chi(0) = +1.
+    monic degree-d g of index (h + r)*p + s_0.
     """
     xs = np.asarray(xs, dtype=np.int64)
     xp = np.empty((d + 1, len(xs)), dtype=np.int64)
@@ -66,7 +66,7 @@ def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, patched: bool =
     for i in range(1, d + 1):
         xp[i] = xp[i - 1] * xs % p
     # windows[b] = chi((b + s_0) mod p) for s_0 = 0..p-1, a view of the doubled table
-    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, patched, "int8"), p)
+    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, "int8"), p)
     place = p ** np.arange(d - 1, dtype=np.int64)
     step = max(1, BLOCK_CELLS // (len(xs) * p))
     for h in range(lo, hi, step):
@@ -96,7 +96,7 @@ def windowed_correlations(
     if d == 1:
         # c[t] = sum_j w[j] * chi2[t + j] for t < p is one sliding dot product that
         # stays inside the doubled table; corr[s] = c[(x0 + s) mod p]
-        chi2 = _chi2(p, False, "float64")
+        chi2 = _chi2(p, "float64")
         c = np.correlate(chi2[: p - 1 + m], w.astype(np.float64), mode="valid")
         np.rint(c, out=c)
         corr = np.empty(p, dtype=np.int64)
@@ -119,20 +119,20 @@ def windowed_correlations(
     return corr.reshape(-1)
 
 
-def all_monic_char_sums(
-    p: int, degree: int, threads: int = 1, budget: int | None = None
-) -> np.ndarray:
-    """Complete character sums sum_x chi(F(x)) for every monic degree-D F."""
-    check_ops(p ** (degree + 1), budget, "complete character-sum scan")
-    return windowed_correlations(p, degree, 0, p, np.ones(p, dtype=np.int64), threads)
+def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:
+    """int8 matrix of chi(g(x)): rows all monic degree-d g, columns the window."""
+    xs = (x0 + np.arange(m, dtype=np.int64)) % p
+    out = np.empty((p ** (d - 1), p, m), dtype=np.int8)
+    for h, block in chi_blocks(p, d, xs, 0, p ** (d - 1)):
+        out[h : h + len(block)] = block.transpose(0, 2, 1)
+    return out.reshape(p**d, m)
 
 
-def perfect_square_indices(p: int, degree: int, budget: int | None = None) -> np.ndarray:
+def perfect_square_indices(p: int, degree: int) -> np.ndarray:
     """Indices (in the monic degree-D order) of all perfect squares g^2."""
     if degree % 2:
         return np.empty(0, dtype=np.int64)
     m = degree // 2
-    check_ops(p**m * (m + 1) ** 2, budget, "perfect-square enumeration")
     modulus = PrimeModulus(p)
     roots = (poly_from_index(m, modulus, gi) for gi in range(p**m))
     return np.array([poly_index(mul(g, g)) for g in roots], dtype=np.int64)
@@ -155,29 +155,3 @@ def squarefree_mask(p: int, d: int, budget: int | None = None) -> np.ndarray:
     for i in range(total):
         mask[i] = is_squarefree(poly_from_index(d, modulus, i))
     return mask
-
-
-def _chi_matrix(p: int, d: int, xs: np.ndarray, patched: bool = False) -> np.ndarray:
-    # rows all monic degree-d g in index order, columns the points xs
-    out = np.empty((p ** (d - 1), p, len(xs)), dtype=np.int8)
-    for h, block in chi_blocks(p, d, xs, 0, p ** (d - 1), patched):
-        out[h : h + len(block)] = block.transpose(0, 2, 1)
-    return out.reshape(p**d, len(xs))
-
-
-def chi_window_matrix(p: int, d: int, x0: int, m: int, budget: int | None = None) -> np.ndarray:
-    """int8 matrix of chi(g(x)): rows all monic degree-d g, columns the window."""
-    check_ops(p**d * m, budget, "window matrix")
-    return _chi_matrix(p, d, (x0 + np.arange(m, dtype=np.int64)) % p)
-
-
-def sf_sign_matrix(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Patched-character sign matrix over the square-free candidates.
-
-    Returns (A, indices): A[r, x] = chi_ext(g_r(x)) as int8, rows in index
-    order over the square-free monic degree-d polynomials.  This is the
-    dense route that the orbit-form Gram matrix of ``quantum`` is
-    cross-checked against.
-    """
-    idx = np.nonzero(squarefree_mask(p, d))[0]
-    return _chi_matrix(p, d, np.arange(p, dtype=np.int64), patched=True)[idx], idx

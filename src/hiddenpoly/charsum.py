@@ -187,7 +187,7 @@ def moment_sum(
     if n > p:
         raise ValueError("weight window cannot exceed p")
     check_ops(p**d * n, budget, "moment scan")
-    matrix = _kernels.chi_window_matrix(p, d, 1, n, budget).astype(np.float64)
+    matrix = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64)
     inner = matrix @ np.asarray(w.entries, dtype=np.float64)
     return float(np.sum((inner * inner) ** r))
 
@@ -253,12 +253,15 @@ def sweep_weil(
     rows = []
     for p in primes:
         PrimeModulus(p)  # validate
+        # also covers the perfect-square enumeration, at most 9 p^2 <= p^5
         check_ops(sum(p ** (degree + 1) for degree in range(1, 5)), budget, "weil sweep")
+        ones = np.ones(p, dtype=np.int64)
         for degree in range(1, 5):
-            sums = _kernels.all_monic_char_sums(p, degree, threads=threads, budget=budget)
+            # complete sums: all-ones weights over the whole field
+            sums = _kernels.windowed_correlations(p, degree, 0, p, ones, threads=threads)
             # zeroing the perfect squares in place leaves the max of |sum| over
             # the non-squares unchanged and allocates no second p^D array
-            sums[_kernels.perfect_square_indices(p, degree, budget)] = 0
+            sums[_kernels.perfect_square_indices(p, degree)] = 0
             measured = int(np.max(np.abs(sums, out=sums)))
             bound = weil_bound(degree, p)
             rows.append(BoundCheckRow(
@@ -356,7 +359,7 @@ def sweep_moment(
                  for n in sorted({1, min(5, p), min(math.ceil(d * math.log(p) ** 2), p)})]
         check_ops(sum(p**d * max(n, 1000) for d, n in cells), budget, "moment sweep")
         for d, n in cells:
-            matrix = _kernels.chi_window_matrix(p, d, 1, n, budget).astype(np.float64)
+            matrix = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64)
             rng = np.random.default_rng([seed, p, d, n])
             weights = rng.choice(np.array([-1.0, 1.0]), size=(n, 1000))
             inner = matrix @ weights

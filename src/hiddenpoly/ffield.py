@@ -200,7 +200,9 @@ def legendre_ext(a: FpElement) -> int:
 
 
 @lru_cache(maxsize=128)
-def _chi_table_cached(p: int) -> np.ndarray:
+def chi_table(modulus: PrimeModulus) -> np.ndarray:
+    """Quadratic character as a read-only int8 lookup table over [0, p)."""
+    p = modulus.p
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
     # squares of 1..(p-1)/2 hit every quadratic residue exactly once
@@ -211,18 +213,9 @@ def _chi_table_cached(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _chi_ext_table_cached(p: int) -> np.ndarray:
-    table = _chi_table_cached(p).copy()
+def chi_ext_table(modulus: PrimeModulus) -> np.ndarray:
+    """Patched character as a read-only int8 lookup table over [0, p)."""
+    table = chi_table(modulus).copy()
     table[0] = 1
     table.setflags(write=False)
     return table
-
-
-def chi_table(modulus: PrimeModulus) -> np.ndarray:
-    """Quadratic character as a read-only int8 lookup table over [0, p)."""
-    return _chi_table_cached(modulus.p)
-
-
-def chi_ext_table(modulus: PrimeModulus) -> np.ndarray:
-    """Patched character as a read-only int8 lookup table over [0, p)."""
-    return _chi_ext_table_cached(modulus.p)

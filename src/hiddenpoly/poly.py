@@ -203,28 +203,17 @@ def enumerate_monic(
     d: int,
     modulus: PrimeModulus,
     squarefree_only: bool = False,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-    limit: int | None = None,
 ) -> Iterator[MonicPoly]:
     """All monic degree-d polynomials in lexicographic (s_{d-1},...,s_0) order.
 
-    start/stop select a contiguous index range.  Rejects candidate spaces
-    larger than the enumeration limit.
+    Rejects candidate spaces larger than the enumeration limit.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    p = modulus.p
-    total = p**d
-    cap = DEFAULT_ENUM_LIMIT if limit is None else int(limit)
-    if total > cap:
-        raise BudgetExceeded(f"p^d = {total} exceeds the enumeration limit {cap}")
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValueError("bad index range")
-    for i in range(start, stop):
+    total = modulus.p**d
+    if total > DEFAULT_ENUM_LIMIT:
+        raise BudgetExceeded(f"p^d = {total} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}")
+    for i in range(total):
         f = poly_from_index(d, modulus, i)
         if squarefree_only and not is_squarefree(f):
             continue

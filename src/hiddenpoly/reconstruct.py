@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,9 +57,7 @@ class AlgorithmParams:
     stage2_threshold: int
 
     @classmethod
-    def for_problem(
-        cls, modulus: PrimeModulus, d: int, epsilon: float = 0.5
-    ) -> "AlgorithmParams":
+    def for_problem(cls, modulus: PrimeModulus, d: int) -> "AlgorithmParams":
         if d < 1:
             raise ValueError("degree must be at least 1")
         p = modulus.p
@@ -69,7 +67,7 @@ class AlgorithmParams:
         if n <= d:
             raise ValueError(f"stage-1 window {n} does not exceed the degree {d}; p too small")
         return cls(
-            epsilon=epsilon,
+            epsilon=0.5,  # reported only; N and M do not depend on it
             N=n,
             M=m,
             stage1_threshold=n - d,
@@ -77,13 +75,7 @@ class AlgorithmParams:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "N": self.N,
-            "M": self.M,
-            "stage1_threshold": self.stage1_threshold,
-            "stage2_threshold": self.stage2_threshold,
-        }
+        return asdict(self)
 
 
 @dataclass

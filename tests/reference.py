@@ -1,0 +1,25 @@
+"""Plain-loop reference for the character of every monic candidate.
+
+Each candidate is evaluated with MonicPoly.eval_int and its character
+taken from legendre_euler, one point at a time, with none of the array
+code under test.  The kernel tests and the quantum dense route both
+check against it.
+"""
+
+import numpy as np
+
+from hiddenpoly.ffield import FpElement, PrimeModulus, legendre_euler
+from hiddenpoly.poly import poly_from_index
+
+
+def reference_matrix(p, d, xs, patched=False):
+    """[candidate index, j] -> chi(g(xs[j])) by plain loops; patched: chi(0) = +1."""
+    modulus = PrimeModulus(p)
+    chi = [legendre_euler(FpElement(v, modulus)) for v in range(p)]
+    if patched:
+        chi[0] = 1
+    rows = []
+    for i in range(p**d):
+        g = poly_from_index(d, modulus, i)
+        rows.append([chi[g.eval_int(int(x))] for x in xs])
+    return np.array(rows, dtype=np.int64).reshape(p**d, len(xs))

@@ -1,37 +1,26 @@
 """Property tests: every scan kernel against a plain per-candidate loop.
 
-The reference evaluates each monic candidate with MonicPoly.eval_int and
-takes the character from legendre_euler (patched: +1 at 0), one point at
-a time.  chi_blocks, every reduction over it, the d = 1 correlation and
-the array Horner evaluation must reproduce it exactly.
+The reference (``reference.reference_matrix``) evaluates each monic
+candidate with MonicPoly.eval_int and takes the character from
+legendre_euler, one point at a time.  chi_blocks, every reduction over
+it, the d = 1 correlation and the array Horner evaluation must reproduce
+it exactly; the index-set helpers must match the per-polynomial tests.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_matrix
 
 from hiddenpoly import _kernels
-from hiddenpoly.ffield import FpElement, PrimeModulus, legendre_euler
-from hiddenpoly.poly import MonicPoly, is_squarefree, poly_from_index
+from hiddenpoly.ffield import PrimeModulus
+from hiddenpoly.poly import MonicPoly, is_perfect_square, is_squarefree, poly_from_index
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # keeps p^d * p reference evaluations small
 MAX_P = {1: 31, 2: 31, 3: 11}
 
 SETTINGS = settings(max_examples=60, deadline=None)
-
-
-def reference_matrix(p, d, xs, patched=False):
-    """[candidate index, j] -> chi(g(xs[j])) by plain loops."""
-    modulus = PrimeModulus(p)
-    chi = [legendre_euler(FpElement(v, modulus)) for v in range(p)]
-    if patched:
-        chi[0] = 1
-    rows = []
-    for i in range(p**d):
-        g = poly_from_index(d, modulus, i)
-        rows.append([chi[g.eval_int(int(x))] for x in xs])
-    return np.array(rows, dtype=np.int64).reshape(p**d, len(xs))
 
 
 @st.composite
@@ -48,19 +37,19 @@ def window(p, x0, m):
 
 
 @SETTINGS
-@given(problems(), st.booleans(), st.data())
-def test_chi_blocks_match_reference(problem, patched, data):
+@given(problems(), st.data())
+def test_chi_blocks_match_reference(problem, data):
     p, d, x0, m = problem
     rows = p ** (d - 1)
     lo = data.draw(st.integers(0, rows - 1))
     hi = data.draw(st.integers(lo + 1, rows))
     xs = window(p, x0, m)
     seen = []
-    for h, block in _kernels.chi_blocks(p, d, xs, lo, hi, patched):
+    for h, block in _kernels.chi_blocks(p, d, xs, lo, hi):
         assert block.dtype == np.int8 and block.shape[1:] == (m, p)
         assert h == lo + len(seen) // p
         seen.extend(block.transpose(0, 2, 1).reshape(-1, m))
-    expected = reference_matrix(p, d, xs, patched)[lo * p : hi * p]
+    expected = reference_matrix(p, d, xs)[lo * p : hi * p]
     assert np.array_equal(np.array(seen).reshape(-1, m), expected)
 
 
@@ -86,11 +75,15 @@ def test_windowed_correlations_large_weights_stay_exact():
 
 
 @SETTINGS
-@given(problems(), st.sampled_from([1, 3]))
-def test_complete_sums_match_reference(problem, threads):
+@given(problems())
+def test_complete_sums_match_reference(problem):
+    # the complete sums sweep_weil takes: all-ones weights over the whole field
     p, d, _, _ = problem
     expected = reference_matrix(p, d, np.arange(p)).sum(axis=1)
-    assert np.array_equal(_kernels.all_monic_char_sums(p, d, threads=threads), expected)
+    ones = np.ones(p, dtype=np.int64)
+    for threads in (1, 3):
+        got = _kernels.windowed_correlations(p, d, 0, p, ones, threads=threads)
+        assert np.array_equal(got, expected)
 
 
 @SETTINGS
@@ -104,22 +97,33 @@ def test_window_matrix_matches_reference(problem):
 
 @SETTINGS
 @given(problems())
-def test_sign_matrix_matches_reference(problem):
-    p, d, _, _ = problem
-    modulus = PrimeModulus(p)
-    squarefree = [i for i in range(p**d) if is_squarefree(poly_from_index(d, modulus, i))]
-    a, idx = _kernels.sf_sign_matrix(p, d)
-    assert idx.tolist() == squarefree
-    assert np.array_equal(a, reference_matrix(p, d, np.arange(p), patched=True)[squarefree])
-
-
-@SETTINGS
-@given(problems())
 def test_squarefree_mask_matches_gcd_test(problem):
     p, d, _, _ = problem
     modulus = PrimeModulus(p)
     expected = [is_squarefree(poly_from_index(d, modulus, i)) for i in range(p**d)]
     assert _kernels.squarefree_mask(p, d).tolist() == expected
+
+
+# keeps the p^D per-polynomial square tests small
+SQUARE_MAX_P = {1: 31, 2: 31, 3: 13, 4: 7}
+
+
+@st.composite
+def square_problems(draw):
+    degree = draw(st.integers(1, 4))
+    return draw(st.sampled_from([q for q in PRIMES if q <= SQUARE_MAX_P[degree]])), degree
+
+
+@SETTINGS
+@given(square_problems())
+def test_perfect_square_indices_match_square_test(problem):
+    p, degree = problem
+    modulus = PrimeModulus(p)
+    polys = (poly_from_index(degree, modulus, i) for i in range(p**degree))
+    squares = [i for i, f in enumerate(polys) if is_perfect_square(f)]
+    got = _kernels.perfect_square_indices(p, degree)
+    assert got.dtype == np.int64
+    assert sorted(got.tolist()) == squares  # an index set: order is free, no repeats
 
 
 @SETTINGS

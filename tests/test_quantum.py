@@ -4,7 +4,8 @@ Overlaps are exact rationals, so most checks are zero-tolerance.  The
 Gram matrix lives in translation-orbit form; the tests expand it to the
 dense candidate x candidate matrix and check it, and the exact block
 eigensolve behind alpha, against an independent dense route built from
-the square-free sign matrix and numpy's dense symmetric eigensolver.
+the plain-loop reference sign matrix and numpy's dense symmetric
+eigensolver.
 """
 
 import random
@@ -14,11 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_matrix
 
-from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, legendre_ext
 from hiddenpoly.limits import BudgetExceeded
-from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, poly_from_index, poly_index
+from hiddenpoly.poly import (
+    MonicPoly,
+    enumerate_monic,
+    is_squarefree,
+    parse_poly,
+    poly_from_index,
+    poly_index,
+)
 from hiddenpoly.quantum import (
     build_state,
     choose_k,
@@ -50,9 +58,14 @@ def dense(gram):
 
 
 def dense_route(p, d, k):
-    """(indices, A A^T, ((A A^T) / p)^k) from the square-free sign matrix."""
-    a, idx = _kernels.sf_sign_matrix(p, d)
-    af = a.astype(np.float64)
+    """(indices, A A^T, ((A A^T) / p)^k) from the square-free sign matrix.
+
+    A[r, x] = chi_ext(g_r(x)) over the square-free g_r in index order, taken
+    from the plain-loop reference, not from the kernels under test.
+    """
+    modulus = PrimeModulus(p)
+    idx = np.array([i for i in range(p**d) if is_squarefree(poly_from_index(d, modulus, i))])
+    af = reference_matrix(p, d, range(p), patched=True)[idx].astype(np.float64)
     inner = af @ af.T
     return idx, inner, (inner / p) ** k
 
