@@ -12,6 +12,10 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 * the exact two-point product-sum identity        (``pair-identity``)
 * multilinear average over coefficient space      (``mult-weil``)
 * 2r-th moment of weighted short sums             (``average``)
+
+Each sweep calls a primitive that is cross-checked against a plain loop:
+``sweep_weil_short`` calls ``short_char_sums``, ``sweep_moment`` calls
+``moment_sums``, and ``sweep_weil`` the all-F scan kernel.
 """
 
 from __future__ import annotations
@@ -31,13 +35,12 @@ from .poly import MonicPoly, format_poly, mul, random_squarefree
 
 __all__ = [
     "LinearForm",
-    "WeightVector",
     "BoundCheckRow",
     "complete_char_sum",
-    "short_char_sum",
+    "short_char_sums",
     "pair_identity",
     "multilinear_form_sum",
-    "moment_sum",
+    "moment_sums",
     "weil_bound",
     "short_weil_bound",
     "mult_weil_bound",
@@ -83,24 +86,6 @@ class LinearForm:
         return LinearForm(tuple(c % p for c in self.coefficients), self.constant % p)
 
 
-class WeightVector:
-    """Real weights alpha_1, ..., alpha_N (|alpha_x| <= 1) on the window [1, N]."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[float]):
-        entries = tuple(float(a) for a in entries)
-        if not entries:
-            raise ValueError("weight vector must be nonempty")
-        if any(abs(a) > 1.0 + 1e-12 for a in entries):
-            raise ValueError("weights must satisfy |alpha| <= 1")
-        self.entries = entries
-
-    @property
-    def window(self) -> int:
-        return len(self.entries)
-
-
 def complete_char_sum(f: MonicPoly) -> int:
     """sum over all of F_p of chi(f(x)); exact integer."""
     p = f.modulus.p
@@ -108,13 +93,10 @@ def complete_char_sum(f: MonicPoly) -> int:
     return int(chi_table(f.modulus)[f.eval_array(xs)].sum())
 
 
-def short_char_sum(f: MonicPoly, m: int) -> int:
-    """sum_{x=1}^{M} chi(f(x)); requires 1 <= M < p (callers clamp)."""
-    p = f.modulus.p
-    if not 1 <= m < p:
-        raise ValueError("window must satisfy 1 <= M < p")
-    xs = np.arange(1, m + 1, dtype=np.int64)
-    return int(chi_table(f.modulus)[f.eval_array(xs)].sum())
+def short_char_sums(f: MonicPoly) -> np.ndarray:
+    """Every short sum at once: out[M-1] = sum_{x=1}^{M} chi(f(x)), 1 <= M < p; int64."""
+    xs = np.arange(1, f.modulus.p, dtype=np.int64)
+    return np.cumsum(chi_table(f.modulus)[f.eval_array(xs)], dtype=np.int64)
 
 
 def pair_identity(a: FpElement, b: FpElement) -> int:
@@ -168,36 +150,42 @@ def multilinear_form_sum(
     return total
 
 
-def moment_sum(
-    w: WeightVector,
+def moment_sums(
+    weights: np.ndarray,
     d: int,
-    r: int,
+    rs: Sequence[int],
     modulus: PrimeModulus,
     budget: int | None = None,
-) -> float:
-    """sum over ALL monic degree-d g of |sum_{x=1}^{N} alpha_x chi(g(x))|^(2r).
+) -> np.ndarray:
+    """out[i, t] = sum over ALL monic degree-d g of |sum_x w[x-1, t] chi(g(x))|^(2 rs[i]).
 
-    The candidate set is deliberately the full p^d monic family, not just the
-    square-free part; the companion bound is stated for that family.
+    x runs over [1, N] for real (N, T) weights with N <= p and |w| <= 1.
+    The candidate set is deliberately the full p^d monic family, not just
+    the square-free part; the companion bound is stated for that family.
     """
     p = modulus.p
-    if r < 1:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError("weights must be an (N, T) array")
+    n = w.shape[0]
+    if not 1 <= n <= p:
+        raise ValueError("weight window must satisfy 1 <= N <= p")
+    if np.any(np.abs(w) > 1.0 + 1e-12):
+        raise ValueError("weights must satisfy |alpha| <= 1")
+    if any(r < 1 for r in rs):
         raise ValueError("r must be at least 1")
-    n = w.window
-    if n > p:
-        raise ValueError("weight window cannot exceed p")
     check_ops(p**d * n, budget, "moment scan")
-    matrix = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64)
-    inner = matrix @ np.asarray(w.entries, dtype=np.float64)
-    return float(np.sum((inner * inner) ** r))
+    sq = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64) @ w
+    sq *= sq
+    return np.array([np.sum(sq**r, axis=0) for r in rs])
 
 
 def weil_bound(degree: int, p: int) -> float:
     return degree * math.sqrt(p)
 
 
-def short_weil_bound(degree: int, p: int, constant: float = SHORT_WEIL_CONSTANT) -> float:
-    return constant * degree * math.sqrt(p) * math.log(p)
+def short_weil_bound(degree: int, p: int) -> float:
+    return SHORT_WEIL_CONSTANT * degree * math.sqrt(p) * math.log(p)
 
 
 def mult_weil_bound(n_forms: int, d: int, p: int) -> float:
@@ -291,8 +279,6 @@ def sweep_weil_short(
         modulus = PrimeModulus(p)
         # 20 pairs per degree, 2d Horner steps each over p points
         check_ops(20 * (2 + 4) * p, budget, "weil-short sweep")
-        chi = chi_table(modulus)
-        xs = np.arange(1, p, dtype=np.int64)
         for d in (1, 2):
             rng = random.Random(f"{seed}:{p}:{d}")
             for _ in range(20):
@@ -300,8 +286,7 @@ def sweep_weil_short(
                 h = random_squarefree(modulus, d, rng)
                 while h == g:
                     h = random_squarefree(modulus, d, rng)
-                partial = np.cumsum(chi[mul(g, h).eval_array(xs)], dtype=np.int64)
-                measured = int(np.max(np.abs(partial)))
+                measured = int(np.max(np.abs(short_char_sums(mul(g, h)))))
                 bound = short_weil_bound(2 * d, p)
                 rows.append(BoundCheckRow(
                     lemma="weil-short", p=p, d=d,
@@ -354,18 +339,16 @@ def sweep_moment(
     """
     rows = []
     for p in primes:
-        PrimeModulus(p)  # validate
+        modulus = PrimeModulus(p)
         cells = [(d, n) for d in (1, 2)
                  for n in sorted({1, min(5, p), min(math.ceil(d * math.log(p) ** 2), p)})]
         check_ops(sum(p**d * max(n, 1000) for d, n in cells), budget, "moment sweep")
+        rs = sorted({1, 2, math.ceil(math.log(p))})
         for d, n in cells:
-            matrix = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64)
             rng = np.random.default_rng([seed, p, d, n])
             weights = rng.choice(np.array([-1.0, 1.0]), size=(n, 1000))
-            inner = matrix @ weights
-            sq = inner * inner
-            for r in sorted({1, 2, math.ceil(math.log(p))}):
-                measured = float(np.max(np.sum(sq**r, axis=0)))
+            for r, moments in zip(rs, moment_sums(weights, d, rs, modulus, budget)):
+                measured = float(np.max(moments))
                 bound = moment_bound(r, n, d, p)
                 rows.append(BoundCheckRow(
                     lemma="average", p=p, d=d,

@@ -62,10 +62,6 @@ def _emit_report(payload: dict, args: argparse.Namespace) -> None:
     _emit(text, args.out)
 
 
-def _load_modulus(p: int) -> PrimeModulus:
-    return PrimeModulus(p)  # ValueError on bad p; callers translate to exit 2
-
-
 def _load_hidden(text: str, modulus: PrimeModulus, d: int, seed: int) -> MonicPoly:
     if text == "random":
         return random_squarefree(modulus, d, random.Random(seed))
@@ -82,7 +78,7 @@ def _load_hidden(text: str, modulus: PrimeModulus, d: int, seed: int) -> MonicPo
 
 def cmd_recover(args: argparse.Namespace) -> int:
     try:
-        modulus = _load_modulus(args.p)
+        modulus = PrimeModulus(args.p)
         if args.d < 1:
             raise ValueError("d must be at least 1")
         hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
@@ -148,7 +144,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     try:
         if args.p:
             for p in args.p:
-                _load_modulus(p)
+                PrimeModulus(p)
         rows = _bound_rows(args)
     except (BudgetExceeded, ValueError) as exc:
         _err(str(exc))
@@ -171,7 +167,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 def cmd_quantum(args: argparse.Namespace) -> int:
     try:
-        modulus = _load_modulus(args.p)
+        modulus = PrimeModulus(args.p)
         if args.d < 1:
             raise ValueError("d must be at least 1")
         hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
@@ -226,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     worst_failure = 0
     for p in args.p:
         try:
-            modulus = _load_modulus(p)
+            modulus = PrimeModulus(p)
         except ValueError as exc:
             _err(str(exc))
             return 2

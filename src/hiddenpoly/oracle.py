@@ -1,11 +1,10 @@
 """Black-box access to character values of a hidden polynomial.
 
 A session owns the hidden square-free monic polynomial f and answers
-point queries with the quadratic character of f(x) (signed mode, values
-in {-1, 0, 1}) or the patched character (patched mode, values in
-{-1, 1}).  With reliability gamma < 1 an answer is wrong with
-probability 1 - gamma, uniformly over the incorrect values of the
-mode's codomain.  Noise draws are a pure function of
+point queries with the quadratic character chi(f(x)) in {-1, 0, 1}
+(0 exactly at the roots of f).  With reliability gamma < 1 an answer is
+wrong with probability 1 - gamma, uniformly over the two other values
+of {-1, 0, 1}.  Noise draws are a pure function of
 (rng_seed, x, draw index), so answers do not depend on global query
 order and concurrent callers see a consistent oracle.  query_block
 answers a whole array of points in one call, with the same answers and
@@ -20,11 +19,8 @@ import threading
 
 import numpy as np
 
-from .ffield import FpElement, PrimeModulus, chi_ext_table, chi_table, legendre, legendre_ext
+from .ffield import FpElement, PrimeModulus, chi_table, legendre
 from .poly import MonicPoly, is_squarefree
-
-SIGNED = "signed"
-PATCHED = "patched"
 
 _MASK64 = (1 << 64) - 1
 
@@ -38,22 +34,17 @@ class OracleSession:
         *,
         gamma: float = 1.0,
         rng_seed: int = 0,
-        mode: str = SIGNED,
     ):
         if not is_squarefree(hidden):
             raise ValueError("hidden polynomial must be square-free")
         if not 0.5 < gamma <= 1.0:
             raise ValueError("gamma must lie in (1/2, 1]")
-        if mode not in (SIGNED, PATCHED):
-            raise ValueError(f"mode must be {SIGNED!r} or {PATCHED!r}")
         self._hidden = hidden
         self.gamma = float(gamma)
         self.rng_seed = int(rng_seed) & _MASK64
         # the tag and seed open every noise hash; each draw copies this state
         prefix = b"hiddenpoly-oracle" + struct.pack("<Q", self.rng_seed)
         self._noise_prefix = hashlib.sha256(prefix)
-        self.mode = mode
-        self._codomain = (-1, 0, 1) if mode == SIGNED else (-1, 1)
         self._count = 0
         self._draws: dict[int, int] = {}
         self._lock = threading.Lock()
@@ -80,8 +71,7 @@ class OracleSession:
         return self._count
 
     def _truth(self, xv: int) -> int:
-        value = FpElement(self._hidden.eval_int(xv), self.modulus)
-        return legendre(value) if self.mode == SIGNED else legendre_ext(value)
+        return legendre(FpElement(self._hidden.eval_int(xv), self.modulus))
 
     def _noise_words(self, xv: int, draw: int) -> tuple[float, int]:
         h = self._noise_prefix.copy()
@@ -102,7 +92,7 @@ class OracleSession:
         # smallest value on ties; the one body behind every public query
         if self.gamma == 1.0:
             return truth
-        wrong = [v for v in self._codomain if v != truth]
+        wrong = [v for v in (-1, 0, 1) if v != truth]
         counts: dict[int, int] = {}
         for draw in range(first, first + t):
             u, pick = self._noise_words(xv, draw)
@@ -137,8 +127,7 @@ class OracleSession:
         """
         _check_votes(reps)
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        table = chi_table(self.modulus) if self.mode == SIGNED else chi_ext_table(self.modulus)
-        truth = table[self._hidden.eval_array(xs)]
+        truth = chi_table(self.modulus)[self._hidden.eval_array(xs)]
         with self._lock:
             self._count += reps * len(xs)
             if self.gamma == 1.0:

@@ -9,20 +9,20 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
     BoundCheckRow,
     LinearForm,
-    WeightVector,
     complete_char_sum,
     moment_bound,
-    moment_sum,
+    moment_sums,
     mult_weil_bound,
     multilinear_form_sum,
     pair_identity,
-    short_char_sum,
+    short_char_sums,
     short_weil_bound,
     weil_bound,
 )
@@ -69,21 +69,17 @@ class TestCompleteSum:
 
 class TestShortSum:
     def test_anchor(self):
-        # chi(1) + chi(2) + chi(3) over F_7 = 1 + 1 - 1
-        f = parse_poly("x", PrimeModulus(7))
-        assert short_char_sum(f, 3) == 1
+        # chi(1) + chi(2) + chi(3) over F_7 = 1 + 1 - 1; one sum per M = 1..6
+        sums = short_char_sums(parse_poly("x", PrimeModulus(7)))
+        assert sums[2] == 1
+        assert sums.shape == (6,) and sums.dtype == np.int64
 
     def test_prefix_recursion(self):
         f = parse_poly("x^2 + x + 3", PrimeModulus(101))
-        for mm in range(2, 100, 7):
-            delta = short_char_sum(f, mm) - short_char_sum(f, mm - 1)
-            assert delta == _direct_sum(f, [mm])
-
-    def test_window_validation(self):
-        f = parse_poly("x", PrimeModulus(7))
-        for bad in (0, 7, 8, -1):
-            with pytest.raises(ValueError):
-                short_char_sum(f, bad)
+        sums = short_char_sums(f)
+        assert len(sums) == 100
+        for mm in range(2, 101):
+            assert sums[mm - 1] - sums[mm - 2] == _direct_sum(f, [mm])
 
     def test_matches_direct_loop_seeded(self):
         rng = random.Random(1)
@@ -91,8 +87,10 @@ class TestShortSum:
         for _ in range(20):
             d = rng.randrange(1, 4)
             f = MonicPoly(tuple(rng.randrange(101) for _ in range(d)), m)
-            mm = rng.randrange(1, 101)
-            assert short_char_sum(f, mm) == _direct_sum(f, range(1, mm + 1))
+            sums = short_char_sums(f)
+            assert len(sums) == 100
+            for mm in range(1, 101):
+                assert sums[mm - 1] == _direct_sum(f, range(1, mm + 1))
 
 
 class TestPairIdentity:
@@ -180,54 +178,72 @@ class TestMultilinear:
             multilinear_form_sum((LinearForm((1, 2), 0),), 2, m)
 
 
+def _direct_moment(m, d, column, r):
+    # 2r-th moment of one weight column over ALL monic degree-d g, by plain loops
+    total = 0.0
+    for f in enumerate_monic(d, m):
+        inner = sum(a * _chi(m, f.eval(m.element(x)).value) for x, a in enumerate(column, 1))
+        total += inner ** (2 * r)
+    return total
+
+
 class TestMoment:
     def test_anchor_single_point(self):
         # N=1, r=1, weight 1: sum over monic x+s of chi(1+s)^2 counts
         # the p-1 nonzero values of 1+s
-        got = moment_sum(WeightVector((1.0,)), 1, 1, PrimeModulus(7))
-        assert got == 6.0
+        got = moment_sums(np.ones((1, 1)), 1, [1], PrimeModulus(7))
+        assert got.shape == (1, 1) and got[0, 0] == 6.0
 
     def test_seeded_against_direct(self):
         rng = random.Random(3)
         m = PrimeModulus(7)
         for _ in range(10):
-            n = rng.randrange(1, 5)
-            w = WeightVector(tuple(rng.uniform(-1, 1) for _ in range(n)))
+            n, t = rng.randrange(1, 5), rng.randrange(1, 4)
+            w = np.array([[rng.uniform(-1, 1) for _ in range(t)] for _ in range(n)])
             r = rng.randrange(1, 3)
-            got = moment_sum(w, 1, r, m)
-            direct = 0.0
-            for f in enumerate_monic(1, m):
-                inner = sum(
-                    a * _chi(m, f.eval(m.element(x)).value)
-                    for x, a in zip(range(1, n + 1), w.entries)
-                )
-                direct += inner ** (2 * r)
-            assert got == pytest.approx(direct, rel=1e-12)
+            got = moment_sums(w, 1, [r], m)
+            assert got.shape == (1, t)
+            for j in range(t):
+                assert got[0, j] == pytest.approx(_direct_moment(m, 1, w[:, j], r), rel=1e-12)
+
+    def test_columns_and_powers_are_independent_calls(self):
+        # one call over T columns and rs = [1, 2, 3] gives, entry by entry,
+        # the single-column single-r call.  Dyadic weights keep every
+        # product and partial sum exact, so the check is ==: with general
+        # real weights the batched matrix product and column sum may round
+        # differently in the last bits.
+        rng = np.random.default_rng(4)
+        for p, d in ((7, 1), (7, 2), (11, 2), (101, 1)):
+            m = PrimeModulus(p)
+            n = int(rng.integers(1, min(p, 12) + 1))
+            w = rng.choice(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), size=(n, 6))
+            got = moment_sums(w, d, [1, 2, 3], m)
+            assert got.shape == (3, 6)
+            for i, r in enumerate((1, 2, 3)):
+                for t in range(6):
+                    assert got[i, t] == moment_sums(w[:, t:t + 1], d, [r], m)[0, 0]
+                    want = _direct_moment(m, d, w[:, t], r)
+                    assert got[i, t] == pytest.approx(want, rel=1e-12)
 
     def test_includes_non_squarefree(self):
         # the d=2 family must have p^2 members, not p^2 - p; detect by
         # comparing against a direct loop over ALL monic quadratics
         m = PrimeModulus(5)
-        w = WeightVector((1.0, -1.0))
-        got = moment_sum(w, 2, 1, m)
-        direct = 0.0
-        for f in enumerate_monic(2, m):
-            inner = sum(
-                a * _chi(m, f.eval(m.element(x)).value)
-                for x, a in zip((1, 2), w.entries)
-            )
-            direct += inner**2
-        assert got == pytest.approx(direct, rel=1e-12)
+        w = np.array([[1.0, 0.5], [-1.0, 0.25]])
+        got = moment_sums(w, 2, [1], m)
+        for t in range(2):
+            assert got[0, t] == pytest.approx(_direct_moment(m, 2, w[:, t], 1), rel=1e-12)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector(())
-        with pytest.raises(ValueError):
-            WeightVector((1.5,))
-        with pytest.raises(ValueError):
-            moment_sum(WeightVector((1.0,) * 8), 1, 1, PrimeModulus(7))
-        with pytest.raises(ValueError):
-            moment_sum(WeightVector((1.0,)), 1, 0, PrimeModulus(7))
+        m = PrimeModulus(7)
+        for bad in (np.ones(3), np.ones((0, 2)), np.ones((8, 1)), np.full((2, 2), 1.5),
+                    np.ones((2, 2, 1))):
+            with pytest.raises(ValueError):
+                moment_sums(bad, 1, [1], m)
+        for rs in ([0], [1, 0], [-1]):
+            with pytest.raises(ValueError):
+                moment_sums(np.ones((1, 1)), 1, rs, m)
+        assert moment_sums(np.full((7, 1), -1.0), 1, [1], m).shape == (1, 1)
 
 
 class TestBoundFormulas:
@@ -237,9 +253,7 @@ class TestBoundFormulas:
 
     def test_short_weil(self):
         assert short_weil_bound(1, 101) == pytest.approx(math.sqrt(101) * math.log(101))
-        assert short_weil_bound(2, 101, constant=3.0) == pytest.approx(
-            3.0 * 2 * math.sqrt(101) * math.log(101)
-        )
+        assert short_weil_bound(2, 101) == pytest.approx(2 * math.sqrt(101) * math.log(101))
 
     def test_mult_weil(self):
         assert mult_weil_bound(3, 2, 7) == pytest.approx(6 * 7**1.5)

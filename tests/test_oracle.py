@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiddenpoly.ffield import PrimeModulus, legendre_euler
-from hiddenpoly.oracle import PATCHED, SIGNED, OracleSession
+from hiddenpoly.oracle import OracleSession
 from hiddenpoly.poly import MonicPoly, parse_poly, random_squarefree
 
 
@@ -60,34 +60,6 @@ class TestValidation:
         OracleSession(f, gamma=0.51)
         OracleSession(f, gamma=1.0)
 
-    def test_mode_validation(self):
-        m = PrimeModulus(7)
-        f = parse_poly("x + 3", m)
-        with pytest.raises(ValueError):
-            OracleSession(f, mode="weird")
-        OracleSession(f, mode=SIGNED)
-        OracleSession(f, mode=PATCHED)
-
-
-class TestPatchedMode:
-    def test_root_answers_one(self):
-        # f(x) = x - 2 has a root at 2: signed oracle says 0, patched says 1
-        m = PrimeModulus(11)
-        f = parse_poly("x + 9", m)
-        signed = OracleSession(f, mode=SIGNED, rng_seed=0)
-        patched = OracleSession(f, mode=PATCHED, rng_seed=0)
-        assert signed.query(2) == 0
-        assert patched.query(2) == 1
-
-    def test_nonroot_answers_agree(self):
-        m = PrimeModulus(11)
-        f = parse_poly("x + 9", m)
-        signed = OracleSession(f, mode=SIGNED, rng_seed=0)
-        patched = OracleSession(f, mode=PATCHED, rng_seed=0)
-        for x in range(11):
-            if x != 2:
-                assert signed.query(x) == patched.query(x)
-
 
 class TestNoise:
     def test_exact_gamma_deterministic(self):
@@ -136,10 +108,9 @@ class TestNoise:
     def test_wrong_answers_stay_in_codomain(self):
         m = PrimeModulus(101)
         f = parse_poly("x + 3", m)
-        signed = OracleSession(f, gamma=0.51, rng_seed=3)
-        assert {signed.query(x) for x in range(101)} <= {-1, 0, 1}
-        patched = OracleSession(f, gamma=0.51, rng_seed=3, mode=PATCHED)
-        assert {patched.query(x) for x in range(101)} <= {-1, 1}
+        session = OracleSession(f, gamma=0.51, rng_seed=3)
+        # every value of {-1, 0, 1} shows up, 0 only through noise away from x = 98
+        assert {session.query(x) for x in range(101)} == {-1, 0, 1}
 
 
 class TestMajorityVote:
@@ -191,16 +162,15 @@ class TestQueryBlock:
     @given(
         st.sampled_from((3, 7, 13, 31, 101)),
         st.integers(1, 3),
-        st.sampled_from((SIGNED, PATCHED)),
         st.sampled_from((1.0, 0.6, 0.9)),
         st.sampled_from((1, 3, 5)),
         st.data(),
     )
-    def test_block_equals_scalar_calls(self, p, d, mode, gamma, reps, data):
+    def test_block_equals_scalar_calls(self, p, d, gamma, reps, data):
         f = random_squarefree(PrimeModulus(p), d, random.Random(data.draw(st.integers(0, 99))))
         seed = data.draw(st.integers(0, 2**64 - 1))
-        block = OracleSession(f, gamma=gamma, rng_seed=seed, mode=mode)
-        scalar = OracleSession(f, gamma=gamma, rng_seed=seed, mode=mode)
+        block = OracleSession(f, gamma=gamma, rng_seed=seed)
+        scalar = OracleSession(f, gamma=gamma, rng_seed=seed)
         # repeats and representatives outside [0, p) included
         xs = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=40))
         got = block.query_block(np.array(xs, dtype=np.int64), reps)
