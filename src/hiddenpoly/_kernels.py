@@ -81,17 +81,24 @@ def windowed_correlations(
     m: int,
     weights,
     threads: int = 1,
+    *,
+    rows: int | None = None,
 ) -> np.ndarray:
     """corr[i] = sum_j weights[j] * chi(g_i(x0 + j mod p)) for all monic degree-d g_i.
 
     The window is the contiguous residue run x0, x0+1, ..., x0+m-1 (mod p),
-    1 <= m <= p.  Returns int64 of length p^d in index order.
+    1 <= m <= p.  Returns int64 in index order, of length p^d, or rows * p
+    when only the high-digit rows h < rows are scanned (the indices below
+    rows * p; d = 1 has the one row h = 0).
     """
     if not (1 <= m <= p and 0 <= x0 < p):
         raise ValueError("window must be a contiguous run of at most p residues")
     w = np.asarray(weights)
     if w.shape != (m,):
         raise ValueError("weights must match the window length")
+    rows = p ** (d - 1) if rows is None else rows
+    if not 1 <= rows <= p ** (d - 1):
+        raise ValueError("rows must satisfy 1 <= rows <= p^(d-1)")
 
     if d == 1:
         # c[t] = sum_j w[j] * chi2[t + j] for t < p is one sliding dot product that
@@ -109,13 +116,13 @@ def windowed_correlations(
     # float32 halves the cost and stays exact while every partial sum is below 2^24
     ftype = np.float32 if m * int(np.abs(wi).max()) < 1 << 24 else np.float64
     wf = wi.astype(ftype)
-    corr = np.empty((p ** (d - 1), p), dtype=np.int64)
+    corr = np.empty((rows, p), dtype=np.int64)
 
     def run(lo: int, hi: int) -> None:
         for h, block in chi_blocks(p, d, xs, lo, hi):
             corr[h : h + len(block)] = wf @ block.astype(ftype)
 
-    _run_partitioned(run, p ** (d - 1), threads)
+    _run_partitioned(run, rows, threads)
     return corr.reshape(-1)
 
 

@@ -15,7 +15,8 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 
 Each sweep calls a primitive that is cross-checked against a plain loop:
 ``sweep_weil_short`` calls ``short_char_sums``, ``sweep_moment`` calls
-``moment_sums``, and ``sweep_weil`` the all-F scan kernel.
+``moment_sums``, and ``sweep_weil`` the all-F scan kernel over one F per
+translation orbit x -> x + a, which keeps its max |sum| exhaustive.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def moment_sums(
         raise ValueError("weights must satisfy |alpha| <= 1")
     if any(r < 1 for r in rs):
         raise ValueError("r must be at least 1")
-    check_ops(p**d * n, budget, "moment scan")
+    # the matrix product dominates: p^d * N * T multiply-adds
+    check_ops(p**d * n * w.shape[1], budget, "moment scan")
     sq = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64) @ w
     sq *= sq
     return np.array([np.sum(sq**r, axis=0) for r in rs])
@@ -237,19 +239,31 @@ def sweep_weil(
     threads: int = 1,
     budget: int | None = None,
 ) -> list[BoundCheckRow]:
-    """Exhaustive complete-sum bound check; one row per (p, degree <= 4) cell."""
+    """Exhaustive complete-sum bound check; one row per (p, degree <= 4) cell.
+
+    The measured value is max |sum_x chi(F(x))| over every monic non-square
+    F of the degree, found from translation-orbit representatives.  The map
+    x -> x + a keeps F monic, keeps it a square or not and leaves its
+    complete sum unchanged, while it moves s_{D-1} by D*a.  So when p does
+    not divide D, the F with s_{D-1} = 0 (the high-digit rows h < p^(D-2))
+    meet every orbit, and the max over them is the max over all F.  Degree
+    1 and degrees divisible by p scan all p^(D-1) rows.
+    """
     rows = []
     for p in primes:
         PrimeModulus(p)  # validate
-        # also covers the perfect-square enumeration, at most 9 p^2 <= p^5
-        check_ops(sum(p ** (degree + 1) for degree in range(1, 5)), budget, "weil sweep")
+        scans = [p ** (degree - 2) if degree > 1 and degree % p else p ** (degree - 1)
+                 for degree in range(1, 5)]
+        # p points per scanned candidate, plus the perfect-square enumeration (at most 9 p^2)
+        check_ops(sum(n * p * p for n in scans) + 9 * p * p, budget, "weil sweep")
         ones = np.ones(p, dtype=np.int64)
-        for degree in range(1, 5):
+        for degree, n in enumerate(scans, start=1):
             # complete sums: all-ones weights over the whole field
-            sums = _kernels.windowed_correlations(p, degree, 0, p, ones, threads=threads)
-            # zeroing the perfect squares in place leaves the max of |sum| over
-            # the non-squares unchanged and allocates no second p^D array
-            sums[_kernels.perfect_square_indices(p, degree)] = 0
+            sums = _kernels.windowed_correlations(p, degree, 0, p, ones, threads=threads, rows=n)
+            # zeroing the scanned perfect squares in place leaves the max of
+            # |sum| over the non-squares unchanged and allocates no second array
+            squares = _kernels.perfect_square_indices(p, degree)
+            sums[squares[squares < len(sums)]] = 0
             measured = int(np.max(np.abs(sums, out=sums)))
             bound = weil_bound(degree, p)
             rows.append(BoundCheckRow(
@@ -342,7 +356,8 @@ def sweep_moment(
         modulus = PrimeModulus(p)
         cells = [(d, n) for d in (1, 2)
                  for n in sorted({1, min(5, p), min(math.ceil(d * math.log(p) ** 2), p)})]
-        check_ops(sum(p**d * max(n, 1000) for d, n in cells), budget, "moment sweep")
+        # p^d * N * 1000 multiply-adds per cell, as moment_sums counts them
+        check_ops(sum(p**d * n * 1000 for d, n in cells), budget, "moment sweep")
         rs = sorted({1, 2, math.ceil(math.log(p))})
         for d, n in cells:
             rng = np.random.default_rng([seed, p, d, n])

@@ -3,13 +3,17 @@
 Each candidate is evaluated with MonicPoly.eval_int and its character
 taken from legendre_euler, one point at a time, with none of the array
 code under test.  The kernel tests and the quantum dense route both
-check against it.
+check against it.  WIDE_PRIMES are the large primes the kernel and poly
+tests draw from.
 """
 
 import numpy as np
 
 from hiddenpoly.ffield import FpElement, PrimeModulus, legendre_euler
 from hiddenpoly.poly import poly_from_index
+
+# either side of p(p-1) = 2^63 - 1, where int64 Horner would wrap, and 61/62/63-bit
+WIDE_PRIMES = (3037000493, 3037000507, 2**61 - 1, 2**62 - 57, 2**63 - 25)
 
 
 def reference_matrix(p, d, xs, patched=False):

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
@@ -276,6 +278,36 @@ class TestSweeps:
         assert all(r.passed for r in rows)
         degrees = {r.d for r in rows}
         assert degrees == {1, 2, 3, 4}
+
+    @settings(max_examples=20, deadline=None)
+    @example(p=3)  # 3 | D = 3: the full-scan path
+    @given(p=st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    def test_weil_representatives_match_full_scan(self, p):
+        # the sweep scans translation-orbit representatives; the max |sum| over
+        # non-squares must equal the full scan's at every degree, D = 1 included
+        ones = np.ones(p, dtype=np.int64)
+        rows = charsum.sweep_weil((p,))
+        assert [r.d for r in rows] == [1, 2, 3, 4]
+        for row in rows:
+            sums = _kernels.windowed_correlations(p, row.d, 0, p, ones)
+            nonsquare = np.ones(p**row.d, dtype=bool)
+            nonsquare[_kernels.perfect_square_indices(p, row.d)] = False
+            assert row.measured == np.abs(sums[nonsquare]).max()
+
+    def test_weil_scan_sizes(self, monkeypatch):
+        # representatives (p^(D-1) candidates) only where p does not divide D > 1;
+        # at p = 3, D = 3 they happen to reach the same max, so count the cells
+        scanned = []
+        kernel = _kernels.windowed_correlations
+
+        def spy(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            scanned.append(len(out))
+            return out
+
+        monkeypatch.setattr(_kernels, "windowed_correlations", spy)
+        charsum.sweep_weil((3, 5))
+        assert scanned == [3, 3, 27, 27, 5, 5, 25, 125]
 
     def test_weil_short_sweep_deterministic(self):
         a = charsum.sweep_weil_short((11, 31), seed=0)

@@ -145,6 +145,32 @@ class TestVerifyBounds:
         assert code == 0
         assert "weil," in out
 
+    def test_weil_p127_fits_the_default_budget(self, capsys):
+        code, out, _ = run(capsys, "verify-bounds", "--lemma", "weil", "--p", "127")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 4
+        assert all(line.startswith("weil,127,") and line.endswith(",pass") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "lemma, p, budget",
+        [
+            # representatives at D = 2, 3, 4 (p^0, p, p^2 rows), the one row at D = 1,
+            # p^2 cells per row, and 9 p^2 for the perfect squares: one below that
+            ("weil", 127, 127**4 + 127**3 + 11 * 127**2 - 1),
+            # above the old p^d * max(N, 1000) count, below the p^d * N * 1000 product
+            ("average", 101, 10**8),
+        ],
+    )
+    def test_budget_just_below_the_estimate_exits_2(self, capsys, lemma, p, budget):
+        code, out, err = run(
+            capsys, "verify-bounds", "--lemma", lemma, "--p", str(p), "--budget", str(budget)
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
     def test_seeded_sweeps_deterministic(self, capsys):
         args = ("verify-bounds", "--lemma", "mult-weil", "--p", "5", "--seed", "1")
         _, out1, _ = run(capsys, *args)

@@ -4,13 +4,15 @@ The reference (``reference.reference_matrix``) evaluates each monic
 candidate with MonicPoly.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, every reduction over
 it, the d = 1 correlation and the array Horner evaluation must reproduce
-it exactly; the index-set helpers must match the per-polynomial tests.
+it exactly, over every row or a leading slice of rows; the index-set
+helpers must match the per-polynomial tests.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_matrix
+from reference import WIDE_PRIMES, reference_matrix
 
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus
@@ -59,11 +61,18 @@ def test_windowed_correlations_match_reference(problem, bound, data):
     p, d, x0, m = problem
     draw = st.lists(st.integers(-bound, bound), min_size=m, max_size=m)
     weights = np.array(data.draw(draw), dtype=np.int64)
+    rows = data.draw(st.integers(1, p ** (d - 1)))
     expected = reference_matrix(p, d, window(p, x0, m)) @ weights
     for threads in (1, 3):
         got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
+        # a row limit scans the high-digit rows h < rows: the indices below rows * p
+        part = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads, rows=rows)
+        assert np.array_equal(part, expected[: rows * p])
+    for bad in (0, p ** (d - 1) + 1):
+        with pytest.raises(ValueError):
+            _kernels.windowed_correlations(p, d, x0, m, weights, rows=bad)
 
 
 def test_windowed_correlations_large_weights_stay_exact():
@@ -133,10 +142,6 @@ def test_eval_array_matches_eval_int(problem, data):
     g = poly_from_index(d, PrimeModulus(p), data.draw(st.integers(0, p**d - 1)))
     xs = window(p, x0, m)
     assert g.eval_array(xs).tolist() == [g.eval_int(int(x)) for x in xs]
-
-
-# either side of p(p-1) = 2^63 - 1, where int64 Horner would wrap, and 61/62/63-bit
-WIDE_PRIMES = (3037000493, 3037000507, 2**61 - 1, 2**62 - 57, 2**63 - 25)
 
 
 @SETTINGS

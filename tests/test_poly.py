@@ -12,6 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import WIDE_PRIMES
 
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.limits import BudgetExceeded
@@ -72,17 +73,22 @@ class TestMonicPoly:
         assert hash(MonicPoly((3,), m)) == hash(MonicPoly((3,), m))
 
 
+@st.composite
+def monic_polys(draw):
+    # small primes and the 61-63-bit primes, where indices and coefficients outgrow int64
+    p = draw(st.sampled_from((3, 5, 7, 101, *WIDE_PRIMES)))
+    d = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    return MonicPoly(coeffs, PrimeModulus(p))
+
+
 class TestIndexing:
-    def test_round_trip_seeded(self):
-        rng = random.Random(1)
-        for p in (5, 7, 101):
-            m = PrimeModulus(p)
-            for _ in range(100):
-                d = rng.randrange(1, 4)
-                idx = rng.randrange(p**d)
-                f = poly_from_index(d, m, idx)
-                assert poly_index(f) == idx
-                assert f.degree == d
+    @settings(deadline=None)
+    @given(monic_polys())
+    def test_round_trip(self, f):
+        idx = poly_index(f)
+        assert 0 <= idx < f.modulus.p ** f.degree
+        assert poly_from_index(f.degree, f.modulus, idx) == f
 
     def test_index_order_is_lex_order(self):
         # increasing index sorts by (s_{d-1}, ..., s_0)
@@ -227,14 +233,13 @@ class TestEnumeration:
 
 
 class TestFormatParse:
-    def test_round_trip_seeded(self):
-        rng = random.Random(3)
-        for p in (7, 101):
-            m = PrimeModulus(p)
-            for _ in range(100):
-                d = rng.randrange(1, 5)
-                f = MonicPoly(tuple(rng.randrange(p) for _ in range(d)), m)
-                assert parse_poly(format_poly(f), m) == f
+    @settings(deadline=None)
+    @given(monic_polys())
+    def test_round_trip(self, f):
+        assert parse_poly(format_poly(f), f.modulus, f.degree) == f
+        # the bare coefficient list "s0,s1,..."
+        bare = ",".join(str(c) for c in f.coeffs)
+        assert parse_poly(bare, f.modulus, f.degree) == f
 
     def test_known_strings(self):
         m = PrimeModulus(7)
