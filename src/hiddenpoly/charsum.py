@@ -17,6 +17,9 @@ Each sweep calls a primitive that is cross-checked against a plain loop:
 ``sweep_weil_short`` calls ``short_char_sums``, ``sweep_moment`` calls
 ``moment_sums``, and ``sweep_weil`` the all-F scan kernel over one F per
 translation orbit x -> x + a, which keeps its max |sum| exhaustive.
+``moment_sums`` takes weights in {-1, 0, 1}, streams the candidates in
+row blocks into a histogram of the integer inner sums, and returns its
+moments as Python ints.
 """
 
 from __future__ import annotations
@@ -160,26 +163,41 @@ def moment_sums(
 ) -> np.ndarray:
     """out[i, t] = sum over ALL monic degree-d g of |sum_x w[x-1, t] chi(g(x))|^(2 rs[i]).
 
-    x runs over [1, N] for real (N, T) weights with N <= p and |w| <= 1.
-    The candidate set is deliberately the full p^d monic family, not just
-    the square-free part; the companion bound is stated for that family.
+    x runs over [1, N] for (N, T) weights with N <= p and every entry in
+    {-1, 0, 1}.  Then each inner sum S is an integer with |S| <= N, so the
+    candidates are streamed in row blocks into a per-column histogram of
+    |S|, and the moments follow from it exactly: the result is an object
+    array of Python ints.  The candidate set is deliberately the full p^d
+    monic family, not just the square-free part; the companion bound is
+    stated for that family.
     """
     p = modulus.p
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
     if w.ndim != 2:
         raise ValueError("weights must be an (N, T) array")
-    n = w.shape[0]
+    n, trials = w.shape
     if not 1 <= n <= p:
         raise ValueError("weight window must satisfy 1 <= N <= p")
-    if np.any(np.abs(w) > 1.0 + 1e-12):
-        raise ValueError("weights must satisfy |alpha| <= 1")
+    if not np.isin(w, (-1, 0, 1)).all():
+        raise ValueError("weights must lie in {-1, 0, 1}")
     if any(r < 1 for r in rs):
         raise ValueError("r must be at least 1")
     # the matrix product dominates: p^d * N * T multiply-adds
-    check_ops(p**d * n * w.shape[1], budget, "moment scan")
-    sq = _kernels.chi_window_matrix(p, d, 1, n).astype(np.float64) @ w
-    sq *= sq
-    return np.array([np.sum(sq**r, axis=0) for r in rs])
+    check_ops(p**d * n * trials, budget, "moment scan")
+    chi = _kernels.chi_window_matrix(p, d, 1, n)
+    # float32 is exact: every partial sum is an integer of size at most N, and
+    # N < 2^24, or chi's p^d * N >= N^2 bytes (2^48 and up) could not be held
+    wf = w.astype(np.float32)
+    # column t counts |S| = v at code t*(N+1) + v
+    offsets = np.arange(trials, dtype=np.int64) * (n + 1)
+    counts = np.zeros(trials * (n + 1), dtype=np.int64)
+    step = max(1, _kernels.BLOCK_CELLS // trials)
+    for lo in range(0, p**d, step):
+        codes = np.abs(chi[lo : lo + step].astype(np.float32) @ wf).astype(np.int64)
+        codes += offsets
+        counts += np.bincount(codes.ravel(), minlength=len(counts))
+    powers = np.array([[v ** (2 * r) for v in range(n + 1)] for r in rs], dtype=object)
+    return powers.reshape(len(rs), n + 1) @ counts.reshape(trials, n + 1).T.astype(object)
 
 
 def weil_bound(degree: int, p: int) -> float:

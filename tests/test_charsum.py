@@ -8,11 +8,13 @@ arithmetic they rely on are validated by a fully independent route.
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_matrix
 
 from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
@@ -181,10 +183,11 @@ class TestMultilinear:
 
 
 def _direct_moment(m, d, column, r):
-    # 2r-th moment of one weight column over ALL monic degree-d g, by plain loops
-    total = 0.0
+    # 2r-th moment of one weight column over ALL monic degree-d g, by plain
+    # loops in Python ints
+    total = 0
     for f in enumerate_monic(d, m):
-        inner = sum(a * _chi(m, f.eval(m.element(x)).value) for x, a in enumerate(column, 1))
+        inner = sum(int(a) * _chi(m, f.eval(m.element(x)).value) for x, a in enumerate(column, 1))
         total += inner ** (2 * r)
     return total
 
@@ -194,52 +197,90 @@ class TestMoment:
         # N=1, r=1, weight 1: sum over monic x+s of chi(1+s)^2 counts
         # the p-1 nonzero values of 1+s
         got = moment_sums(np.ones((1, 1)), 1, [1], PrimeModulus(7))
-        assert got.shape == (1, 1) and got[0, 0] == 6.0
+        assert got.shape == (1, 1) and got[0, 0] == 6
+
+    def test_exact_where_float64_rounds(self):
+        # weights aligned with g = x + 3 (its one zero patched to +1) give
+        # that g the inner sum 100, so the moment is about 10^20, past
+        # float64's 2^53 integer range; a float64 power-and-sum gives
+        # 100000000000000049152
+        m = PrimeModulus(101)
+        w = np.array([[_chi(m, x + 3) or 1] for x in range(1, 102)])
+        got = moment_sums(w, 1, [5], m)[0, 0]
+        want = _direct_moment(m, 1, w[:, 0], 5)
+        assert want == 100000000000000051200
+        assert int(got) == want and isinstance(got, int)
+
+    def test_peak_memory_is_streamed(self):
+        # the default sweep's largest cell; holding the p^d x T sums in
+        # float64, as a dense product would, takes 81.6 MB per array
+        m = PrimeModulus(101)
+        w = np.random.default_rng(0).choice(np.array([-1, 1]), size=(43, 1000))
+        tracemalloc.start()
+        try:
+            moment_sums(w, 2, [1, 2, 5], m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_seeded_against_direct(self):
         rng = random.Random(3)
         m = PrimeModulus(7)
         for _ in range(10):
             n, t = rng.randrange(1, 5), rng.randrange(1, 4)
-            w = np.array([[rng.uniform(-1, 1) for _ in range(t)] for _ in range(n)])
+            w = np.array([[rng.choice((-1, 0, 1)) for _ in range(t)] for _ in range(n)])
             r = rng.randrange(1, 3)
             got = moment_sums(w, 1, [r], m)
             assert got.shape == (1, t)
             for j in range(t):
-                assert got[0, j] == pytest.approx(_direct_moment(m, 1, w[:, j], r), rel=1e-12)
+                assert got[0, j] == _direct_moment(m, 1, w[:, j], r)
 
     def test_columns_and_powers_are_independent_calls(self):
         # one call over T columns and rs = [1, 2, 3] gives, entry by entry,
-        # the single-column single-r call.  Dyadic weights keep every
-        # product and partial sum exact, so the check is ==: with general
-        # real weights the batched matrix product and column sum may round
-        # differently in the last bits.
+        # the single-column single-r call and the plain loop
         rng = np.random.default_rng(4)
         for p, d in ((7, 1), (7, 2), (11, 2), (101, 1)):
             m = PrimeModulus(p)
             n = int(rng.integers(1, min(p, 12) + 1))
-            w = rng.choice(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), size=(n, 6))
+            w = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(n, 6))
             got = moment_sums(w, d, [1, 2, 3], m)
             assert got.shape == (3, 6)
             for i, r in enumerate((1, 2, 3)):
                 for t in range(6):
                     assert got[i, t] == moment_sums(w[:, t:t + 1], d, [r], m)[0, 0]
-                    want = _direct_moment(m, d, w[:, t], r)
-                    assert got[i, t] == pytest.approx(want, rel=1e-12)
+                    assert got[i, t] == _direct_moment(m, d, w[:, t], r)
 
     def test_includes_non_squarefree(self):
         # the d=2 family must have p^2 members, not p^2 - p; detect by
         # comparing against a direct loop over ALL monic quadratics
         m = PrimeModulus(5)
-        w = np.array([[1.0, 0.5], [-1.0, 0.25]])
+        w = np.array([[1, 0], [-1, -1]])
         got = moment_sums(w, 2, [1], m)
         for t in range(2):
-            assert got[0, t] == pytest.approx(_direct_moment(m, 2, w[:, t], 1), rel=1e-12)
+            assert got[0, t] == _direct_moment(m, 2, w[:, t], 1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(p=st.sampled_from((7, 11, 13)), n=st.integers(1, 7), trials=st.integers(1400, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    @example(p=101, n=3, trials=64, seed=0)
+    def test_rows_span_several_blocks(self, p, n, trials, seed):
+        # T columns stream the p^2 candidates in BLOCK_CELLS // T rows a
+        # block; the drawn sizes always leave a partial last block
+        step = _kernels.BLOCK_CELLS // trials
+        assert step < p * p and p * p % step
+        m = PrimeModulus(p)
+        w = np.random.default_rng(seed).choice(np.array([-1, 0, 1]), size=(n, trials))
+        sums = reference_matrix(p, 2, range(1, n + 1)) @ w
+        rs = [1, 3]
+        got = moment_sums(w, 2, rs, m)
+        for i, r in enumerate(rs):
+            assert list(got[i]) == list((sums.astype(object) ** (2 * r)).sum(axis=0))
 
     def test_weight_validation(self):
         m = PrimeModulus(7)
         for bad in (np.ones(3), np.ones((0, 2)), np.ones((8, 1)), np.full((2, 2), 1.5),
-                    np.ones((2, 2, 1))):
+                    np.full((2, 2), 0.5), np.full((2, 2), -0.25), np.ones((2, 2, 1))):
             with pytest.raises(ValueError):
                 moment_sums(bad, 1, [1], m)
         for rs in ([0], [1, 0], [-1]):
