@@ -14,7 +14,6 @@ from .ffield import (
     legendre,
     legendre_euler,
     legendre_ext,
-    mod_pow,
 )
 from .limits import DEFAULT_ENUM_LIMIT, DEFAULT_OP_BUDGET, BudgetExceeded
 from .oracle import OracleSession
@@ -63,7 +62,6 @@ __all__ = [
     "legendre",
     "legendre_euler",
     "legendre_ext",
-    "mod_pow",
     "parse_poly",
     "poly_from_index",
     "poly_index",

@@ -15,8 +15,10 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 
 Each sweep calls a primitive that is cross-checked against a plain loop:
 ``sweep_weil_short`` calls ``short_char_sums``, ``sweep_moment`` calls
-``moment_sums``, and ``sweep_weil`` the all-F scan kernel over one F per
-translation orbit x -> x + a, which keeps its max |sum| exhaustive.
+``moment_sums``, and ``sweep_pair_identity`` and ``sweep_weil`` the
+all-F complete-sum scan kernel: the pair sweep reads every monic
+quadratic once, the Weil sweep one F per translation orbit x -> x + a,
+which keeps its max |sum| exhaustive.
 ``moment_sums`` takes weights in {-1, 0, 1}, streams the candidates in
 row blocks into a histogram of the integer inner sums, and returns its
 moments as Python ints.
@@ -33,16 +35,14 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .ffield import FpElement, PrimeModulus, chi_table
+from .ffield import PrimeModulus, chi_table
 from .limits import check_ops
 from .poly import MonicPoly, format_poly, mul, random_squarefree
 
 __all__ = [
     "LinearForm",
     "BoundCheckRow",
-    "complete_char_sum",
     "short_char_sums",
-    "pair_identity",
     "multilinear_form_sum",
     "moment_sums",
     "weil_bound",
@@ -90,29 +90,10 @@ class LinearForm:
         return LinearForm(tuple(c % p for c in self.coefficients), self.constant % p)
 
 
-def complete_char_sum(f: MonicPoly) -> int:
-    """sum over all of F_p of chi(f(x)); exact integer."""
-    p = f.modulus.p
-    xs = np.arange(p, dtype=np.int64)
-    return int(chi_table(f.modulus)[f.eval_array(xs)].sum())
-
-
 def short_char_sums(f: MonicPoly) -> np.ndarray:
     """Every short sum at once: out[M-1] = sum_{x=1}^{M} chi(f(x)), 1 <= M < p; int64."""
     xs = np.arange(1, f.modulus.p, dtype=np.int64)
     return np.cumsum(chi_table(f.modulus)[f.eval_array(xs)], dtype=np.int64)
-
-
-def pair_identity(a: FpElement, b: FpElement) -> int:
-    """sum_x chi((x+a)(x+b)): p-1 when a = b, otherwise exactly -1."""
-    if a.modulus.p != b.modulus.p:
-        raise ValueError("elements of different fields")
-    p = a.modulus.p
-    xs = np.arange(p, dtype=np.int64)
-    # both factors are below 2p, so the product fits int64 while p < 2^30
-    # (where xs alone is 8 GiB)
-    vals = (xs + a.value) * (xs + b.value) % p
-    return int(chi_table(a.modulus)[vals].sum(dtype=np.int64))
 
 
 def multilinear_form_sum(
@@ -233,18 +214,24 @@ def sweep_pair_identity(
     threads: int = 1,
     budget: int | None = None,
 ) -> list[BoundCheckRow]:
-    """Exhaustive two-point identity check: one row per (a, b) pair."""
+    """Exhaustive two-point identity check: one row per (a, b) pair.
+
+    sum_x chi((x+a)(x+b)) is p-1 when a = b and exactly -1 otherwise.
+    (x+a)(x+b) is the monic quadratic of index ab + (a+b)p (both mod p),
+    so one complete-sum scan of all p^2 quadratics holds every pair sum.
+    """
     rows = []
     for p in primes:
-        modulus = PrimeModulus(p)
+        PrimeModulus(p)  # validate
         check_ops(p**3, budget, "pair-identity sweep")
-        elements = [modulus.element(a) for a in range(p)]
-        for a, b in itertools.product(elements, repeat=2):
-            measured = pair_identity(a, b)
+        ones = np.ones(p, dtype=np.int64)
+        sums = _kernels.windowed_correlations(p, 2, 0, p, ones, threads=threads)
+        for a, b in itertools.product(range(p), repeat=2):
+            measured = int(sums[a * b % p + (a + b) % p * p])
             expected = p - 1 if a == b else -1
             rows.append(BoundCheckRow(
                 lemma="pair-identity", p=p, d=1,
-                params=f"a={a.value};b={b.value}",
+                params=f"a={a};b={b}",
                 measured=float(measured), bound=float(expected), passed=measured == expected,
             ))
     return rows

@@ -77,25 +77,16 @@ def _load_hidden(text: str, modulus: PrimeModulus, d: int, seed: int) -> MonicPo
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    try:
-        modulus = PrimeModulus(args.p)
-        if args.d < 1:
-            raise ValueError("d must be at least 1")
-        hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
-        if args.reps < 1 or (args.reps > 1 and args.reps % 2 == 0):
-            raise ValueError("--reps must be 1 or a positive odd integer")
-        session = OracleSession(hidden, gamma=args.gamma, rng_seed=args.seed)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-
-    try:
-        report = getattr(reconstruct, SOLVERS[args.algo])(
-            session, args.d, threads=args.threads, budget=args.budget, reps=args.reps
-        )
-    except (BudgetExceeded, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    modulus = PrimeModulus(args.p)
+    if args.d < 1:
+        raise ValueError("d must be at least 1")
+    hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
+    if args.reps < 1 or (args.reps > 1 and args.reps % 2 == 0):
+        raise ValueError("--reps must be 1 or a positive odd integer")
+    session = OracleSession(hidden, gamma=args.gamma, rng_seed=args.seed)
+    report = getattr(reconstruct, SOLVERS[args.algo])(
+        session, args.d, threads=args.threads, budget=args.budget, reps=args.reps
+    )
 
     match = report.recovered == hidden
     payload = {
@@ -141,15 +132,9 @@ def _rows_to_csv(rows: list[charsum.BoundCheckRow]) -> str:
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
-    try:
-        if args.p:
-            for p in args.p:
-                PrimeModulus(p)
-        rows = _bound_rows(args)
-    except (BudgetExceeded, ValueError) as exc:
-        _err(str(exc))
-        return 2
-
+    for p in args.p or ():
+        PrimeModulus(p)  # validate every prime before any sweep runs
+    rows = _bound_rows(args)
     _emit(_rows_to_csv(rows), args.out)
     violations = [r for r in rows if not r.passed]
     if violations:
@@ -166,23 +151,14 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_quantum(args: argparse.Namespace) -> int:
-    try:
-        modulus = PrimeModulus(args.p)
-        if args.d < 1:
-            raise ValueError("d must be at least 1")
-        hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
-        k = args.k if args.k is not None else quantum.choose_k(args.d, args.epsilon)
-        if k < 1:
-            raise ValueError("k must be at least 1")
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-
-    try:
-        gram = quantum.gram_matrix(modulus, args.d, k, budget=args.budget)
-    except BudgetExceeded as exc:
-        _err(str(exc))
-        return 2
+    modulus = PrimeModulus(args.p)
+    if args.d < 1:
+        raise ValueError("d must be at least 1")
+    hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
+    k = args.k if args.k is not None else quantum.choose_k(args.d, args.epsilon)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    gram = quantum.gram_matrix(modulus, args.d, k, budget=args.budget)
     if args.d > args.p ** (0.5 - min(args.epsilon, 0.5)):
         print(
             f"note: d={args.d} exceeds p^(1/2-epsilon); the analysis regime "
@@ -216,20 +192,17 @@ def cmd_quantum(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
     algos = args.algos or list(ALGORITHMS)
     columns = "p,d,algo,seeds,status,success,median_queries,work"
     lines = [columns if args.no_timing else columns + ",median_ms"]
     worst_failure = 0
     for p in args.p:
-        try:
-            modulus = PrimeModulus(p)
-        except ValueError as exc:
-            _err(str(exc))
-            return 2
+        modulus = PrimeModulus(p)
         for algo in algos:
             if algo not in ALGORITHMS:
-                _err(f"unknown algorithm {algo!r}")
-                return 2
+                raise ValueError(f"unknown algorithm {algo!r}")
             queries, works, times, successes = [], [], [], 0
             for seed in range(args.seeds):
                 hidden = random_squarefree(modulus, args.d, random.Random(seed))
@@ -327,7 +300,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
-    return args.func(args)
+    # the one error boundary: bad input and budget refusals print one line, exit 2
+    try:
+        return args.func(args)
+    except (BudgetExceeded, ValueError) as exc:
+        _err(str(exc))
+        return 2
 
 
 if __name__ == "__main__":

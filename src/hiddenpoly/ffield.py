@@ -1,6 +1,8 @@
-"""Prime-field arithmetic and the quadratic character.
+"""Prime moduli, validated residues and the quadratic character.
 
-Residues are canonical integers in [0, p-1].  The quadratic character
+Residues are canonical integers in [0, p-1]; all arithmetic on them in
+the package runs on numpy int64 arrays or Python ints, so FpElement is
+only a validated residue that knows its modulus.  The quadratic character
 (Legendre symbol) is implemented twice on purpose -- once through
 Euler's criterion and once through the binary Jacobi reduction -- so
 the test suite can check the two routes against each other.  A patched
@@ -18,7 +20,6 @@ __all__ = [
     "PrimeModulus",
     "FpElement",
     "is_prime_u64",
-    "mod_pow",
     "jacobi_symbol",
     "legendre",
     "legendre_euler",
@@ -94,41 +95,6 @@ class FpElement:
         self.value = int(value) % modulus.p
         self.modulus = modulus
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, FpElement):
-            if other.modulus.p != self.modulus.p:
-                raise ValueError("elements of different fields")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return FpElement(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FpElement(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other):
-        return FpElement(self._coerce(other) - self.value, self.modulus)
-
-    def __mul__(self, other):
-        return FpElement(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        return mod_pow(self, e)
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        p = self.modulus.p
-        return FpElement(pow(self.value, p - 2, p), self.modulus)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FpElement):
             return self.modulus.p == other.modulus.p and self.value == other.value
@@ -139,26 +105,8 @@ class FpElement:
     def __hash__(self) -> int:
         return hash((self.value, self.modulus.p))
 
-    def __int__(self) -> int:
-        return self.value
-
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.modulus.p})"
-
-
-def mod_pow(a: FpElement, e: int) -> FpElement:
-    """a**e by square-and-multiply; 0**0 is the empty product 1."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    p = a.modulus.p
-    base = a.value
-    acc = 1
-    while e:
-        if e & 1:
-            acc = acc * base % p
-        base = base * base % p
-        e >>= 1
-    return FpElement(acc, a.modulus)
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -190,7 +138,7 @@ def legendre_euler(a: FpElement) -> int:
     Independent of legendre(); the suite checks the two agree.
     """
     p = a.modulus.p
-    r = mod_pow(a, (p - 1) // 2).value
+    r = pow(a.value, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
 

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ffield import FpElement, PrimeModulus
+from .ffield import PrimeModulus
 from .limits import DEFAULT_ENUM_LIMIT, BudgetExceeded
 
 __all__ = [
@@ -48,12 +48,8 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    def eval(self, x) -> FpElement:
-        """Horner evaluation: exactly degree() multiplications and additions."""
-        xv = x.value if isinstance(x, FpElement) else int(x) % self.modulus.p
-        return FpElement(self.eval_int(xv), self.modulus)
-
     def eval_int(self, xv: int) -> int:
+        """Horner evaluation at one residue: the scalar reference for eval_array."""
         p = self.modulus.p
         acc = 1  # leading coefficient
         for c in reversed(self.coeffs):
@@ -74,9 +70,6 @@ class MonicPoly:
         for c in reversed(self.coeffs):
             acc = (acc * xs + c) % p
         return acc.astype(np.int64, copy=False)
-
-    def lex_key(self) -> tuple:
-        return tuple(reversed(self.coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonicPoly):

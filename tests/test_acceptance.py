@@ -99,21 +99,13 @@ class TestSubLinearWindow:
 
 class TestPairIdentity:
     def test_exhaustive(self, verdicts):
-        bad = 0
-        total = 0
-        for p in (7, 101):
-            modulus = PrimeModulus(p)
-            for a in range(p):
-                for b in range(p):
-                    want = p - 1 if a == b else -1
-                    got = charsum.pair_identity(modulus.element(a), modulus.element(b))
-                    total += 1
-                    bad += got != want
+        rows = charsum.sweep_pair_identity((7, 101))
+        bad = sum(not r.passed for r in rows)
         _verdict(
             verdicts,
-            bad == 0,
+            len(rows) == 7**2 + 101**2 and bad == 0,
             "two-point identity",
-            f"{total} pairs exhaustive over p in (7, 101), {bad} mismatches",
+            f"{len(rows)} pairs exhaustive over p in (7, 101), {bad} mismatches",
         )
 
 

@@ -20,19 +20,17 @@ from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
     BoundCheckRow,
     LinearForm,
-    complete_char_sum,
     moment_bound,
     moment_sums,
     mult_weil_bound,
     multilinear_form_sum,
-    pair_identity,
     short_char_sums,
     short_weil_bound,
     weil_bound,
 )
 from hiddenpoly.cli import main
 from hiddenpoly.ffield import PrimeModulus, legendre_euler
-from hiddenpoly.poly import MonicPoly, enumerate_monic, is_perfect_square, parse_poly
+from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, poly_index
 
 
 def _chi(m, v):
@@ -48,6 +46,14 @@ def _direct_sum(f, xs):
     return total
 
 
+def _complete_sum(f):
+    # the complete sums the pair and Weil sweeps read: the scan kernel with
+    # all-ones weights over the whole field, at f's index
+    p = f.modulus.p
+    sums = _kernels.windowed_correlations(p, f.degree, 0, p, np.ones(p, dtype=np.int64))
+    return int(sums[poly_index(f)])
+
+
 class TestCompleteSum:
     def test_matches_direct_loop_seeded(self):
         rng = random.Random(0)
@@ -56,19 +62,19 @@ class TestCompleteSum:
             for _ in range(20):
                 d = rng.randrange(1, 4)
                 f = MonicPoly(tuple(rng.randrange(p) for _ in range(d)), m)
-                assert complete_char_sum(f) == _direct_sum(f, range(p))
+                assert _complete_sum(f) == _direct_sum(f, range(p))
 
     def test_linear_sums_vanish(self):
         # sum over a full period of chi(x + s) is 0
         for p in (7, 101):
             m = PrimeModulus(p)
             for s in range(0, p, 13):
-                assert complete_char_sum(MonicPoly((s,), m)) == 0
+                assert _complete_sum(MonicPoly((s,), m)) == 0
 
     def test_perfect_square_sum(self):
         # chi(g^2) = 1 away from roots of g, so the sum is p - #roots
         m = PrimeModulus(7)
-        assert complete_char_sum(MonicPoly((2, 6), m)) == 6  # (x+3)^2, one root
+        assert _complete_sum(MonicPoly((2, 6), m)) == 6  # (x+3)^2, one root
 
 
 class TestShortSum:
@@ -99,16 +105,16 @@ class TestShortSum:
 
 class TestPairIdentity:
     def test_exhaustive_small_primes(self):
-        for p in (7, 13):
-            m = PrimeModulus(p)
-            for a in range(p):
-                for b in range(p):
-                    want = p - 1 if a == b else -1
-                    assert pair_identity(m.element(a), m.element(b)) == want
-
-    def test_mismatched_fields_rejected(self):
-        with pytest.raises(ValueError):
-            pair_identity(PrimeModulus(7).element(1), PrimeModulus(11).element(1))
+        # every sweep row against a plain loop over (x+a)(x+b); threads change nothing
+        rows = charsum.sweep_pair_identity((7, 11))
+        assert charsum.sweep_pair_identity((7, 11), threads=3) == rows
+        assert len(rows) == 7**2 + 11**2
+        for row in rows:
+            a, b = (int(part.split("=")[1]) for part in row.params.split(";"))
+            f = MonicPoly((a * b, a + b), PrimeModulus(row.p))
+            assert row.measured == _direct_sum(f, range(row.p))
+            assert row.bound == (row.p - 1 if a == b else -1)
+            assert row.passed
 
 
 class TestMultilinear:
@@ -187,7 +193,7 @@ def _direct_moment(m, d, column, r):
     # loops in Python ints
     total = 0
     for f in enumerate_monic(d, m):
-        inner = sum(int(a) * _chi(m, f.eval(m.element(x)).value) for x, a in enumerate(column, 1))
+        inner = sum(int(a) * _chi(m, f.eval_int(x)) for x, a in enumerate(column, 1))
         total += inner ** (2 * r)
     return total
 

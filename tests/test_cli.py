@@ -160,6 +160,8 @@ class TestVerifyBounds:
             ("weil", 127, 127**4 + 127**3 + 11 * 127**2 - 1),
             # above the old p^d * max(N, 1000) count, below the p^d * N * 1000 product
             ("average", 101, 10**8),
+            # p^2 pairs, p points each
+            ("pair-identity", 101, 101**3 - 1),
         ],
     )
     def test_budget_just_below_the_estimate_exits_2(self, capsys, lemma, p, budget):
@@ -288,6 +290,17 @@ class TestBench:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--d", "0", "--seeds", "1"), ("--seeds", "0"), ("--seeds", "-1")],
+    )
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "bench", "--p", "101", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 class TestDeterminism:

@@ -107,7 +107,7 @@ class TestBruteForce:
 
         def corr(f, g):
             return sum(
-                int(legendre(f.eval(m.element(x)))) * int(legendre(g.eval(m.element(x))))
+                legendre(m.element(f.eval_int(x))) * legendre(m.element(g.eval_int(x)))
                 for x in range(5)
             )
 
