@@ -5,11 +5,12 @@ lexicographic order).  With the upper coefficients fixed, the s_0 axis
 is contiguous in index space and chi((base + s_0) mod p) is a plain
 slice of a doubled character table.  ``chi_blocks`` is the one kernel
 that turns blocks of candidates into int8 character values this way;
-correlations and window matrices are reductions over it.  At d = 1 the
-correlation is a single sliding dot product instead, which is faster
-there.  All accumulation is integer exact: float32 and float64 appear
-only where every intermediate is an integer the type represents exactly
-(below 2^24 and 2^53).
+correlations, thresholded correlations and window matrices are
+reductions over it.  At d = 1 the correlation is a single sliding dot
+product instead, which is faster there.  All accumulation is integer
+exact: int8 sums appear only over fewer than 128 points, and float32 and
+float64 only where every intermediate is an integer the type represents
+exactly (below 2^24 and 2^53).
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from .limits import check_ops
 from .poly import is_squarefree, mul, poly_from_index, poly_index
 
 # Cells (rows x points x p) per block yielded by chi_blocks; about 2^16
-# measured fastest, small enough that a block stays in cache.
+# measured fastest for the float32 matmul, small enough that a block stays
+# in cache.  The int8 sums of correlation_survivors read each block once,
+# so there the per-block overhead dominates and about 2^19 measured fastest.
 BLOCK_CELLS = 1 << 16
+SURVIVOR_BLOCK_CELLS = 1 << 19
 
 
 @lru_cache(maxsize=64)
@@ -53,12 +57,13 @@ def _run_partitioned(fn, n: int, threads: int) -> None:
             fut.result()
 
 
-def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int):
+def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BLOCK_CELLS):
     """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
 
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
     candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
-    monic degree-d g of index (h + r)*p + s_0.
+    monic degree-d g of index (h + r)*p + s_0.  A block holds about
+    ``cells`` cells, and at least one row.
     """
     xs = np.asarray(xs, dtype=np.int64)
     xp = np.empty((d + 1, len(xs)), dtype=np.int64)
@@ -68,10 +73,35 @@ def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int):
     # windows[b] = chi((b + s_0) mod p) for s_0 = 0..p-1, a view of the doubled table
     windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, "int8"), p)
     place = p ** np.arange(d - 1, dtype=np.int64)
-    step = max(1, BLOCK_CELLS // (len(xs) * p))
+    step = max(1, cells // max(1, len(xs) * p))
     for h in range(lo, hi, step):
         digits = np.arange(h, min(hi, h + step), dtype=np.int64)[:, None] // place % p
         yield h, windows[(xp[d] + digits @ xp[1:d]) % p]
+
+
+def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
+    if not (1 <= m <= p and 0 <= x0 < p):
+        raise ValueError("window must be a contiguous run of at most p residues")
+    w = np.asarray(weights)
+    if w.shape != (m,):
+        raise ValueError("weights must match the window length")
+    return w
+
+
+def _sliding_sums(p: int, m: int, w: np.ndarray, lo: int = 0, hi: int | None = None):
+    # c[t - lo] = sum_j w[j] * chi2[t + j] for lo <= t < hi (default p) is one
+    # sliding dot product that stays inside the doubled table; float64 holding
+    # exact integers
+    hi = p if hi is None else hi
+    chi2 = _chi2(p, "float64")
+    # the dot products run about a third faster when the weights start on a
+    # 64-byte boundary, so place them there rather than wherever malloc puts a copy
+    buf = np.empty(m + 8)
+    wf = buf[-buf.ctypes.data // 8 % 8 :][:m]
+    wf[:] = w
+    c = np.correlate(chi2[lo : hi - 1 + m], wf, mode="valid")
+    np.rint(c, out=c)
+    return c
 
 
 def windowed_correlations(
@@ -91,26 +121,14 @@ def windowed_correlations(
     when only the high-digit rows h < rows are scanned (the indices below
     rows * p; d = 1 has the one row h = 0).
     """
-    if not (1 <= m <= p and 0 <= x0 < p):
-        raise ValueError("window must be a contiguous run of at most p residues")
-    w = np.asarray(weights)
-    if w.shape != (m,):
-        raise ValueError("weights must match the window length")
+    w = _window_weights(p, x0, m, weights)
     rows = p ** (d - 1) if rows is None else rows
     if not 1 <= rows <= p ** (d - 1):
         raise ValueError("rows must satisfy 1 <= rows <= p^(d-1)")
 
     if d == 1:
-        # c[t] = sum_j w[j] * chi2[t + j] for t < p is one sliding dot product that
-        # stays inside the doubled table; corr[s] = c[(x0 + s) mod p]
-        chi2 = _chi2(p, "float64")
-        # the dot products run about a third faster when the weights start on a
-        # 64-byte boundary, so place them there rather than wherever malloc puts a copy
-        buf = np.empty(m + 8)
-        wf = buf[-buf.ctypes.data // 8 % 8 :][:m]
-        wf[:] = w
-        c = np.correlate(chi2[: p - 1 + m], wf, mode="valid")
-        np.rint(c, out=c)
+        # corr[s] = c[(x0 + s) mod p]
+        c = _sliding_sums(p, m, w)
         corr = np.empty(p, dtype=np.int64)
         corr[: p - x0] = c[x0:]
         corr[p - x0 :] = c[:x0]
@@ -129,6 +147,62 @@ def windowed_correlations(
 
     _run_partitioned(run, rows, threads)
     return corr.reshape(-1)
+
+
+def correlation_survivors(
+    p: int, d: int, x0: int, m: int, weights, bound: int, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, sums) of the candidates whose |windowed correlation| reaches bound.
+
+    With corr = windowed_correlations(p, d, x0, m, weights), returns the
+    ascending indices i with |corr[i]| >= bound and corr at those indices,
+    both int64.  Weights must lie in {-1, 0, 1}.  The candidates stream
+    through in blocks (row blocks of chi_blocks, or runs of the one row at
+    d = 1) and only the survivors are kept, so no array over all p^d
+    candidates exists unless they all survive.
+    """
+    w = _window_weights(p, x0, m, weights)
+    if not np.isin(w, (-1, 0, 1)).all():
+        raise ValueError("weights must lie in {-1, 0, 1}")
+    if d == 1:
+        # the one row in runs of about SURVIVOR_BLOCK_CELLS cells, which stay in
+        # cache: twice as fast as one run at p = 1000003, m = 24.  A multiple of
+        # 8 keeps chi2[lo:] 64-byte aligned.  Candidate s has sum c[(x0 + s) mod p]
+        step = max(8, SURVIVOR_BLOCK_CELLS // m // 8 * 8)
+        ts, cs = [], []
+        for lo in range(0, p, step):
+            c = _sliding_sums(p, m, w, lo, min(p, lo + step))
+            t = np.flatnonzero((c >= bound) | (c <= -bound))
+            ts.append(t + lo)
+            cs.append(c[t].astype(np.int64))
+        t, c = np.concatenate(ts), np.concatenate(cs)
+        # in index order the kept t >= x0 come first
+        order = np.concatenate([np.flatnonzero(t >= x0), np.flatnonzero(t < x0)])
+        return (t[order] - x0) % p, c[order]
+
+    xs = (x0 + np.arange(m, dtype=np.int64)) % p
+    # a sum over the +1 points minus a sum over the -1 points; zero weights drop out
+    plus = int(np.count_nonzero(w > 0))
+    order = np.concatenate([xs[w > 0], xs[w < 0]])
+    acc = np.int8 if m < 128 else np.int32  # |sum| <= m
+    parts: dict[int, list] = {}
+
+    def run(lo: int, hi: int) -> None:
+        found = []
+        for h, block in chi_blocks(p, d, order, lo, hi, SURVIVOR_BLOCK_CELLS):
+            c = block[:, :plus].sum(axis=1, dtype=acc)
+            c -= block[:, plus:].sum(axis=1, dtype=acc)
+            r, s = np.nonzero(np.abs(c) >= bound)
+            found.append(((h + r) * p + s, c[r, s].astype(np.int64)))
+        parts[lo] = found
+
+    _run_partitioned(run, p ** (d - 1), threads)
+    # thread parts cover ascending row ranges, so joining them by lo keeps index order
+    found = [pair for lo in sorted(parts) for pair in parts[lo]]
+    return (
+        np.concatenate([i for i, _ in found]),
+        np.concatenate([c for _, c in found]),
+    )
 
 
 def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:

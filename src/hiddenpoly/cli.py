@@ -194,6 +194,8 @@ def cmd_quantum(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
+    if not args.p:
+        raise ValueError("--p needs at least one prime")
     algos = args.algos or list(ALGORITHMS)
     columns = "p,d,algo,seeds,status,success,median_queries,work"
     lines = [columns if args.no_timing else columns + ",median_ms"]

@@ -126,6 +126,23 @@ class TestRecover:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "p, d, budget",
+        [
+            # two-stage scans p^d candidates over min(N, PREFIX) points first
+            (1009, 2, 1009**2 * reconstruct.PREFIX - 1),
+            (31, 3, 31**3 * reconstruct.PREFIX - 1),
+        ],
+    )
+    def test_budget_just_below_the_estimate_exits_2(self, capsys, p, d, budget):
+        argv = ("recover", "--p", str(p), "--d", str(d), "--algo", "two-stage", "--json")
+        code, out, err = run(capsys, *argv, "--budget", str(budget))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert run(capsys, *argv, "--budget", str(budget + 1))[0] == 0
+
     def test_usage_error_exits_2(self, capsys):
         assert run(capsys, "recover", "--d", "1")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
@@ -293,7 +310,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--d", "0", "--seeds", "1"), ("--seeds", "0"), ("--seeds", "-1")],
+        # a second bare --p leaves no primes at all
+        [("--d", "0", "--seeds", "1"), ("--seeds", "0"), ("--seeds", "-1"), ("--p",)],
     )
     def test_bad_input_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "bench", "--p", "101", *argv)
@@ -367,6 +385,7 @@ class TestRefusalCost:
             ("recover", "--p", "10007", "--d", "3", "--algo", "two-stage"),
             ("recover", "--p", "10007", "--d", "3", "--algo", "two-stage", "--budget", "1000"),
             ("quantum", "--p", "10007", "--d", "2"),
+            ("recover", "--p", "1009", "--d", "2", "--algo", "two-stage", "--budget", "1000"),
         ],
     )
     def test_refuses_fast_and_small(self, argv):

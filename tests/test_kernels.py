@@ -83,6 +83,24 @@ def test_windowed_correlations_large_weights_stay_exact():
     assert np.array_equal(_kernels.windowed_correlations(p, d, x0, m, weights), expected)
 
 
+def test_correlation_survivors_past_the_int8_range():
+    # m >= 128 sums in int32; the short windows of the sieve test sum in int8.
+    # Over the whole field the perfect squares (x + a)^2 have chi = 1 off
+    # their root, so with one zero weight their sums are 129 or 130
+    p, d, x0, m = 131, 2, 7, 131
+    weights = np.ones(m, dtype=np.int64)
+    weights[5] = 0
+    corr = _kernels.windowed_correlations(p, d, x0, m, weights)
+    keep = np.flatnonzero(np.abs(corr) >= 30)
+    assert 0 < len(keep) < p**d
+    for threads in (1, 3):
+        idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, 30, threads=threads)
+        assert np.array_equal(idx, keep)
+        assert np.array_equal(sums, corr[keep])
+    with pytest.raises(ValueError):
+        _kernels.correlation_survivors(p, d, x0, m, 2 * weights, 30)
+
+
 @SETTINGS
 @given(problems())
 def test_complete_sums_match_reference(problem):

@@ -7,15 +7,22 @@ branches deterministically, without relying on noise.
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hiddenpoly import _kernels, reconstruct
 from hiddenpoly.ffield import PrimeModulus, legendre
 from hiddenpoly.limits import BudgetExceeded
 from hiddenpoly.oracle import OracleSession
 from hiddenpoly.poly import enumerate_monic, parse_poly, random_squarefree
 from hiddenpoly.reconstruct import (
     AlgorithmParams,
+    _stage1_sieve,
     _WindowCache,
     brute_force_recover,
     query_lower_bound,
@@ -208,12 +215,82 @@ class TestTwoStage:
         report = two_stage_recover(session, 1)
         assert set(report.stage_seconds) == {"stage1", "stage2"}
 
+    def test_peak_memory_is_streamed(self):
+        # scanning stage 1 in full holds p^2 int64 correlations and their
+        # absolute values, 61 MiB at p = 2003
+        m = PrimeModulus(2003)
+        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        tracemalloc.start()
+        try:
+            report = two_stage_recover(session, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.recovered == session.hidden
+        assert peak < 16 * 2**20
+
+    def test_budget_counts_the_prefix_scan(self):
+        # p^2 candidates over min(N, PREFIX) points, then the survivors' tails
+        m = PrimeModulus(101)
+        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        with pytest.raises(BudgetExceeded):
+            two_stage_recover(session, 2, budget=101**2 * reconstruct.PREFIX - 1)
+        report = two_stage_recover(session, 2, budget=101**2 * reconstruct.PREFIX)
+        assert report.recovered == session.hidden
+
+
+SIEVE_PRIMES = {1: (3, 5, 7, 11, 13, 17, 19, 23, 29, 31), 2: (3, 5, 7, 11, 13, 29, 31),
+                3: (3, 5, 7, 11)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stage1_sieve_matches_the_full_filter(data):
+    """The prefix sieve keeps exactly the candidates the full scan keeps.
+
+    Windows start anywhere, so some wrap past p - 1; weights include zeros
+    on both sides of the prefix; thresholds run from negative (every
+    candidate survives) to unreachable.  Besides the production prefix,
+    short prefixes make most windows carry a tail, and one-cell blocks
+    split the candidates into many blocks per thread.
+    """
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    p = data.draw(st.sampled_from(SIEVE_PRIMES[d]))
+    m = data.draw(st.integers(1, p))
+    x0 = data.draw(st.integers(0, p - 1))
+    weights = np.array(
+        data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m)),
+        dtype=np.int64,
+    )
+    prefix = data.draw(st.sampled_from([reconstruct.PREFIX, 1, 2, 5]))
+    if data.draw(st.booleans()):
+        weights[data.draw(st.integers(0, min(m, prefix) - 1))] = 0
+        if m > prefix:
+            weights[data.draw(st.integers(prefix, m - 1))] = 0
+    threshold = data.draw(st.one_of(st.integers(-2, m + 2), st.integers(m - 3, m)))
+    corr = _kernels.windowed_correlations(p, d, x0, m, weights)
+    expected = np.flatnonzero(np.abs(corr) >= threshold)
+    for cells in (_kernels.SURVIVOR_BLOCK_CELLS, 1):
+        with mock.patch.object(reconstruct, "PREFIX", prefix), \
+                mock.patch.object(_kernels, "SURVIVOR_BLOCK_CELLS", cells):
+            for threads in (1, 3):
+                idx, sums = _stage1_sieve(
+                    PrimeModulus(p), d, x0, weights, threshold, threads, None
+                )
+                assert idx == expected.tolist()
+                assert sums == corr[expected].tolist()
+
 
 class TestWork:
-    """RecoveryReport.work counts the candidate x point cells the kernels compute."""
+    """RecoveryReport.work counts the candidate x point cells of the unpruned scans.
+
+    Two-stage counts p^d * N for stage 1 although its prefix sieve computes
+    fewer cells, so work follows from the report fields alone, as
+    perfbench's work_cells derives it, and the bench reports stay fixed.
+    """
 
     def test_scans_cover_every_monic_candidate(self):
-        # the seed-0 job of `recover --p 101 --d 2 --algo two-stage`: stage 1 scans
+        # the seed-0 job of `recover --p 101 --d 2 --algo two-stage`: stage 1 counts
         # all p^2 monic candidates over N = 43 points, stage 2 one survivor over M
         m = PrimeModulus(101)
         session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
