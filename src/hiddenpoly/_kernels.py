@@ -5,12 +5,16 @@ lexicographic order).  With the upper coefficients fixed, the s_0 axis
 is contiguous in index space and chi((base + s_0) mod p) is a plain
 slice of a doubled character table.  ``chi_blocks`` is the one kernel
 that turns blocks of candidates into int8 character values this way;
-correlations, thresholded correlations and window matrices are
-reductions over it.  At d = 1 the correlation is a single sliding dot
-product instead, which is faster there.  All accumulation is integer
-exact: int8 sums appear only over fewer than 128 points, and float32 and
-float64 only where every intermediate is an integer the type represents
-exactly (below 2^24 and 2^53).
+``chi_window_matrix`` copies its blocks out.  One private generator,
+``_candidate_sums``, turns character values into the exact window sums of
+consecutive candidates for weights in {-1, 0, 1}, and both
+``windowed_correlations`` (every sum) and ``correlation_survivors`` (the
+sums that reach a bound) consume it.  At d >= 2 a sum is the sum over
+the +1 points minus the sum over the -1 points of a chi_blocks block,
+accumulated in int8 when m < 2^7, int16 when m < 2^15 and int32
+otherwise, so no partial sum (at most m in magnitude) overflows.  At
+d = 1 the one row is a sliding dot product over the doubled table in
+float64, exact because every partial sum is an integer below 2^53.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from .ffield import PrimeModulus, chi_table
 from .limits import check_ops
 from .poly import is_squarefree, mul, poly_from_index, poly_index
 
-# Cells (rows x points x p) per block yielded by chi_blocks; about 2^16
-# measured fastest for the float32 matmul, small enough that a block stays
-# in cache.  The int8 sums of correlation_survivors read each block once,
-# so there the per-block overhead dominates and about 2^19 measured fastest.
+# Cells (rows x points x p) per block yielded by chi_blocks: about 2^16 by
+# default, small enough that a block stays in cache.  The window sums read
+# each block once, so there the per-block overhead dominates and blocks of
+# about SCAN_CELLS measured fastest.  Their d = 1 runs of SCAN_CELLS // 32
+# candidates (16 bytes each of float64 table slice and sums) measured as
+# fast as any length from 2^12 to 2^20 at p = 30011 and p = 1000003.
 BLOCK_CELLS = 1 << 16
-SURVIVOR_BLOCK_CELLS = 1 << 19
+SCAN_CELLS = 1 << 19
 
 
 @lru_cache(maxsize=64)
@@ -38,23 +44,6 @@ def _chi2(p: int, dtype: str) -> np.ndarray:
     arr = np.concatenate([base, base]).astype(dtype)
     arr.setflags(write=False)
     return arr
-
-
-def _run_partitioned(fn, n: int, threads: int) -> None:
-    # contiguous ranges, disjoint output slices: thread count never changes results
-    t = max(1, int(threads))
-    if t == 1 or n < 2:
-        fn(0, n)
-        return
-    bounds = [n * i // t for i in range(t + 1)]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        futures = [
-            ex.submit(fn, bounds[i], bounds[i + 1])
-            for i in range(t)
-            if bounds[i] < bounds[i + 1]
-        ]
-        for fut in futures:
-            fut.result()
 
 
 def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BLOCK_CELLS):
@@ -85,23 +74,72 @@ def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
     w = np.asarray(weights)
     if w.shape != (m,):
         raise ValueError("weights must match the window length")
+    if not np.isin(w, (-1, 0, 1)).all():
+        raise ValueError("weights must lie in {-1, 0, 1}")
     return w
 
 
-def _sliding_sums(p: int, m: int, w: np.ndarray, lo: int = 0, hi: int | None = None):
-    # c[t - lo] = sum_j w[j] * chi2[t + j] for lo <= t < hi (default p) is one
-    # sliding dot product that stays inside the doubled table; float64 holding
-    # exact integers
-    hi = p if hi is None else hi
+def _sliding_sums(p: int, m: int, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # c[t - lo] = sum_j w[j] * chi2[t + j] for lo <= t < hi <= p is one sliding
+    # dot product that stays inside the doubled table
     chi2 = _chi2(p, "float64")
     # the dot products run about a third faster when the weights start on a
     # 64-byte boundary, so place them there rather than wherever malloc puts a copy
     buf = np.empty(m + 8)
     wf = buf[-buf.ctypes.data // 8 % 8 :][:m]
     wf[:] = w
-    c = np.correlate(chi2[lo : hi - 1 + m], wf, mode="valid")
-    np.rint(c, out=c)
-    return c
+    return np.correlate(chi2[lo : hi - 1 + m], wf, mode="valid")
+
+
+def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
+    """Yield (i, c) for runs of consecutive candidates covering lo .. hi - 1 in order.
+
+    c[k] = sum_j w[j] * chi(g_{i+k}(x0 + j mod p)) for candidate i + k, as
+    exact integers: int8, int16 or int32 at d >= 2, float64 at d = 1
+    (module docstring).  At d >= 2, lo and hi are multiples of p, so the
+    runs are whole chi_blocks rows.
+    """
+    m = len(w)
+    if d == 1:
+        # candidate s has the sliding sum at t = (x0 + s) mod p, so a run of
+        # candidates is a run of t that ends at the latest where t wraps
+        run = max(1, SCAN_CELLS // 32)
+        while lo < hi:
+            t = (x0 + lo) % p
+            n = min(hi - lo, p - t, run)
+            yield lo, _sliding_sums(p, m, w, t, t + n)
+            lo += n
+        return
+    xs = (x0 + np.arange(m, dtype=np.int64)) % p
+    # a sum over the +1 points minus a sum over the -1 points; zero weights drop out
+    plus = int(np.count_nonzero(w > 0))
+    order = np.concatenate([xs[w > 0], xs[w < 0]])
+    acc = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 15 else np.int32
+    for h, block in chi_blocks(p, d, order, lo // p, hi // p, SCAN_CELLS):
+        c = block[:, :plus].sum(axis=1, dtype=acc)
+        c -= block[:, plus:].sum(axis=1, dtype=acc)
+        yield h * p, c.reshape(-1)
+
+
+def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consume) -> None:
+    # consume(i, c) for every (i, c) of _candidate_sums over the candidates below
+    # rows * p.  Threads take contiguous ranges (whole rows at d >= 2) and each
+    # consumes its own in index order, so the thread count never changes results
+    unit = p if d > 1 else 1
+    n, t = rows * p // unit, max(1, int(threads))
+    bounds = [n * k // t * unit for k in range(t + 1)]
+    ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+    def run(lo: int, hi: int) -> None:
+        for i, c in _candidate_sums(p, d, x0, w, lo, hi):
+            consume(i, c)
+
+    if len(ranges) == 1:
+        run(*ranges[0])
+        return
+    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
+        for fut in [ex.submit(run, *r) for r in ranges]:
+            fut.result()
 
 
 def windowed_correlations(
@@ -117,36 +155,21 @@ def windowed_correlations(
     """corr[i] = sum_j weights[j] * chi(g_i(x0 + j mod p)) for all monic degree-d g_i.
 
     The window is the contiguous residue run x0, x0+1, ..., x0+m-1 (mod p),
-    1 <= m <= p.  Returns int64 in index order, of length p^d, or rows * p
-    when only the high-digit rows h < rows are scanned (the indices below
-    rows * p; d = 1 has the one row h = 0).
+    1 <= m <= p, and the weights lie in {-1, 0, 1}.  Returns int64 in index
+    order, of length p^d, or rows * p when only the high-digit rows h < rows
+    are scanned (the indices below rows * p; d = 1 has the one row h = 0).
     """
     w = _window_weights(p, x0, m, weights)
     rows = p ** (d - 1) if rows is None else rows
     if not 1 <= rows <= p ** (d - 1):
         raise ValueError("rows must satisfy 1 <= rows <= p^(d-1)")
+    corr = np.empty(rows * p, dtype=np.int64)
 
-    if d == 1:
-        # corr[s] = c[(x0 + s) mod p]
-        c = _sliding_sums(p, m, w)
-        corr = np.empty(p, dtype=np.int64)
-        corr[: p - x0] = c[x0:]
-        corr[p - x0 :] = c[:x0]
-        return corr
+    def consume(i: int, c: np.ndarray) -> None:
+        corr[i : i + len(c)] = c
 
-    xs = (x0 + np.arange(m, dtype=np.int64)) % p
-    wi = w.astype(np.int64)
-    # float32 halves the cost and stays exact while every partial sum is below 2^24
-    ftype = np.float32 if m * int(np.abs(wi).max()) < 1 << 24 else np.float64
-    wf = wi.astype(ftype)
-    corr = np.empty((rows, p), dtype=np.int64)
-
-    def run(lo: int, hi: int) -> None:
-        for h, block in chi_blocks(p, d, xs, lo, hi):
-            corr[h : h + len(block)] = wf @ block.astype(ftype)
-
-    _run_partitioned(run, rows, threads)
-    return corr.reshape(-1)
+    _scan(p, d, x0, w, rows, threads, consume)
+    return corr
 
 
 def correlation_survivors(
@@ -156,53 +179,19 @@ def correlation_survivors(
 
     With corr = windowed_correlations(p, d, x0, m, weights), returns the
     ascending indices i with |corr[i]| >= bound and corr at those indices,
-    both int64.  Weights must lie in {-1, 0, 1}.  The candidates stream
-    through in blocks (row blocks of chi_blocks, or runs of the one row at
-    d = 1) and only the survivors are kept, so no array over all p^d
+    both int64.  Only the survivors are kept, so no array over all p^d
     candidates exists unless they all survive.
     """
     w = _window_weights(p, x0, m, weights)
-    if not np.isin(w, (-1, 0, 1)).all():
-        raise ValueError("weights must lie in {-1, 0, 1}")
-    if d == 1:
-        # the one row in runs of about SURVIVOR_BLOCK_CELLS cells, which stay in
-        # cache: twice as fast as one run at p = 1000003, m = 24.  A multiple of
-        # 8 keeps chi2[lo:] 64-byte aligned.  Candidate s has sum c[(x0 + s) mod p]
-        step = max(8, SURVIVOR_BLOCK_CELLS // m // 8 * 8)
-        ts, cs = [], []
-        for lo in range(0, p, step):
-            c = _sliding_sums(p, m, w, lo, min(p, lo + step))
-            t = np.flatnonzero((c >= bound) | (c <= -bound))
-            ts.append(t + lo)
-            cs.append(c[t].astype(np.int64))
-        t, c = np.concatenate(ts), np.concatenate(cs)
-        # in index order the kept t >= x0 come first
-        order = np.concatenate([np.flatnonzero(t >= x0), np.flatnonzero(t < x0)])
-        return (t[order] - x0) % p, c[order]
+    found: dict[int, tuple] = {}
 
-    xs = (x0 + np.arange(m, dtype=np.int64)) % p
-    # a sum over the +1 points minus a sum over the -1 points; zero weights drop out
-    plus = int(np.count_nonzero(w > 0))
-    order = np.concatenate([xs[w > 0], xs[w < 0]])
-    acc = np.int8 if m < 128 else np.int32  # |sum| <= m
-    parts: dict[int, list] = {}
+    def consume(i: int, c: np.ndarray) -> None:
+        k = np.flatnonzero(np.abs(c) >= bound)
+        found[i] = (k + i, c[k].astype(np.int64))
 
-    def run(lo: int, hi: int) -> None:
-        found = []
-        for h, block in chi_blocks(p, d, order, lo, hi, SURVIVOR_BLOCK_CELLS):
-            c = block[:, :plus].sum(axis=1, dtype=acc)
-            c -= block[:, plus:].sum(axis=1, dtype=acc)
-            r, s = np.nonzero(np.abs(c) >= bound)
-            found.append(((h + r) * p + s, c[r, s].astype(np.int64)))
-        parts[lo] = found
-
-    _run_partitioned(run, p ** (d - 1), threads)
-    # thread parts cover ascending row ranges, so joining them by lo keeps index order
-    found = [pair for lo in sorted(parts) for pair in parts[lo]]
-    return (
-        np.concatenate([i for i, _ in found]),
-        np.concatenate([c for _, c in found]),
-    )
+    _scan(p, d, x0, w, p ** (d - 1), threads, consume)
+    parts = [found[i] for i in sorted(found)]
+    return np.concatenate([i for i, _ in parts]), np.concatenate([c for _, c in parts])
 
 
 def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:

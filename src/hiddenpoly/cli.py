@@ -132,6 +132,8 @@ def _rows_to_csv(rows: list[charsum.BoundCheckRow]) -> str:
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
+    if args.p == []:
+        raise ValueError("--p needs at least one prime")
     for p in args.p or ():
         PrimeModulus(p)  # validate every prime before any sweep runs
     rows = _bound_rows(args)
@@ -203,8 +205,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for p in args.p:
         modulus = PrimeModulus(p)
         for algo in algos:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}")
             queries, works, times, successes = [], [], [], 0
             for seed in range(args.seeds):
                 hidden = random_squarefree(modulus, args.d, random.Random(seed))
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="benchmark the recovery algorithms")
     ben.add_argument("--p", type=int, nargs="*", default=[101, 1009, 10007])
     ben.add_argument("--d", type=int, default=1)
-    ben.add_argument("--algos", nargs="*", default=None, help=f"subset of {ALGORITHMS}")
+    ben.add_argument("--algos", nargs="*", choices=ALGORITHMS, default=None,
+                     help=f"subset of {ALGORITHMS}")
     ben.add_argument("--seeds", type=int, default=5)
     _add_common(ben)
     ben.set_defaults(func=cmd_bench)

@@ -206,7 +206,6 @@ def _stage1_sieve(
     p = modulus.p
     n = len(weights)
     k = min(n, PREFIX)
-    check_ops(p**d * k, budget, "stage-1 prefix scan")
     # no tail term exceeds |w_j| in magnitude, so this bound drops no survivor
     bound = threshold - int(np.abs(weights[k:]).sum())
     idx, sums = _kernels.correlation_survivors(
@@ -308,6 +307,9 @@ def two_stage_recover(
     modulus = session.modulus
     p = modulus.p
     params = params or AlgorithmParams.for_problem(modulus, d)
+    # refused before the window cache and the oracle's character table, each
+    # of which holds p entries
+    check_ops(p**d * min(params.N, PREFIX), budget, "stage-1 prefix scan")
     cache = _WindowCache(session, reps)
 
     t0 = time.perf_counter()

@@ -200,6 +200,13 @@ class TestVerifyBounds:
         code, _, _ = run(capsys, "verify-bounds", "--lemma", "weil", "--p", "6")
         assert code == 2
 
+    def test_bare_p_exits_2(self, capsys):
+        # no primes is a usage error, not the default grid
+        code, out, err = run(capsys, "verify-bounds", "--p")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --p needs at least one prime\n"
+
     @pytest.mark.parametrize("lemma", charsum.SWEEPS)
     def test_every_sweep_honours_the_budget(self, capsys, lemma):
         code, out, err = run(
@@ -320,6 +327,17 @@ class TestBench:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
 
+    def test_unknown_algorithm_exits_2_before_any_run(self, capsys, monkeypatch):
+        calls = []
+        for name in reconstruct.__all__:
+            if name.endswith("_recover"):
+                _counting(reconstruct, name, monkeypatch, calls)
+        code, out, err = run(capsys, "bench", "--p", "101", "--algos", "two-stage", "bogus")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'bogus'" in err
+        assert calls == []
+
 
 class TestDeterminism:
     def test_thread_counts_agree(self, capsys):
@@ -386,6 +404,8 @@ class TestRefusalCost:
             ("recover", "--p", "10007", "--d", "3", "--algo", "two-stage", "--budget", "1000"),
             ("quantum", "--p", "10007", "--d", "2"),
             ("recover", "--p", "1009", "--d", "2", "--algo", "two-stage", "--budget", "1000"),
+            # refused before the p-entry window cache and character table
+            ("recover", "--p", "100000007", "--d", "1"),
         ],
     )
     def test_refuses_fast_and_small(self, argv):

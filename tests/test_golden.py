@@ -45,8 +45,8 @@ COMMANDS = {
 }
 
 # the scans that split work across threads, rerun with other thread counts
-THREADED = ("recover_d2_p101_brute", "recover_d2_p251_two_stage", "bounds_pair_identity",
-            "bounds_weil", "bench_small")
+THREADED = ("recover_d1_p1009_brute", "recover_d1_p1009_two_stage", "recover_d2_p101_brute",
+            "recover_d2_p251_two_stage", "bounds_pair_identity", "bounds_weil", "bench_small")
 
 
 def _stdout(capsys, argv: list[str]) -> bytes:

@@ -2,8 +2,8 @@
 
 The reference (``reference.reference_matrix``) evaluates each monic
 candidate with MonicPoly.eval_int and takes the character from
-legendre_euler, one point at a time.  chi_blocks, every reduction over
-it, the d = 1 correlation and the array Horner evaluation must reproduce
+legendre_euler, one point at a time.  chi_blocks, the window sums at
+every degree, the window matrix and the array Horner evaluation must reproduce
 it exactly, over every row or a leading slice of rows; the index-set
 helpers must match the per-polynomial tests.
 """
@@ -56,10 +56,10 @@ def test_chi_blocks_match_reference(problem, data):
 
 
 @SETTINGS
-@given(problems(), st.sampled_from([1, 5]), st.data())
-def test_windowed_correlations_match_reference(problem, bound, data):
+@given(problems(), st.data())
+def test_windowed_correlations_match_reference(problem, data):
     p, d, x0, m = problem
-    draw = st.lists(st.integers(-bound, bound), min_size=m, max_size=m)
+    draw = st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m)
     weights = np.array(data.draw(draw), dtype=np.int64)
     rows = data.draw(st.integers(1, p ** (d - 1)))
     expected = reference_matrix(p, d, window(p, x0, m)) @ weights
@@ -75,30 +75,49 @@ def test_windowed_correlations_match_reference(problem, bound, data):
             _kernels.windowed_correlations(p, d, x0, m, weights, rows=bad)
 
 
-def test_windowed_correlations_large_weights_stay_exact():
-    # |weights| * m beyond 2^24 takes the float64 reduction
-    p, d, x0, m = 13, 2, 4, 9
-    weights = np.array([(-1) ** j * (10**7 + j) for j in range(m)], dtype=np.int64)
-    expected = reference_matrix(p, d, window(p, x0, m)) @ weights
-    assert np.array_equal(_kernels.windowed_correlations(p, d, x0, m, weights), expected)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weights_outside_plus_minus_one_are_refused(d):
+    p, x0, m = 7, 3, 5
+    weights = np.array([1, -1, 0, 2, 1], dtype=np.int64)
+    with pytest.raises(ValueError, match="weights"):
+        _kernels.windowed_correlations(p, d, x0, m, weights)
+    with pytest.raises(ValueError, match="weights"):
+        _kernels.correlation_survivors(p, d, x0, m, weights, 1)
 
 
 def test_correlation_survivors_past_the_int8_range():
-    # m >= 128 sums in int32; the short windows of the sieve test sum in int8.
+    # m >= 128 sums in int16; the short windows of the sieve test sum in int8.
     # Over the whole field the perfect squares (x + a)^2 have chi = 1 off
     # their root, so with one zero weight their sums are 129 or 130
     p, d, x0, m = 131, 2, 7, 131
     weights = np.ones(m, dtype=np.int64)
     weights[5] = 0
     corr = _kernels.windowed_correlations(p, d, x0, m, weights)
+    squares = [a * a % p + 2 * a % p * p for a in range(p)]
+    # 130 when the root -a sits under the zero weight, at x0 + 5
+    assert corr[squares].tolist() == [130 if -a % p == x0 + 5 else 129 for a in range(p)]
     keep = np.flatnonzero(np.abs(corr) >= 30)
     assert 0 < len(keep) < p**d
     for threads in (1, 3):
         idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, 30, threads=threads)
         assert np.array_equal(idx, keep)
         assert np.array_equal(sums, corr[keep])
-    with pytest.raises(ValueError):
-        _kernels.correlation_survivors(p, d, x0, m, 2 * weights, 30)
+
+
+def test_window_sums_past_the_int16_range():
+    # m >= 2^15 sums in int32.  A public call needs p > 2^15 there, where a
+    # single row is a block of m * p > 2^30 cells, so the generator runs
+    # directly on a window that wraps the field of 13 about 3077 times: each
+    # square (x + a)^2 sums to m minus the visits to its root, about 36900,
+    # past the int16 range
+    p, d, m = 13, 2, 40000
+    weights = np.ones(m, dtype=np.int64)
+    xs = np.arange(m, dtype=np.int64) % p
+    expected = reference_matrix(p, d, xs[:p]).sum(axis=1) * (m // p)
+    expected += reference_matrix(p, d, xs[: m % p]).sum(axis=1)
+    got = np.concatenate([c for _, c in _kernels._candidate_sums(p, d, 0, weights, 0, p * p)])
+    assert got.max() > np.iinfo(np.int16).max
+    assert np.array_equal(got, expected)
 
 
 @SETTINGS

@@ -270,9 +270,9 @@ def test_stage1_sieve_matches_the_full_filter(data):
     threshold = data.draw(st.one_of(st.integers(-2, m + 2), st.integers(m - 3, m)))
     corr = _kernels.windowed_correlations(p, d, x0, m, weights)
     expected = np.flatnonzero(np.abs(corr) >= threshold)
-    for cells in (_kernels.SURVIVOR_BLOCK_CELLS, 1):
+    for cells in (_kernels.SCAN_CELLS, 1):
         with mock.patch.object(reconstruct, "PREFIX", prefix), \
-                mock.patch.object(_kernels, "SURVIVOR_BLOCK_CELLS", cells):
+                mock.patch.object(_kernels, "SCAN_CELLS", cells):
             for threads in (1, 3):
                 idx, sums = _stage1_sieve(
                     PrimeModulus(p), d, x0, weights, threshold, threads, None
