@@ -13,8 +13,16 @@ sums that reach a bound) consume it.  At d >= 2 a sum is the sum over
 the +1 points minus the sum over the -1 points of a chi_blocks block,
 accumulated in int8 when m < 2^7, int16 when m < 2^15 and int32
 otherwise, so no partial sum (at most m in magnitude) overflows.  At
-d = 1 the one row is a sliding dot product over the doubled table in
-float64, exact because every partial sum is an integer below 2^53.
+d = 1 the one row is a cyclic correlation of the weights with the
+character table, computed by overlap-save: a run of candidates copies
+its slice of the doubled int8 table into a float64 buffer, views it as
+overlapping blocks of a power-of-two length L >= 2m (at least
+``FFT_FLOOR``), and takes one batched real FFT, one product with the
+weights' conjugate spectrum and one inverse FFT.  The first L - m + 1
+outputs of each block are the window sums, rounded to integers.
+Exactness is checked, not assumed: a run with an output 1/4 or more from
+its integer raises ArithmeticError.  The int8 doubled table is the only
+character table kept; there is no float64 copy.
 """
 
 from __future__ import annotations
@@ -31,17 +39,20 @@ from .poly import is_squarefree, mul, poly_from_index, poly_index
 # Cells (rows x points x p) per block yielded by chi_blocks: about 2^16 by
 # default, small enough that a block stays in cache.  The window sums read
 # each block once, so there the per-block overhead dominates and blocks of
-# about SCAN_CELLS measured fastest.  Their d = 1 runs of SCAN_CELLS // 32
-# candidates (16 bytes each of float64 table slice and sums) measured as
-# fast as any length from 2^12 to 2^20 at p = 30011 and p = 1000003.
+# about SCAN_CELLS measured fastest.
 BLOCK_CELLS = 1 << 16
 SCAN_CELLS = 1 << 19
+# d = 1 overlap-save: runs of about FFT_RUN candidates, rounded to whole
+# blocks, in blocks of at least FFT_FLOOR points.  At m = 24, p = 1000003,
+# floors from 128 to 1024 measured the same and runs of 2^12 were slower
+FFT_RUN = 1 << 14
+FFT_FLOOR = 256
 
 
 @lru_cache(maxsize=64)
-def _chi2(p: int, dtype: str) -> np.ndarray:
+def _chi2(p: int) -> np.ndarray:
     base = chi_table(PrimeModulus(p))
-    arr = np.concatenate([base, base]).astype(dtype)
+    arr = np.concatenate([base, base])
     arr.setflags(write=False)
     return arr
 
@@ -60,7 +71,7 @@ def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BL
     for i in range(1, d + 1):
         xp[i] = xp[i - 1] * xs % p
     # windows[b] = chi((b + s_0) mod p) for s_0 = 0..p-1, a view of the doubled table
-    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, "int8"), p)
+    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p), p)
     place = p ** np.arange(d - 1, dtype=np.int64)
     step = max(1, cells // max(1, len(xs) * p))
     for h in range(lo, hi, step):
@@ -79,16 +90,23 @@ def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
     return w
 
 
-def _sliding_sums(p: int, m: int, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # c[t - lo] = sum_j w[j] * chi2[t + j] for lo <= t < hi <= p is one sliding
-    # dot product that stays inside the doubled table
-    chi2 = _chi2(p, "float64")
-    # the dot products run about a third faster when the weights start on a
-    # 64-byte boundary, so place them there rather than wherever malloc puts a copy
-    buf = np.empty(m + 8)
-    wf = buf[-buf.ctypes.data // 8 % 8 :][:m]
-    wf[:] = w
-    return np.correlate(chi2[lo : hi - 1 + m], wf, mode="valid")
+def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.ndarray:
+    # c[k] = sum_j w[j] * chi2[t + k + j] for k < n, with t + n <= p so every read
+    # stays inside the doubled table.  Block b holds chi2[t + b*step :][:size]; its
+    # cyclic correlation with w, spectrum = conj(rfft(w, size)), is the window sums
+    # in its first step = size - m + 1 entries and wraps around in the rest
+    size = 2 * (len(spectrum) - 1)
+    step = size - m + 1
+    buf = np.zeros((-(-n // step) - 1) * step + size)
+    buf[: n + m - 1] = _chi2(p)[t : t + n + m - 1]
+    spectra = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(buf, size)[::step])
+    spectra *= spectrum
+    y = np.fft.irfft(spectra, size)[:, :step]
+    c = np.rint(y)
+    residual = float(np.abs(y - c, out=y).max())
+    if residual >= 0.25:
+        raise ArithmeticError(f"FFT window sums {residual} off an integer at p={p}, m={m}")
+    return c.reshape(-1)[:n]
 
 
 def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
@@ -103,11 +121,13 @@ def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
     if d == 1:
         # candidate s has the sliding sum at t = (x0 + s) mod p, so a run of
         # candidates is a run of t that ends at the latest where t wraps
-        run = max(1, SCAN_CELLS // 32)
+        size = max(FFT_FLOOR, 1 << (2 * m - 1).bit_length())
+        spectrum = np.conj(np.fft.rfft(w, size))
+        run = max(1, FFT_RUN // (size - m + 1)) * (size - m + 1)
         while lo < hi:
             t = (x0 + lo) % p
             n = min(hi - lo, p - t, run)
-            yield lo, _sliding_sums(p, m, w, t, t + n)
+            yield lo, _sliding_sums(p, m, spectrum, t, n)
             lo += n
         return
     xs = (x0 + np.arange(m, dtype=np.int64)) % p

@@ -198,6 +198,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--seeds must be at least 1")
     if not args.p:
         raise ValueError("--p needs at least one prime")
+    if args.algos == []:
+        raise ValueError("--algos needs at least one algorithm")
     algos = args.algos or list(ALGORITHMS)
     columns = "p,d,algo,seeds,status,success,median_queries,work"
     lines = [columns if args.no_timing else columns + ",median_ms"]

@@ -155,7 +155,9 @@ def chi_table(modulus: PrimeModulus) -> np.ndarray:
     table[0] = 0
     # squares of 1..(p-1)/2 hit every quadratic residue exactly once
     roots = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    table[roots * roots % p] = 1
+    # squared and reduced in place: one int64 array of p/2 entries, not three
+    np.multiply(roots, roots, out=roots)
+    table[np.remainder(roots, p, out=roots)] = 1
     table.setflags(write=False)
     return table
 

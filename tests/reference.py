@@ -3,8 +3,10 @@
 Each candidate is evaluated with MonicPoly.eval_int and its character
 taken from legendre_euler, one point at a time, with none of the array
 code under test.  The kernel tests and the quantum dense route both
-check against it.  WIDE_PRIMES are the large primes the kernel and poly
-tests draw from.
+check against it.  ``shifted_sums`` gives the degree-1 window sums the
+same way, by whole shifts of that character table, at primes where the
+candidate loop would be slow.  WIDE_PRIMES are the large primes the kernel
+and poly tests draw from.
 """
 
 import numpy as np
@@ -27,3 +29,17 @@ def reference_matrix(p, d, xs, patched=False):
         g = poly_from_index(d, modulus, i)
         rows.append([chi[g.eval_int(int(x))] for x in xs])
     return np.array(rows, dtype=np.int64).reshape(p**d, len(xs))
+
+
+def shifted_sums(p, x0, weights):
+    """[s] -> sum_j weights[j] * chi(x0 + j + s mod p) for every shift s, in int64.
+
+    The window sums of the degree-1 candidates x + s, one whole shifted
+    copy of the character table per weight.
+    """
+    modulus = PrimeModulus(p)
+    chi = np.array([legendre_euler(FpElement(v, modulus)) for v in range(p)], dtype=np.int64)
+    sums = np.zeros(p, dtype=np.int64)
+    for j, w in enumerate(np.asarray(weights, dtype=np.int64)):
+        sums += w * np.roll(chi, -(x0 + j))
+    return sums

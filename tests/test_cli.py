@@ -338,6 +338,18 @@ class TestBench:
         assert "invalid choice: 'bogus'" in err
         assert calls == []
 
+    def test_bare_algos_exits_2_before_any_run(self, capsys, monkeypatch):
+        # no algorithms is a usage error, not every algorithm
+        calls = []
+        for name in reconstruct.__all__:
+            if name.endswith("_recover"):
+                _counting(reconstruct, name, monkeypatch, calls)
+        code, out, err = run(capsys, "bench", "--p", "101", "--algos", "--seeds", "1", "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --algos needs at least one algorithm\n"
+        assert calls == []
+
 
 class TestDeterminism:
     def test_thread_counts_agree(self, capsys):

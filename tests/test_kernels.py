@@ -5,17 +5,21 @@ candidate with MonicPoly.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, the window sums at
 every degree, the window matrix and the array Horner evaluation must reproduce
 it exactly, over every row or a leading slice of rows; the index-set
-helpers must match the per-polynomial tests.
+helpers must match the per-polynomial tests.  At d = 1 and primes too large
+for that loop, the FFT window sums are checked against
+``reference.shifted_sums`` and the Legendre autocorrelation.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import WIDE_PRIMES, reference_matrix
+from reference import WIDE_PRIMES, reference_matrix, shifted_sums
 
 from hiddenpoly import _kernels
-from hiddenpoly.ffield import PrimeModulus
+from hiddenpoly.ffield import PrimeModulus, chi_table
 from hiddenpoly.poly import MonicPoly, is_perfect_square, is_squarefree, poly_from_index
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -118,6 +122,64 @@ def test_window_sums_past_the_int16_range():
     got = np.concatenate([c for _, c in _kernels._candidate_sums(p, d, 0, weights, 0, p * p)])
     assert got.max() > np.iinfo(np.int16).max
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_d1_sums_of_a_full_window_are_the_legendre_autocorrelation(threads):
+    # sum_x chi(x) chi(x + s) over F_p is p - 1 at s = 0 and -1 elsewhere, so a
+    # window of all p points and weights chi checks every sum of the largest FFT
+    # blocks exactly
+    p = 100003
+    chi = chi_table(PrimeModulus(p))
+    got = _kernels.windowed_correlations(p, 1, 0, p, chi, threads=threads)
+    assert got[0] == p - 1
+    assert (got[1:] == -1).all()
+
+
+@pytest.mark.parametrize("m", [1, 24, 1000, 10007])
+def test_d1_sums_over_many_blocks_and_wraps_match_shifted_sums(m):
+    # at p = 10007 a run spans many FFT blocks and the candidates wrap past
+    # t = p - 1; the second x0 puts the window itself across 0 as well
+    p = 10007
+    rng = np.random.default_rng(m)
+    weights = rng.integers(-1, 2, size=m)
+    for x0 in (int(rng.integers(p)), p - m // 2 - 1):
+        expected = shifted_sums(p, x0, weights)
+        bound = max(1, int(np.quantile(np.abs(expected), 0.9)))
+        keep = np.flatnonzero(np.abs(expected) >= bound)
+        for threads in (1, 3):
+            got = _kernels.windowed_correlations(p, 1, x0, m, weights, threads=threads)
+            assert np.array_equal(got, expected)
+            idx, sums = _kernels.correlation_survivors(p, 1, x0, m, weights, bound, threads)
+            assert np.array_equal(idx, keep)
+            assert np.array_equal(sums, expected[keep])
+
+
+def test_d1_sums_off_an_integer_raise():
+    # the exactness check itself: a spectrum scaled by 3/2 puts every odd sum
+    # half-way between two integers
+    p, m = 101, 5
+    spectrum = np.conj(np.fft.rfft(np.ones(m), _kernels.FFT_FLOOR))
+    assert np.array_equal(_kernels._sliding_sums(p, m, spectrum, 0, p), shifted_sums(p, 0, np.ones(m)))
+    with pytest.raises(ArithmeticError, match="off an integer"):
+        _kernels._sliding_sums(p, m, 1.5 * spectrum, 0, p)
+
+
+def test_d1_survivor_scan_peak_memory():
+    # chi_table's build sets the peak: its 1 MB table beside one 4 MB int64
+    # array of the p/2 squares, reduced in place.  The 2 MB int8 doubled table
+    # and the FFT runs' float64 buffers (under 1 MB at m = 24) stay below it
+    p = 1000003
+    weights = np.random.default_rng(0).integers(-1, 2, size=24)
+    _kernels._chi2.cache_clear()
+    chi_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _kernels.correlation_survivors(p, 1, 1, 24, weights, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6, peak
 
 
 @SETTINGS
