@@ -27,6 +27,7 @@ character table kept; there is no float64 copy.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -91,8 +92,8 @@ def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
 
 
 def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.ndarray:
-    # c[k] = sum_j w[j] * chi2[t + k + j] for k < n, with t + n <= p so every read
-    # stays inside the doubled table.  Block b holds chi2[t + b*step :][:size]; its
+    # c[k] = sum_j w[j] * chi2[t + k + j] for k < n, with t + n + m - 1 <= 2p so every
+    # read stays inside the doubled table.  Block b holds chi2[t + b*step :][:size]; its
     # cyclic correlation with w, spectrum = conj(rfft(w, size)), is the window sums
     # in its first step = size - m + 1 entries and wraps around in the rest
     size = 2 * (len(spectrum) - 1)
@@ -119,14 +120,14 @@ def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
     """
     m = len(w)
     if d == 1:
-        # candidate s has the sliding sum at t = (x0 + s) mod p, so a run of
-        # candidates is a run of t that ends at the latest where t wraps
+        # candidate s has the sliding sum at t = (x0 + s) mod p; a run of candidates
+        # reads chi2 up to t + n + m - 2, so it ends at the latest at t + n = 2p - m + 1
         size = max(FFT_FLOOR, 1 << (2 * m - 1).bit_length())
         spectrum = np.conj(np.fft.rfft(w, size))
         run = max(1, FFT_RUN // (size - m + 1)) * (size - m + 1)
         while lo < hi:
             t = (x0 + lo) % p
-            n = min(hi - lo, p - t, run)
+            n = min(hi - lo, 2 * p - m + 1 - t, run)
             yield lo, _sliding_sums(p, m, spectrum, t, n)
             lo += n
         return
@@ -143,10 +144,10 @@ def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
 
 def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consume) -> None:
     # consume(i, c) for every (i, c) of _candidate_sums over the candidates below
-    # rows * p.  Threads take contiguous ranges (whole rows at d >= 2) and each
-    # consumes its own in index order, so the thread count never changes results
+    # rows * p.  Up to os.cpu_count() threads take contiguous ranges (whole rows at
+    # d >= 2), each consumed in index order, so the thread count never changes results
     unit = p if d > 1 else 1
-    n, t = rows * p // unit, max(1, int(threads))
+    n, t = rows * p // unit, max(1, min(int(threads), os.cpu_count() or 1))
     bounds = [n * k // t * unit for k in range(t + 1)]
     ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 

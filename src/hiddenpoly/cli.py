@@ -307,6 +307,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # the one error boundary: bad input and budget refusals print one line, exit 2
     try:
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
         return args.func(args)
     except (BudgetExceeded, ValueError) as exc:
         _err(str(exc))

@@ -4,11 +4,12 @@ A session owns the hidden square-free monic polynomial f and answers
 point queries with the quadratic character chi(f(x)) in {-1, 0, 1}
 (0 exactly at the roots of f).  With reliability gamma < 1 an answer is
 wrong with probability 1 - gamma, uniformly over the two other values
-of {-1, 0, 1}.  Noise draws are a pure function of
-(rng_seed, x, draw index), so answers do not depend on global query
-order and concurrent callers see a consistent oracle.  query_block
-answers a whole array of points in one call, with the same answers and
-counts as the scalar calls.
+of {-1, 0, 1}.  Noise draws are a pure function of (rng_seed, x, draw
+index), one sha256 of tag + seed + x + draw each, so answers do not
+depend on global query order and concurrent callers see a consistent
+oracle.  One batched vote answers every query and stops drawing at a
+point once its plurality is decided.  query_block answers a whole array
+of points in one call, with the same answers and counts as the scalar calls.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .ffield import FpElement, PrimeModulus, chi_table, legendre
 from .poly import MonicPoly, is_squarefree
 
 _MASK64 = (1 << 64) - 1
+_PACK = struct.Struct("<QQ").pack
+VOTE_CHUNK = 1024  # points per batched vote: bounds its transient digest lists
+# the two wrong answers for truth -1, 0, 1 (rows), in ascending order
+_WRONG = np.array([[0, 1], [-1, 1], [-1, 0]], dtype=np.int64)
 
 
 class OracleSession:
@@ -73,40 +78,56 @@ class OracleSession:
     def _truth(self, xv: int) -> int:
         return legendre(FpElement(self._hidden.eval_int(xv), self.modulus))
 
-    def _noise_words(self, xv: int, draw: int) -> tuple[float, int]:
-        h = self._noise_prefix.copy()
-        h.update(struct.pack("<QQ", xv, draw))
-        digest = h.digest()
-        u = int.from_bytes(digest[:8], "little") / 2.0**64
-        pick = int.from_bytes(digest[8:16], "little")
-        return u, pick
-
     def _take_draws(self, xv: int, t: int) -> int:
         # caller holds the lock; returns the first of t fresh draw indices at xv
         draw = self._draws.get(xv, 0)
         self._draws[xv] = draw + t
         return draw
 
-    def _vote(self, xv: int, truth: int, first: int, t: int) -> int:
-        # plurality of the noisy answers to draws first .. first+t-1,
-        # smallest value on ties; the one body behind every public query
-        if self.gamma == 1.0:
-            return truth
-        wrong = [v for v in (-1, 0, 1) if v != truth]
-        counts: dict[int, int] = {}
-        for draw in range(first, first + t):
-            u, pick = self._noise_words(xv, draw)
-            v = truth if u < self.gamma else wrong[pick % len(wrong)]
-            counts[v] = counts.get(v, 0) + 1
-        best = max(counts.values())
-        return min(v for v, c in counts.items() if c == best)
+    def _noise(self, points: list, draws: list) -> tuple[np.ndarray, np.ndarray]:
+        # (u, pick) per (x, draw): the digest's first 8 bytes / 2^64 and its next 8
+        digests = []
+        for xv, draw in zip(points, draws):
+            h = self._noise_prefix.copy()
+            h.update(_PACK(xv, draw))
+            digests.append(h.digest())
+        words = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 4)
+        return words[:, 0].astype(np.float64) / 2.0**64, words[:, 1]
+
+    def _votes(self, points, truth, firsts, t: int) -> np.ndarray:
+        # gamma < 1: plurality of draws first .. first+t-1 at each point, smallest value
+        # on ties; the one vote body behind every query.  A point is answered once a value
+        # holds need = (t+1)/2 votes, which no later draw overturns, or after t draws, so
+        # a round takes need - (the largest live count) draws and none past a decision
+        truth = np.asarray(truth, dtype=np.int64)
+        points, firsts = np.asarray(points, dtype=np.int64), np.asarray(firsts, dtype=np.int64)
+        need = (t + 1) // 2
+        out = np.empty(len(truth), dtype=np.int8)
+        for a in range(0, len(truth), VOTE_CHUNK):
+            live = np.arange(a, min(a + VOTE_CHUNK, len(truth)))
+            counts, done = np.zeros((len(live), 3), dtype=np.int64), 0
+            while len(live):
+                r = min(need - int(counts.max()), t - done)
+                draws = firsts[live, None] + np.arange(done, done + r)
+                u, pick = self._noise(np.repeat(points[live], r).tolist(), draws.ravel().tolist())
+                # u < gamma keeps the truth, else bit 0 of pick chooses a wrong value
+                right = np.repeat(truth[live], r)
+                v = np.where(u < self.gamma, right, _WRONG[right + 1, pick & 1]) + 1
+                cells = np.repeat(np.arange(0, 3 * len(live), 3), r) + v
+                counts += np.bincount(cells, minlength=3 * len(live)).reshape(-1, 3)
+                done += r
+                last = (counts.max(axis=1) >= need) | (done == t)
+                out[live[last]] = counts[last].argmax(axis=1) - 1
+                live, counts = live[~last], counts[~last]
+        return out
 
     def _answer(self, x, t: int) -> int:
         xv = x.value if isinstance(x, FpElement) else int(x) % self.p
         with self._lock:
             self._count += t
             first = self._take_draws(xv, t) if self.gamma < 1.0 else 0
-        return self._vote(xv, self._truth(xv), first, t)
+        truth = self._truth(xv)
+        return truth if self.gamma == 1.0 else int(self._votes([xv], [truth], [first], t)[0])
 
     def query(self, x) -> int:
         """One oracle answer at x; increments the query counter by one."""
@@ -120,10 +141,11 @@ class OracleSession:
     def query_block(self, xs, reps: int = 1) -> np.ndarray:
         """majority_estimate(x, reps) for every x of xs in order, as int8.
 
-        Counters and noise draws advance exactly as that sequence of
-        scalar calls would advance them, so a block and the scalar calls
-        are interchangeable.  The truth comes from the cached p-entry
-        character table instead of a per-point Jacobi reduction.
+        Counters and noise draws advance by reps per point, exactly as
+        that sequence of scalar calls would, so the two are
+        interchangeable; draws after a decided plurality are skipped
+        unseen.  The truth comes from the cached p-entry character
+        table instead of a per-point Jacobi reduction.
         """
         _check_votes(reps)
         xs = np.asarray(xs, dtype=np.int64) % self.p
@@ -132,13 +154,8 @@ class OracleSession:
             self._count += reps * len(xs)
             if self.gamma == 1.0:
                 return truth
-            points = xs.tolist()
-            firsts = [self._take_draws(xv, reps) for xv in points]
-        votes = [
-            self._vote(xv, tv, first, reps)
-            for xv, tv, first in zip(points, truth.tolist(), firsts)
-        ]
-        return np.array(votes, dtype=np.int8)
+            firsts = [self._take_draws(xv, reps) for xv in xs.tolist()]
+        return self._votes(xs, truth, firsts, reps)
 
 
 def _check_votes(t: int) -> None:

@@ -5,9 +5,14 @@ taken from legendre_euler, one point at a time, with none of the array
 code under test.  The kernel tests and the quantum dense route both
 check against it.  ``shifted_sums`` gives the degree-1 window sums the
 same way, by whole shifts of that character table, at primes where the
-candidate loop would be slow.  WIDE_PRIMES are the large primes the kernel
-and poly tests draw from.
+candidate loop would be slow.  ``reference_answers`` and ``reference_vote``
+are the noisy oracle's answers and plurality vote, hashed and counted
+draw by draw.  WIDE_PRIMES are the
+large primes the kernel and poly tests draw from.
 """
+
+import hashlib
+import struct
 
 import numpy as np
 
@@ -43,3 +48,26 @@ def shifted_sums(p, x0, weights):
     for j, w in enumerate(np.asarray(weights, dtype=np.int64)):
         sums += w * np.roll(chi, -(x0 + j))
     return sums
+
+
+def reference_answers(seed, gamma, truth, x, first, t):
+    """The noisy answers to draws first .. first+t-1 at x, one plain sha256 each.
+
+    Each draw hashes tag + seed + x + draw.  Its first 8 bytes / 2^64
+    below gamma keep the truth; otherwise bit 0 of the next 8 picks one of
+    the two other values in ascending order.
+    """
+    wrong = sorted({-1, 0, 1} - {truth})
+    answers = []
+    for draw in range(first, first + t):
+        digest = hashlib.sha256(b"hiddenpoly-oracle" + struct.pack("<QQQ", seed, x, draw)).digest()
+        u = int.from_bytes(digest[:8], "little") / 2**64
+        pick = int.from_bytes(digest[8:16], "little")
+        answers.append(truth if u < gamma else wrong[pick % 2])
+    return answers
+
+
+def reference_vote(seed, gamma, truth, x, first, t):
+    """Plurality of all t reference_answers, with no early stop; smallest value on ties."""
+    answers = reference_answers(seed, gamma, truth, x, first, t)
+    return max((-1, 0, 1), key=lambda v: (answers.count(v), -v))

@@ -362,6 +362,19 @@ class TestDeterminism:
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ("recover", "--p", "101", "--d", "1"),
+        ("verify-bounds", "--lemma", "weil", "--p", "5"),
+        ("quantum", "--p", "13", "--d", "1"),
+        ("bench", "--p", "101", "--seeds", "1"),
+    ])
+    def test_threads_below_one_exit_2(self, capsys, command, threads):
+        code, out, err = run(capsys, *command, "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --threads must be at least 1\n"
+
     def test_repeat_runs_agree(self, capsys):
         args = ("recover", "--p", "101", "--d", "1", "--seed", "5", "--json", "--no-timing")
         _, out1, _ = run(capsys, *args)

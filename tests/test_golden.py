@@ -5,8 +5,10 @@ command below.  The files were captured before the candidate-scan
 kernels were consolidated, so a refactor that changes any reported
 number, order or format fails here.  The two quantum files were
 captured again when the exact block eigensolve replaced power
-iteration, which had underestimated lambda_max.  Recovery and bench reports use
---no-timing; quantum and verify-bounds print no wall times.
+iteration, which had underestimated lambda_max.  The noisy brute file was
+captured before the batched, early-stopping vote replaced the per-draw
+one.  Recovery and bench reports use --no-timing; quantum and
+verify-bounds print no wall times.
 """
 
 from pathlib import Path
@@ -31,6 +33,9 @@ COMMANDS = {
     "recover_d2_p101_two_stage": "recover --p 101 --d 2 --algo two-stage --seed 3 --no-timing",
     "recover_d1_p1009_noisy": "recover --p 1009 --d 1 --algo two-stage --gamma 0.9 --reps 3 "
                               "--seed 4 --json --no-timing",
+    # seven votes at gamma 0.6 reach draws 4-7 and the tie rule on many points
+    "recover_d1_p1009_noisy_brute": "recover --p 1009 --d 1 --algo brute --gamma 0.6 --reps 7 "
+                                    "--seed 1 --json --no-timing",
     "recover_d2_p251_two_stage":
         "recover --p 251 --d 2 --seed 7 --algo two-stage --json --no-timing",
     "quantum_d1_p101": "quantum --p 101 --d 1 --json",
@@ -46,7 +51,8 @@ COMMANDS = {
 
 # the scans that split work across threads, rerun with other thread counts
 THREADED = ("recover_d1_p1009_brute", "recover_d1_p1009_two_stage", "recover_d2_p101_brute",
-            "recover_d2_p251_two_stage", "bounds_pair_identity", "bounds_weil", "bench_small")
+            "recover_d1_p1009_noisy_brute", "recover_d2_p251_two_stage", "bounds_pair_identity",
+            "bounds_weil", "bench_small")
 
 
 def _stdout(capsys, argv: list[str]) -> bytes:

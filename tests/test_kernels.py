@@ -11,6 +11,7 @@ for that loop, the FFT window sums are checked against
 """
 
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -153,6 +154,57 @@ def test_d1_sums_over_many_blocks_and_wraps_match_shifted_sums(m):
             idx, sums = _kernels.correlation_survivors(p, 1, x0, m, weights, bound, threads)
             assert np.array_equal(idx, keep)
             assert np.array_equal(sums, expected[keep])
+
+
+@pytest.mark.parametrize("m", [1, 24, 10006, 10007])
+def test_d1_runs_end_at_the_doubled_table_not_at_the_wrap(m):
+    # a run reads chi2[t : t + n + m - 1], so it may pass t = p - 1 and end at
+    # t + n = 2p - m + 1; windows that start at p - 1, p - m and 1 cross that point
+    p = 10007
+    weights = np.random.default_rng(m).integers(-1, 2, size=m)
+    for x0 in sorted({p - 1, p - m, 1}):
+        got = _kernels.windowed_correlations(p, 1, x0, m, weights)
+        assert np.array_equal(got, shifted_sums(p, x0, weights))
+
+
+def test_d1_short_window_scan_is_one_run():
+    # short's window at p = 10007 (x0 = 1, m = 8488) needs one FFT run, not a
+    # second one for the last candidate past the wrap
+    weights = np.ones(8488, dtype=np.int64)
+    runs = list(_kernels._candidate_sums(10007, 1, 1, weights, 0, 10007))
+    assert [(i, len(c)) for i, c in runs] == [(0, 10007)]
+
+
+def test_scan_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # an inline executor records the pool size and runs each range at once, so
+    # no thread starts however large the request
+    sizes = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 3)
+    p, weights = 101, np.random.default_rng(0).integers(-1, 2, size=24)
+    expected = shifted_sums(p, 5, weights)
+    for threads in (2, 3, 10**6):
+        got = _kernels.windowed_correlations(p, 1, 5, 24, weights, threads)
+        assert np.array_equal(got, expected)
+    expected = _kernels.windowed_correlations(p, 2, 5, 24, weights)
+    assert np.array_equal(_kernels.windowed_correlations(p, 2, 5, 24, weights, 10**6), expected)
+    assert sizes == [2, 3, 3, 3]
 
 
 def test_d1_sums_off_an_integer_raise():

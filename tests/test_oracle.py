@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_answers, reference_vote
 
 from hiddenpoly.ffield import PrimeModulus, legendre_euler
 from hiddenpoly.oracle import OracleSession
@@ -89,12 +90,14 @@ class TestNoise:
         # reuses a pre-hashed prefix, which must not change a digest
         f = parse_poly("x + 3", PrimeModulus(101))
         session = OracleSession(f, gamma=0.8, rng_seed=2**64 + 2**40 + 7)
-        for xv, draw in [(0, 0), (5, 3), (100, 2**40), (2**62, 1)]:
+        cases = [(0, 0), (5, 3), (100, 2**40), (2**62, 1)]
+        u, pick = session._noise([x for x, _ in cases], [draw for _, draw in cases])
+        for (xv, draw), got in zip(cases, zip(u, pick)):
             message = b"hiddenpoly-oracle" + struct.pack("<QQQ", 2**40 + 7, xv, draw)
             digest = hashlib.sha256(message).digest()
             want = (int.from_bytes(digest[:8], "little") / 2.0**64,
                     int.from_bytes(digest[8:16], "little"))
-            assert session._noise_words(xv, draw) == want
+            assert (float(got[0]), int(got[1])) == want
 
     def test_wrong_rate_near_one_minus_gamma(self):
         # each answer is wrong with probability exactly 1 - gamma
@@ -183,6 +186,65 @@ class TestQueryBlock:
         assert got.tolist() == [_scalar(scalar, x, reps) for x in more]
         assert [_scalar(block, x, reps) for x in more] == [_scalar(scalar, x, reps) for x in more]
         assert block.query_count == scalar.query_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((1, 3, 5, 7, 51)),
+        st.sampled_from((0.51, 0.6, 0.9, 0.99)),
+        st.sampled_from((3, 7, 101)),
+        st.data(),
+    )
+    def test_block_equals_reference_vote(self, t, gamma, p, data):
+        f = random_squarefree(PrimeModulus(p), data.draw(st.integers(1, 2)),
+                              random.Random(data.draw(st.integers(0, 99))))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        session = OracleSession(f, gamma=gamma, rng_seed=seed)
+        taken = {}  # draws already taken at each point
+        points = st.lists(st.integers(0, p - 1), max_size=30)
+        for x in data.draw(points):
+            session.query(x)
+            taken[x] = taken.get(x, 0) + 1
+        earlier = data.draw(points)
+        session.query_block(earlier, 3)
+        for x in earlier:
+            taken[x] = taken.get(x, 0) + 3
+        xs = data.draw(points)  # repeats within the block take successive draws
+        want = []
+        for x in xs:
+            want.append(reference_vote(seed, gamma, _direct_chi(f, x), x, taken.get(x, 0), t))
+            taken[x] = taken.get(x, 0) + t
+        assert session.query_block(xs, t).tolist() == want
+
+    def test_block_across_vote_chunks_equals_reference_vote(self):
+        # more points than one batched vote holds, with every point repeated
+        f = parse_poly("x + 3", PrimeModulus(1009))
+        session = OracleSession(f, gamma=0.6, rng_seed=11)
+        xs = np.arange(2600) % 1009
+        want = [reference_vote(11, 0.6, _direct_chi(f, x), x, 7 * (i // 1009), 7)
+                for i, x in enumerate(xs.tolist())]
+        assert session.query_block(xs, 7).tolist() == want
+        assert session.query_count == 7 * 2600
+
+    def test_block_stops_drawing_once_the_plurality_is_decided(self, monkeypatch):
+        # exactly the draws up to the first with 4 of 7 votes for one value are hashed
+        f = parse_poly("x + 3", PrimeModulus(1009))
+        session = OracleSession(f, gamma=0.6, rng_seed=11)
+        drawn, noise = [], session._noise
+
+        def counted(points, draws):
+            drawn.extend(zip(points, draws))
+            return noise(points, draws)
+
+        monkeypatch.setattr(session, "_noise", counted)
+        session.query_block(range(1009), 7)
+        want = []
+        for x in range(1009):
+            answers = reference_answers(11, 0.6, _direct_chi(f, x), x, 0, 7)
+            top = [max(map(answers[:k].count, (-1, 0, 1))) for k in range(1, 8)]
+            k = top.index(4) + 1 if 4 in top else 7
+            want += [(x, draw) for draw in range(k)]
+        assert sorted(drawn) == want
+        assert len(want) < 7 * 1009
 
     def test_requires_odd_reps(self):
         session = OracleSession(parse_poly("x + 3", PrimeModulus(7)), rng_seed=0)
