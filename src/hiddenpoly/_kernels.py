@@ -33,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import PrimeModulus, chi_table
+from .ffield import PrimeModulus, check_int64_products, chi_table
 from .limits import check_ops
-from .poly import is_squarefree, mul, poly_from_index, poly_index
+from .poly import is_squarefree, poly_from_index
 
 # Cells (rows x points x p) per block yielded by chi_blocks: about 2^16 by
 # default, small enough that a block stays in cache.  The window sums read
@@ -64,8 +64,11 @@ def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BL
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
     candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
     monic degree-d g of index (h + r)*p + s_0.  A block holds about
-    ``cells`` cells, and at least one row.
+    ``cells`` cells, and at least one row.  g(x) is reduced from a sum of
+    d terms, each at most a product of two residues, so p must pass
+    check_int64_products(p, d).
     """
+    check_int64_products(p, d)
     xs = np.asarray(xs, dtype=np.int64)
     xp = np.empty((d + 1, len(xs)), dtype=np.int64)
     xp[0] = 1
@@ -225,13 +228,23 @@ def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:
 
 
 def perfect_square_indices(p: int, degree: int) -> np.ndarray:
-    """Indices (in the monic degree-D order) of all perfect squares g^2."""
+    """Indices (in the monic degree-D order) of all perfect squares g^2.
+
+    All p^m monic roots g of degree m = D/2 are squared at once: row i of
+    the (p^m, m+1) digit array holds g_i's coefficients (s_0, ..., s_{m-1}, 1),
+    the coefficients of g_i^2 are their self-convolution mod p, and the
+    index is the dot product of the lower D of them with p^j.
+    """
     if degree % 2:
         return np.empty(0, dtype=np.int64)
     m = degree // 2
-    modulus = PrimeModulus(p)
-    roots = (poly_from_index(m, modulus, gi) for gi in range(p**m))
-    return np.array([poly_index(mul(g, g)) for g in roots], dtype=np.int64)
+    digits = np.ones((p**m, m + 1), dtype=np.int64)
+    digits[:, :m] = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m) % p
+    square = np.zeros((p**m, degree + 1), dtype=np.int64)
+    for i in range(m + 1):
+        square[:, i : i + m + 1] += digits[:, i : i + 1] * digits
+        square[:, i : i + m + 1] %= p
+    return square[:, :degree] @ p ** np.arange(degree, dtype=np.int64)
 
 
 def squarefree_mask(p: int, d: int, budget: int | None = None) -> np.ndarray:

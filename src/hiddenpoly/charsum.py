@@ -14,14 +14,18 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 * 2r-th moment of weighted short sums             (``average``)
 
 Each sweep calls a primitive that is cross-checked against a plain loop:
-``sweep_weil_short`` calls ``short_char_sums``, ``sweep_moment`` calls
-``moment_sums``, and ``sweep_pair_identity`` and ``sweep_weil`` the
-all-F complete-sum scan kernel: the pair sweep reads every monic
-quadratic once, the Weil sweep one F per translation orbit x -> x + a,
-which keeps its max |sum| exhaustive.
+``sweep_weil_short`` calls ``short_char_sums``, ``sweep_mult_weil``
+``multilinear_form_sums``, ``sweep_moment`` ``moment_sums``, and
+``sweep_pair_identity`` and ``sweep_weil`` the all-F complete-sum scan
+kernel: the pair sweep reads every monic quadratic once, the Weil sweep
+one F per translation orbit x -> x + a, which keeps its max |sum|
+exhaustive.
+``multilinear_form_sums`` takes a prime's whole batch of form sets and
+evaluates the sets of each size as one chunked array product.
 ``moment_sums`` takes weights in {-1, 0, 1}, streams the candidates in
-row blocks into a histogram of the integer inner sums, and returns its
-moments as Python ints.
+row blocks into a histogram of the integer inner sums, one histogram per
+class of columns equal up to sign, and returns its moments as Python
+ints.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ __all__ = [
     "LinearForm",
     "BoundCheckRow",
     "short_char_sums",
-    "multilinear_form_sum",
+    "multilinear_form_sums",
     "moment_sums",
     "weil_bound",
     "short_weil_bound",
@@ -96,43 +100,63 @@ def short_char_sums(f: MonicPoly) -> np.ndarray:
     return np.cumsum(chi_table(f.modulus)[f.eval_array(xs)], dtype=np.int64)
 
 
-def multilinear_form_sum(
-    forms: Sequence[LinearForm],
+def multilinear_form_sums(
+    form_sets: Sequence[Sequence[LinearForm]],
     d: int,
     modulus: PrimeModulus,
     budget: int | None = None,
-) -> int:
-    """sum over (S_0,...,S_{d-1}) in F_p^d of chi(prod_v L_v(S)); exact integer.
+) -> np.ndarray:
+    """out[k] = sum over (S_0,...,S_{d-1}) in F_p^d of chi(prod_v L_v(S)) for set k.
 
-    The forms must be pairwise distinct (after reduction mod p).
+    Each set holds pairwise distinct forms (after reduction mod p); sets may
+    differ in size.  Returns one exact int64 sum per set, in order.  Sets
+    of the same size are evaluated together as one (sets, rows, p) product
+    of the shifted S_0 axis, in chunks of at most about BLOCK_CELLS cells.
     """
     p = modulus.p
     if d < 1:
         raise ValueError("d must be at least 1")
-    reduced = [f.reduced(p) for f in forms]
-    if any(len(f.coefficients) != d - 1 for f in reduced):
-        raise ValueError("each form needs d-1 S_1..S_{d-1} coefficients")
-    if len(set(reduced)) != len(reduced):
-        raise ValueError("forms must be pairwise distinct")
-    check_ops(p**d * max(1, len(reduced)), budget, "multilinear form scan")
+    groups: dict[int, list[int]] = {}
+    reduced_sets = []
+    for k, forms in enumerate(form_sets):
+        reduced = [f.reduced(p) for f in forms]
+        if any(len(f.coefficients) != d - 1 for f in reduced):
+            raise ValueError("each form needs d-1 S_1..S_{d-1} coefficients")
+        if len(set(reduced)) != len(reduced):
+            raise ValueError("forms must be pairwise distinct")
+        reduced_sets.append(reduced)
+        groups.setdefault(len(reduced), []).append(k)
+    check_ops(sum(p**d * max(1, len(r)) for r in reduced_sets), budget, "multilinear form scan")
 
     # the sum runs over all of F_p^d, so the rows (S_1, ..., S_{d-1}) may come
-    # in any order; blocks of about BLOCK_CELLS cells bound the memory
-    coeffs = np.array([f.coefficients for f in reduced], dtype=np.int64)
-    coeffs = coeffs.reshape(len(reduced), d - 1)
-    consts = np.array([f.constant for f in reduced], dtype=np.int64)
+    # in any order; a chunk takes whole sets when one set's p^d cells fit in
+    # BLOCK_CELLS, and otherwise one set and a block of rows
     chi = chi_table(modulus)
     s0 = np.arange(p, dtype=np.int64)
     place = p ** np.arange(d - 1, dtype=np.int64)
-    rows, step = p ** (d - 1), max(1, _kernels.BLOCK_CELLS // p)
-    total = 0
-    for h in range(0, rows, step):
-        rest = np.arange(h, min(rows, h + step), dtype=np.int64)[:, None] // place % p
-        prod = np.ones((len(rest), p), dtype=np.int64)
-        for shift in ((rest @ coeffs.T + consts) % p).T:
-            prod = prod * ((s0 + shift[:, None]) % p) % p
-        total += int(chi[prod].sum(dtype=np.int64))
-    return total
+    rows = p ** (d - 1)
+    row_step = min(rows, max(1, _kernels.BLOCK_CELLS // p))
+    set_step = max(1, _kernels.BLOCK_CELLS // (rows * p))
+    out = np.zeros(len(reduced_sets), dtype=np.int64)
+    for n_forms, members in groups.items():
+        # coeffs[k, v] = (c_1, ..., c_{d-1}) of form v in set k, consts[k, v] = c_d
+        forms = [f for k in members for f in reduced_sets[k]]
+        coeffs = np.array([f.coefficients for f in forms], dtype=np.int64)
+        coeffs = coeffs.reshape(len(members), n_forms, d - 1)
+        consts = np.array([f.constant for f in forms], dtype=np.int64)
+        consts = consts.reshape(len(members), n_forms)
+        for a in range(0, len(members), set_step):
+            c, b = coeffs[a : a + set_step], consts[a : a + set_step]
+            for h in range(0, rows, row_step):
+                rest = np.arange(h, min(rows, h + row_step), dtype=np.int64)[:, None] // place % p
+                # shifts[k, v, r] = L_v(0, rest[r]) for the set members[a + k]
+                shifts = (c @ rest.T + b[:, :, None]) % p
+                prod = np.ones((len(c), len(rest), p), dtype=np.int64)
+                for v in range(n_forms):
+                    prod *= (s0 + shifts[:, v, :, None]) % p
+                    prod %= p
+                out[members[a : a + set_step]] += chi[prod].sum(axis=(1, 2), dtype=np.int64)
+    return out
 
 
 def moment_sums(
@@ -146,11 +170,15 @@ def moment_sums(
 
     x runs over [1, N] for (N, T) weights with N <= p and every entry in
     {-1, 0, 1}.  Then each inner sum S is an integer with |S| <= N, so the
-    candidates are streamed in row blocks into a per-column histogram of
-    |S|, and the moments follow from it exactly: the result is an object
-    array of Python ints.  The candidate set is deliberately the full p^d
-    monic family, not just the square-free part; the companion bound is
-    stated for that family.
+    candidates are streamed in row blocks into a histogram of |S|, and the
+    moments follow from it exactly: the result is an object array of
+    Python ints.  |S| does not change when a column is negated, so columns
+    equal up to sign share one histogram: each column is flipped so that
+    its first nonzero entry is +1, and only the k distinct columns are
+    streamed, in blocks of BLOCK_CELLS // k candidates.  The budget still
+    counts p^d * N * T, an upper bound on that work.  The candidate set is
+    deliberately the full p^d monic family, not just the square-free part;
+    the companion bound is stated for that family.
     """
     p = modulus.p
     w = np.asarray(weights)
@@ -163,22 +191,29 @@ def moment_sums(
         raise ValueError("weights must lie in {-1, 0, 1}")
     if any(r < 1 for r in rs):
         raise ValueError("r must be at least 1")
-    # the matrix product dominates: p^d * N * T multiply-adds
+    # the matrix product dominates: at most p^d * N * T multiply-adds
     check_ops(p**d * n * trials, budget, "moment scan")
+    w8 = w.astype(np.int8)
+    # the first nonzero entry of each column (0 for an all-zero column) sets its sign
+    first = w8[np.argmax(w8 != 0, axis=0), np.arange(trials)]
+    w8 *= np.where(first < 0, -1, 1).astype(np.int8)
+    classes, inverse = np.unique(w8, axis=1, return_inverse=True)
+    k = classes.shape[1]
     chi = _kernels.chi_window_matrix(p, d, 1, n)
     # float32 is exact: every partial sum is an integer of size at most N, and
     # N < 2^24, or chi's p^d * N >= N^2 bytes (2^48 and up) could not be held
-    wf = w.astype(np.float32)
-    # column t counts |S| = v at code t*(N+1) + v
-    offsets = np.arange(trials, dtype=np.int64) * (n + 1)
-    counts = np.zeros(trials * (n + 1), dtype=np.int64)
-    step = max(1, _kernels.BLOCK_CELLS // trials)
+    wf = classes.astype(np.float32)
+    # class j counts |S| = v at code j*(N+1) + v
+    offsets = np.arange(k, dtype=np.int64) * (n + 1)
+    counts = np.zeros(k * (n + 1), dtype=np.int64)
+    step = max(1, _kernels.BLOCK_CELLS // k)
     for lo in range(0, p**d, step):
         codes = np.abs(chi[lo : lo + step].astype(np.float32) @ wf).astype(np.int64)
         codes += offsets
         counts += np.bincount(codes.ravel(), minlength=len(counts))
     powers = np.array([[v ** (2 * r) for v in range(n + 1)] for r in rs], dtype=object)
-    return powers.reshape(len(rs), n + 1) @ counts.reshape(trials, n + 1).T.astype(object)
+    moments = powers.reshape(len(rs), n + 1) @ counts.reshape(k, n + 1).T.astype(object)
+    return moments[:, inverse.reshape(-1)]
 
 
 def weil_bound(degree: int, p: int) -> float:
@@ -328,17 +363,18 @@ def sweep_mult_weil(
         modulus = PrimeModulus(p)
         check_ops(500 * 3 * p**2, budget, "mult-weil sweep")
         rng = random.Random(f"{seed}:{p}")
+        form_sets = []
         for i in range(500):
-            n_forms = 1 + i % 3
             forms: set[LinearForm] = set()
-            while len(forms) < n_forms:
+            while len(forms) < 1 + i % 3:
                 forms.add(LinearForm((rng.randrange(p),), rng.randrange(p)))
-            ordered = sorted(forms, key=lambda f: (f.coefficients, f.constant))
-            measured = multilinear_form_sum(ordered, 2, modulus, budget)
-            bound = mult_weil_bound(n_forms, 2, p)
+            form_sets.append(sorted(forms, key=lambda f: (f.coefficients, f.constant)))
+        sums = multilinear_form_sums(form_sets, 2, modulus, budget)
+        for i, (forms, measured) in enumerate(zip(form_sets, sums.tolist())):
+            bound = mult_weil_bound(len(forms), 2, p)
             rows.append(BoundCheckRow(
                 lemma="mult-weil", p=p, d=2,
-                params=f"sample={i};forms={n_forms}",
+                params=f"sample={i};forms={len(forms)}",
                 measured=float(measured), bound=bound, passed=abs(measured) <= bound,
             ))
     return rows

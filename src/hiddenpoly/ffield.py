@@ -24,6 +24,7 @@ __all__ = [
     "legendre",
     "legendre_euler",
     "legendre_ext",
+    "check_int64_products",
     "chi_table",
     "chi_ext_table",
 ]
@@ -147,10 +148,25 @@ def legendre_ext(a: FpElement) -> int:
     return 1 if a.value == 0 else legendre(a)
 
 
+def check_int64_products(p: int, terms: int = 1) -> None:
+    """Refuse p where a sum of `terms` products of two residues could wrap int64.
+
+    The bound is terms * p * (p - 1): each product of residues is at most
+    (p - 1)^2, with room for one more residue added.  For terms = 1 it
+    refuses every p > 3037000499.
+    """
+    if terms * p * (p - 1) > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"p={p} is too large for int64 residue arithmetic: "
+            f"{terms} * p * (p - 1) exceeds 2^63 - 1"
+        )
+
+
 @lru_cache(maxsize=128)
 def chi_table(modulus: PrimeModulus) -> np.ndarray:
     """Quadratic character as a read-only int8 lookup table over [0, p)."""
     p = modulus.p
+    check_int64_products(p)
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
     # squares of 1..(p-1)/2 hit every quadratic residue exactly once

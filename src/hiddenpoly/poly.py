@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ffield import PrimeModulus
+from .ffield import PrimeModulus, check_int64_products
 from .limits import DEFAULT_ENUM_LIMIT, BudgetExceeded
 
 __all__ = [
@@ -59,12 +59,17 @@ class MonicPoly:
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at every residue of an int64 array; int64 residues.
 
-        Where p(p-1) exceeds 2^63 - 1, acc * x + c would wrap in int64, so
-        the evaluation runs on Python integers (object dtype) instead.
+        Where check_int64_products refuses p, acc * x + c could wrap in
+        int64, so the evaluation runs on Python integers (object dtype)
+        instead.
         """
         p = self.modulus.p
         xs = np.asarray(xs, dtype=np.int64)
-        dtype = object if p * (p - 1) > np.iinfo(np.int64).max else np.int64
+        try:
+            check_int64_products(p)
+            dtype = np.int64
+        except ValueError:
+            dtype = object
         xs = xs.astype(dtype, copy=False)
         acc = np.ones(len(xs), dtype=dtype)
         for c in reversed(self.coeffs):

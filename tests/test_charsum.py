@@ -23,13 +23,14 @@ from hiddenpoly.charsum import (
     moment_bound,
     moment_sums,
     mult_weil_bound,
-    multilinear_form_sum,
+    multilinear_form_sums,
     short_char_sums,
     short_weil_bound,
     weil_bound,
 )
 from hiddenpoly.cli import main
 from hiddenpoly.ffield import PrimeModulus, legendre_euler
+from hiddenpoly.limits import BudgetExceeded
 from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, poly_index
 
 
@@ -117,75 +118,135 @@ class TestPairIdentity:
             assert row.passed
 
 
+def _direct_multilinear(m, d, forms):
+    # sum over F_p^d of chi(prod_v L_v(S)) by plain loops in Python ints
+    p = m.p
+    chi = [_chi(m, v) for v in range(p)]
+    total = 0
+    for s in itertools.product(range(p), repeat=d):
+        prod = 1
+        for form in forms:
+            shift = sum(c * v for c, v in zip(form.coefficients, s[1:]))
+            prod = prod * (s[0] + shift + form.constant) % p
+        total += chi[prod]
+    return total
+
+
+def _random_forms(rng, p, d, n_forms):
+    forms = []
+    while len(forms) < n_forms:
+        cand = LinearForm(tuple(rng.randrange(p) for _ in range(d - 1)), rng.randrange(p))
+        if cand not in forms:
+            forms.append(cand)
+    return forms
+
+
 class TestMultilinear:
     def test_anchor_double_loop(self):
         # d=2, forms S_0 and S_0 + S_1 + 1 over F_5
         m = PrimeModulus(5)
         forms = (LinearForm((0,), 0), LinearForm((1,), 1))
-        got = multilinear_form_sum(forms, 2, m)
+        got = multilinear_form_sums([forms], 2, m)
         direct = 0
         for s0 in range(5):
             for s1 in range(5):
                 direct += _chi(m, s0 * ((s0 + s1 + 1) % 5) % 5)
-        assert got == direct
-        assert abs(got) <= mult_weil_bound(2, 2, 5)
+        assert got.dtype == np.int64 and got.tolist() == [direct]
+        assert abs(got[0]) <= mult_weil_bound(2, 2, 5)
 
     def test_single_form_shift_invariance(self):
         # one form: the inner sum over S_0 is 0 for every fixed rest
         m = PrimeModulus(7)
-        assert multilinear_form_sum((LinearForm((3,), 2),), 2, m) == 0
+        assert multilinear_form_sums([(LinearForm((3,), 2),)], 2, m).tolist() == [0]
 
     def test_seeded_against_direct(self):
+        # ten sets of 1-3 forms in one batch, each against a plain double loop
         rng = random.Random(2)
         m = PrimeModulus(7)
-        for _ in range(10):
-            n_forms = rng.randrange(1, 4)
-            forms = []
-            while len(forms) < n_forms:
-                cand = LinearForm((rng.randrange(7),), rng.randrange(7))
-                if cand not in forms:
-                    forms.append(cand)
-            got = multilinear_form_sum(tuple(forms), 2, m)
-            direct = 0
-            for s0 in range(7):
-                for s1 in range(7):
-                    prod = 1
-                    for form in forms:
-                        prod = prod * ((s0 + form.coefficients[0] * s1 + form.constant) % 7) % 7
-                    direct += _chi(m, prod)
-            assert got == direct
+        sets = [_random_forms(rng, 7, 2, rng.randrange(1, 4)) for _ in range(10)]
+        got = multilinear_form_sums(sets, 2, m)
+        assert got.tolist() == [_direct_multilinear(m, 2, forms) for forms in sets]
 
     @pytest.mark.parametrize("block_cells", [_kernels.BLOCK_CELLS, 8])
     @pytest.mark.parametrize("p, d", [(5, 1), (7, 2), (5, 3), (3, 4)])
     def test_every_degree_and_block_size(self, p, d, block_cells, monkeypatch):
-        # 8 cells give one row of S_0 per block, so the block loop is exercised
+        # 8 cells give one set and one row of S_0 per chunk, so both chunk loops run;
+        # the batch holds sets of 0-3 forms, the empty product counting p^d
         monkeypatch.setattr(_kernels, "BLOCK_CELLS", block_cells)
         m = PrimeModulus(p)
         rng = random.Random(p * 10 + d)
-        for n_forms in range(4):
-            forms = set()
-            while len(forms) < n_forms:
-                forms.add(LinearForm(tuple(rng.randrange(p) for _ in range(d - 1)),
-                                     rng.randrange(p)))
-            direct = 0
-            for s in itertools.product(range(p), repeat=d):
-                prod = 1
-                for form in forms:
-                    shift = sum(c * v for c, v in zip(form.coefficients, s[1:]))
-                    prod = prod * (s[0] + shift + form.constant) % p
-                direct += _chi(m, prod)
-            assert multilinear_form_sum(tuple(forms), d, m) == direct
+        sets = [_random_forms(rng, p, d, n_forms) for n_forms in range(4)]
+        got = multilinear_form_sums(sets, d, m)
+        assert got.tolist() == [_direct_multilinear(m, d, forms) for forms in sets]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_batch_matches_plain_loop(self, d):
+        # sets of 1, 2 and 3 forms interleaved in one call come back in call order
+        p = 5 if d == 3 else 7
+        m = PrimeModulus(p)
+        rng = random.Random(d)
+        sizes = [rng.choice((1, 2, 3)) for _ in range(12)]
+        sets = [_random_forms(rng, p, d, n) for n in sizes]
+        got = multilinear_form_sums(sets, d, m)
+        assert got.dtype == np.int64 and got.shape == (12,)
+        assert got.tolist() == [_direct_multilinear(m, d, forms) for forms in sets]
+
+    def test_batch_spans_several_chunks(self):
+        # 20 sets of 10201 cells fill several BLOCK_CELLS chunks and leave a
+        # partial last one; at p=257 one set alone needs two chunks of rows.
+        # Three forms, because one form sums to 0 and two mostly do, and
+        # every expected sum is nonzero, so a skipped chunk cannot pass
+        for p, n_sets in ((101, 20), (257, 2)):
+            m = PrimeModulus(p)
+            rng = random.Random(p)
+            sets = [_random_forms(rng, p, 2, 3) for _ in range(n_sets)]
+            cells = sum(p * p for _ in sets)
+            assert cells > 2 * _kernels.BLOCK_CELLS and cells % _kernels.BLOCK_CELLS
+            want = [_direct_multilinear(m, 2, forms) for forms in sets]
+            assert all(want)
+            assert multilinear_form_sums(sets, 2, m).tolist() == want
+
+    def test_peak_memory_is_chunked(self):
+        # the default sweep's 500 sets at p=101: one (sets, rows, p) int64
+        # product over the whole batch would take 40.8 MB
+        m = PrimeModulus(101)
+        rng = random.Random(0)
+        sets = [_random_forms(rng, 101, 2, 1 + k % 3) for k in range(500)]
+        multilinear_form_sums(sets[:1], 2, m)  # the character table is cached
+        tracemalloc.start()
+        try:
+            multilinear_form_sums(sets, 2, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_duplicate_forms_rejected(self):
         m = PrimeModulus(7)
         forms = (LinearForm((1,), 8), LinearForm((8,), 1))  # equal after reduction
-        with pytest.raises(ValueError):
-            multilinear_form_sum(forms, 2, m)
+        with pytest.raises(ValueError, match="^forms must be pairwise distinct$"):
+            multilinear_form_sums([forms], 2, m)
+        # one bad set anywhere in a batch refuses the whole batch
+        good = (LinearForm((1,), 2),)
+        with pytest.raises(ValueError, match="^forms must be pairwise distinct$"):
+            multilinear_form_sums([good, forms, good], 2, m)
 
     def test_wrong_arity_rejected(self):
         m = PrimeModulus(7)
-        with pytest.raises(ValueError):
-            multilinear_form_sum((LinearForm((1, 2), 0),), 2, m)
+        with pytest.raises(ValueError, match="^each form needs d-1 S_1..S_{d-1} coefficients$"):
+            multilinear_form_sums([(LinearForm((1, 2), 0),)], 2, m)
+        with pytest.raises(ValueError, match="^each form needs d-1"):
+            multilinear_form_sums([(LinearForm((1,), 0),), (LinearForm((), 0),)], 2, m)
+        with pytest.raises(ValueError, match="^d must be at least 1$"):
+            multilinear_form_sums([(LinearForm((), 0),)], 0, m)
+
+    def test_budget_counts_the_whole_batch(self):
+        # p^d cells per form, summed over the sets; refused before any is scanned
+        m = PrimeModulus(7)
+        sets = [(LinearForm((1,), 0),), (LinearForm((1,), 0), LinearForm((2,), 0))]
+        assert len(multilinear_form_sums(sets, 2, m, budget=3 * 49)) == 2
+        with pytest.raises(BudgetExceeded, match="needs ~147 elementary operations"):
+            multilinear_form_sums(sets, 2, m, budget=3 * 49 - 1)
 
 
 def _direct_moment(m, d, column, r):
@@ -267,21 +328,44 @@ class TestMoment:
             assert got[0, t] == _direct_moment(m, 2, w[:, t], 1)
 
     @settings(max_examples=10, deadline=None)
-    @given(p=st.sampled_from((7, 11, 13)), n=st.integers(1, 7), trials=st.integers(1400, 3000),
+    @given(p=st.sampled_from((11, 13)), n=st.integers(8, 11), trials=st.integers(1400, 3000),
            seed=st.integers(0, 2**32 - 1))
     @example(p=101, n=3, trials=64, seed=0)
     def test_rows_span_several_blocks(self, p, n, trials, seed):
-        # T columns stream the p^2 candidates in BLOCK_CELLS // T rows a
-        # block; the drawn sizes always leave a partial last block
-        step = _kernels.BLOCK_CELLS // trials
+        # the k columns distinct up to sign stream the p^2 candidates in
+        # BLOCK_CELLS // k rows a block; n >= 8 points draw k well above
+        # BLOCK_CELLS / p^2, and p < step < p^2 always leaves a partial last block
+        w = np.random.default_rng(seed).choice(np.array([-1, 0, 1]), size=(n, trials))
+        k = len({max(tuple(col), tuple(-col)) for col in w.T})
+        step = _kernels.BLOCK_CELLS // k
         assert step < p * p and p * p % step
         m = PrimeModulus(p)
-        w = np.random.default_rng(seed).choice(np.array([-1, 0, 1]), size=(n, trials))
         sums = reference_matrix(p, 2, range(1, n + 1)) @ w
         rs = [1, 3]
         got = moment_sums(w, 2, rs, m)
         for i, r in enumerate(rs):
             assert list(got[i]) == list((sums.astype(object) ** (2 * r)).sum(axis=0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.sampled_from((7, 11)), d=st.integers(1, 2), data=st.data())
+    def test_sign_classes_follow_their_columns(self, p, d, data):
+        # a column's moments depend on it only up to sign: negating, duplicating
+        # and permuting columns (all-zero ones too) permutes the output the same way
+        n = data.draw(st.integers(1, 5))
+        cells = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)
+        base = np.array(data.draw(st.lists(cells, min_size=1, max_size=6)) + [[0] * n]).T
+        picks = data.draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=1, max_size=12))
+        signs = np.array(data.draw(st.lists(st.sampled_from((-1, 1)),
+                                            min_size=len(picks), max_size=len(picks))))
+        m = PrimeModulus(p)
+        rs = [1, 2]
+        want = moment_sums(base, d, rs, m)
+        sums = reference_matrix(p, d, range(1, n + 1)) @ base
+        for i, r in enumerate(rs):
+            assert list(want[i]) == list((sums.astype(object) ** (2 * r)).sum(axis=0))
+        got = moment_sums(base[:, picks] * signs, d, rs, m)
+        assert got.shape == (2, len(picks))
+        assert (got == want[:, picks]).all()
 
     def test_weight_validation(self):
         m = PrimeModulus(7)

@@ -6,6 +6,7 @@ check, with hand-computed values frozen in as anchors.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from hiddenpoly.ffield import (
     PrimeModulus,
+    check_int64_products,
     chi_ext_table,
     chi_table,
     is_prime_u64,
@@ -186,3 +188,29 @@ class TestChiTables:
         table = chi_table(PrimeModulus(7))
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+class TestInt64Guard:
+    # 3037000493 < isqrt(2^63 - 1) = 3037000499 < 3037000507
+    def test_threshold(self):
+        check_int64_products(3037000493)
+        for p in (3037000507, 2**61 - 1):
+            with pytest.raises(ValueError, match="too large for int64"):
+                check_int64_products(p)
+        # d terms: at d = 2 the largest admissible p halves its square
+        with pytest.raises(ValueError, match=r"2 \* p \* \(p - 1\) exceeds"):
+            check_int64_products(3037000493, 2)
+
+    def test_chi_table_refuses_before_it_allocates(self):
+        # a table at this p would be 3 GB; the refusal traces under 1 MiB
+        modulus = PrimeModulus(3037000507)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large for int64"):
+                chi_table(modulus)
+            with pytest.raises(ValueError, match="too large for int64"):
+                chi_ext_table(modulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak

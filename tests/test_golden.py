@@ -8,9 +8,11 @@ captured again when the exact block eigensolve replaced power
 iteration, which had underestimated lambda_max.  The noisy brute file was
 captured before the batched, early-stopping vote replaced the per-draw
 one.  Recovery and bench reports use --no-timing; quantum and
-verify-bounds print no wall times.
+verify-bounds print no wall times.  The default verify-bounds report, all
+11925 lines of it, is pinned by its sha256 instead of a file.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,9 @@ COMMANDS = {
     "bench_default": "bench --no-timing",
 }
 
+# sha256 of `verify-bounds --threads 1` stdout: every sweep at its default primes
+DEFAULT_BOUNDS_SHA256 = "f9a3ef3bde5a77277c255c5719716f0ac2943eb26df7de3336d820e3f0b729d2"
+
 # the scans that split work across threads, rerun with other thread counts
 THREADED = ("recover_d1_p1009_brute", "recover_d1_p1009_two_stage", "recover_d2_p101_brute",
             "recover_d1_p1009_noisy_brute", "recover_d2_p251_two_stage", "bounds_pair_identity",
@@ -75,3 +80,9 @@ def test_threads_do_not_change_reports(name, threads, capsys):
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(COMMANDS)
+
+
+def test_default_bounds_report_is_pinned(capsys):
+    out = _stdout(capsys, ["verify-bounds", "--threads", "1"])
+    assert out.count(b"\n") == 11925
+    assert hashlib.sha256(out).hexdigest() == DEFAULT_BOUNDS_SHA256

@@ -304,6 +304,22 @@ def test_eval_array_exact_at_wide_primes(p, d, data):
     assert g.eval_array(np.array(xs, dtype=np.int64)).tolist() == [g.eval_int(x) for x in xs]
 
 
+def test_chi_blocks_refuse_int64_overflow_before_allocating():
+    # past p = 3037000499 one residue product wraps int64, and at d = 2 the
+    # two-term index sum already wraps at 3037000493; either refusal comes
+    # before the x-power table or the character table exists
+    xs = np.arange(3, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        for p, d in ((3037000507, 1), (3037000507, 2), (3037000493, 2)):
+            with pytest.raises(ValueError, match="too large for int64"):
+                next(_kernels.chi_blocks(p, d, xs, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_eval_array_wide_prime_regression():
     p = 2**61 - 1
     g = MonicPoly([123456789, 987654321], PrimeModulus(p))
