@@ -9,11 +9,42 @@ that turns blocks of candidates into int8 character values this way;
 ``_candidate_sums``, turns character values into the exact window sums of
 consecutive candidates for weights in {-1, 0, 1}, and both
 ``windowed_correlations`` (every sum) and ``correlation_survivors`` (the
-sums that reach a bound) consume it.  At d >= 2 a sum is the sum over
-the +1 points minus the sum over the -1 points of a chi_blocks block,
-accumulated in int8 when m < 2^7, int16 when m < 2^15 and int32
-otherwise, so no partial sum (at most m in magnitude) overflows.  At
-d = 1 the one row is a cyclic correlation of the weights with the
+sums that reach a bound) consume it.  Row h fixes (s_1, ..., s_{d-1}),
+and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for a block of rows;
+chi_blocks and the long-window route share it.  At d >= 2 the window
+length picks one of two routes:
+
+- short windows (HANKEL_RATIO * m < p): a sum is the sum over the +1
+  points minus the sum over the -1 points of a chi_blocks block,
+  accumulated in int8 when m < 2^7, int16 when m < 2^15 and int32
+  otherwise, so no partial sum (at most m in magnitude) overflows.
+- long windows (HANKEL_RATIO * m >= p and m < 2^24): every sum of row h
+  is c(h, s_0) = sum_u hist_h[u] * chi((u + s_0) mod p), where hist_h[u]
+  sums the weights of the points with u_j = u.  So a block of rows is one
+  float32 product of its (rows x p) histogram matrix with the p x p
+  Hankel matrix chi2[u + s_0], copied once per scan and shared by its
+  threads.  Every partial sum is an integer of magnitude at most
+  sum |hist_h| <= m < 2^24, so the product is exact in any summation
+  order and with any BLAS thread count.
+
+brute, short, the pair-identity and the Weil sweeps pass m = p and take
+the long route; two-stage's m <= 24 prefix sieve takes the short one
+once p > 96.  ``check_ops`` counts p^d * m for both.  The long route does
+p^(d+1) multiply-adds, at most p/m <= HANKEL_RATIO = 4 times that count,
+at BLAS speed.  Measured per call, d = 2, one core of a 2-core x86-64
+machine, one BLAS thread, ms (short route / long route):
+
+    p = 503:  m = 64: 3.3 / 5.7,   m = 128: 9.2 / 6.2,  m = 503: 29 / 9.4
+    p = 1009: m = 128: 25 / 47,    m = 256: 56 / 45,    m = 1009: 182 / 48
+
+A long-route block holds at least HANKEL_CELLS cells and at least
+p // HANKEL_SPLIT rows.  Smaller blocks starve the product: at
+p = m = 3001, 100 rows took 57 ms in blocks of 31 rows and 26-29 ms in
+blocks of 125 to 250.  Larger ones hold more memory beside the p^2 * 4
+byte matrix: at p = m = 503 a scan peaks at p^d * 8 + p^2 * 4 bytes plus
+about 0.55 MB in the 32-row blocks, and plus 4.8 MB in one block.
+
+At d = 1 the one row is a cyclic correlation of the weights with the
 character table, computed by overlap-save: a run of candidates copies
 its slice of the doubled int8 table into a float64 buffer, views it as
 overlapping blocks of a power-of-two length L >= 2m (at least
@@ -48,6 +79,11 @@ SCAN_CELLS = 1 << 19
 # floors from 128 to 1024 measured the same and runs of 2^12 were slower
 FFT_RUN = 1 << 14
 FFT_FLOOR = 256
+# d >= 2 windows with HANKEL_RATIO * m >= p: blocks of at least HANKEL_CELLS
+# cells and at least p // HANKEL_SPLIT rows (module docstring)
+HANKEL_RATIO = 4
+HANKEL_CELLS = 1 << 14
+HANKEL_SPLIT = 16
 
 
 @lru_cache(maxsize=64)
@@ -58,14 +94,12 @@ def _chi2(p: int) -> np.ndarray:
     return arr
 
 
-def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BLOCK_CELLS):
-    """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
+def _row_offsets(p: int, d: int, xs: np.ndarray):
+    """Return offsets(h, n), the int64 array u[r, j] = g(xs[j]) - s_0 mod p for rows h .. h+n-1.
 
-    Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
-    candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
-    monic degree-d g of index (h + r)*p + s_0.  A block holds about
-    ``cells`` cells, and at least one row.  g(x) is reduced from a sum of
-    d terms, each at most a product of two residues, so p must pass
+    Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h, so u is x^d
+    plus digit * x^i for i = 1 .. d-1, added by broadcasting.  Each of the
+    d terms is at most a product of two residues, so p must pass
     check_int64_products(p, d).
     """
     check_int64_products(p, d)
@@ -74,13 +108,33 @@ def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BL
     xp[0] = 1
     for i in range(1, d + 1):
         xp[i] = xp[i - 1] * xs % p
+
+    def offsets(h: int, n: int) -> np.ndarray:
+        rows = np.arange(h, h + n, dtype=np.int64)[:, None]
+        u = np.tile(xp[d], (n, 1))
+        for i in range(1, d):
+            u += rows // p ** (i - 1) % p * xp[i]
+        u %= p
+        return u
+
+    return offsets
+
+
+def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BLOCK_CELLS):
+    """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
+
+    Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
+    candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
+    monic degree-d g of index (h + r)*p + s_0.  A block holds about
+    ``cells`` cells, and at least one row.  p must pass
+    check_int64_products(p, d) (``_row_offsets``).
+    """
+    offsets = _row_offsets(p, d, xs)
     # windows[b] = chi((b + s_0) mod p) for s_0 = 0..p-1, a view of the doubled table
     windows = np.lib.stride_tricks.sliding_window_view(_chi2(p), p)
-    place = p ** np.arange(d - 1, dtype=np.int64)
     step = max(1, cells // max(1, len(xs) * p))
     for h in range(lo, hi, step):
-        digits = np.arange(h, min(hi, h + step), dtype=np.int64)[:, None] // place % p
-        yield h, windows[(xp[d] + digits @ xp[1:d]) % p]
+        yield h, windows[offsets(h, min(hi, h + step) - h)]
 
 
 def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
@@ -113,13 +167,23 @@ def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.nd
     return c.reshape(-1)[:n]
 
 
-def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
+def _hankel(p: int, d: int, m: int) -> np.ndarray | None:
+    """The long route's float32 matrix chi2[u + s_0] for u, s_0 < p; None on the other routes."""
+    if d == 1 or HANKEL_RATIO * m < p or m >= 1 << 24:
+        return None
+    return np.lib.stride_tricks.sliding_window_view(_chi2(p), p)[:p].astype(np.float32)
+
+
+def _candidate_sums(
+    p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int, hankel: np.ndarray | None
+):
     """Yield (i, c) for runs of consecutive candidates covering lo .. hi - 1 in order.
 
     c[k] = sum_j w[j] * chi(g_{i+k}(x0 + j mod p)) for candidate i + k, as
     exact integers: int8, int16 or int32 at d >= 2, float64 at d = 1
     (module docstring).  At d >= 2, lo and hi are multiples of p, so the
-    runs are whole chi_blocks rows.
+    runs are whole rows.  hankel is _hankel(p, d, len(w)), built once per
+    scan and shared by its threads.
     """
     m = len(w)
     if d == 1:
@@ -135,6 +199,19 @@ def _candidate_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
             lo += n
         return
     xs = (x0 + np.arange(m, dtype=np.int64)) % p
+    if hankel is not None:
+        # row r of a block: hist[r, u] sums the weights of the points with
+        # g(x) - s_0 = u, and c[r, s_0] = sum_u hist[r, u] * chi2[u + s_0]
+        offsets = _row_offsets(p, d, xs[w != 0])
+        weights = w[w != 0].astype(np.float64)
+        step = max(1, HANKEL_CELLS // p, p // HANKEL_SPLIT)
+        for h in range(lo // p, hi // p, step):
+            n = min(hi // p, h + step) - h
+            u = offsets(h, n)
+            u += np.arange(0, n * p, p, dtype=np.int64)[:, None]
+            hist = np.bincount(u.reshape(-1), np.tile(weights, n), n * p).astype(np.float32)
+            yield h * p, (hist.reshape(n, p) @ hankel).astype(np.int32).reshape(-1)
+        return
     # a sum over the +1 points minus a sum over the -1 points; zero weights drop out
     plus = int(np.count_nonzero(w > 0))
     order = np.concatenate([xs[w > 0], xs[w < 0]])
@@ -153,9 +230,10 @@ def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consu
     n, t = rows * p // unit, max(1, min(int(threads), os.cpu_count() or 1))
     bounds = [n * k // t * unit for k in range(t + 1)]
     ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    hankel = _hankel(p, d, len(w))
 
     def run(lo: int, hi: int) -> None:
-        for i, c in _candidate_sums(p, d, x0, w, lo, hi):
+        for i, c in _candidate_sums(p, d, x0, w, lo, hi, hankel):
             consume(i, c)
 
     if len(ranges) == 1:

@@ -240,9 +240,10 @@ def _argmax_recover(
     mask = _kernels.squarefree_mask(p, d, budget)
     weights = cache.window(x0, m)
     corr = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
-    corr_sf = np.where(mask, corr, np.iinfo(np.int64).min)
-    best = int(np.max(corr_sf))
-    winners = np.nonzero(corr_sf == best)[0]
+    # masked in place: no second p^d array
+    corr[~mask] = np.iinfo(np.int64).min
+    best = int(corr.max())
+    winners = np.flatnonzero(corr == best)
     return RecoveryReport(
         algorithm=algorithm,
         recovered=poly_from_index(d, modulus, int(winners[0])),

@@ -3,7 +3,8 @@
 The reference (``reference.reference_matrix``) evaluates each monic
 candidate with MonicPoly.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, the window sums at
-every degree, the window matrix and the array Horner evaluation must reproduce
+every degree (at d >= 2 on both sides of the short/long crossover), the
+window matrix and the array Horner evaluation must reproduce
 it exactly, over every row or a leading slice of rows; the index-set
 helpers must match the per-polynomial tests.  At d = 1 and primes too large
 for that loop, the FFT window sums are checked against
@@ -90,13 +91,56 @@ def test_weights_outside_plus_minus_one_are_refused(d):
         _kernels.correlation_survivors(p, d, x0, m, weights, 1)
 
 
-def test_correlation_survivors_past_the_int8_range():
-    # m >= 128 sums in int16; the short windows of the sieve test sum in int8.
-    # Over the whole field the perfect squares (x + a)^2 have chi = 1 off
-    # their root, so with one zero weight their sums are 129 or 130
+def route_spy(monkeypatch):
+    """Record the chi_blocks calls; of the d >= 2 routes only the short one makes them."""
+    calls = []
+    chi_blocks = _kernels.chi_blocks
+
+    def spy(*args, **kwargs):
+        calls.append(args[:2])
+        return chi_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "chi_blocks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, d", [(29, 2), (31, 2), (11, 3), (13, 3)])
+@pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+def test_both_routes_on_either_side_of_the_crossover(monkeypatch, p, d, long):
+    # m is the last window below HANKEL_RATIO * m >= p or the first one at it.
+    # The window wraps past p - 1 (x0 + m > p) and carries a zero weight; each
+    # route runs in its production blocks and in one-cell blocks (one row per
+    # block), over every row and over a leading slice of rows, on 1 and 3 threads
+    m = -(-p // _kernels.HANKEL_RATIO) - (not long)
+    x0 = p - m // 2
+    weights = np.random.default_rng(p * d).integers(-1, 2, size=m)
+    weights[m // 2] = 0
+    expected = reference_matrix(p, d, window(p, x0, m)) @ weights
+    rows = p ** (d - 1) // 2 + 1
+    calls = route_spy(monkeypatch)
+    for cells in (None, 1):
+        if cells:
+            monkeypatch.setattr(_kernels, "HANKEL_CELLS", cells)
+            monkeypatch.setattr(_kernels, "SCAN_CELLS", cells)
+        for threads in (1, 3):
+            got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
+            assert np.array_equal(got, expected)
+            part = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads, rows=rows)
+            assert np.array_equal(part, expected[: rows * p])
+        zero = _kernels.windowed_correlations(p, d, x0, m, np.zeros(m, dtype=np.int64))
+        assert zero.dtype == np.int64 and not zero.any()
+    assert bool(calls) is not long
+
+
+def test_correlation_survivors_past_the_int8_range(monkeypatch):
+    # m = p = 131 takes the long route, whose sums pass the int8 range (the
+    # short route's int16 case is the next test).  Over the whole field the
+    # perfect squares (x + a)^2 have chi = 1 off their root, so with one zero
+    # weight their sums are 129 or 130
     p, d, x0, m = 131, 2, 7, 131
     weights = np.ones(m, dtype=np.int64)
     weights[5] = 0
+    calls = route_spy(monkeypatch)
     corr = _kernels.windowed_correlations(p, d, x0, m, weights)
     squares = [a * a % p + 2 * a % p * p for a in range(p)]
     # 130 when the root -a sits under the zero weight, at x0 + 5
@@ -107,22 +151,64 @@ def test_correlation_survivors_past_the_int8_range():
         idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, 30, threads=threads)
         assert np.array_equal(idx, keep)
         assert np.array_equal(sums, corr[keep])
+    assert calls == []
 
 
-def test_window_sums_past_the_int16_range():
-    # m >= 2^15 sums in int32.  A public call needs p > 2^15 there, where a
-    # single row is a block of m * p > 2^30 cells, so the generator runs
-    # directly on a window that wraps the field of 13 about 3077 times: each
-    # square (x + a)^2 sums to m minus the visits to its root, about 36900,
-    # past the int16 range
+def test_short_route_past_the_int8_range(monkeypatch):
+    # m = 129 >= 2^7 sums in int16 on the short route, which p = 521 > 4 * 129
+    # selects.  With all-ones weights a square (x + a)^2 sums to 129, or 128
+    # when its root -a lies in the window x0 .. x0 + 128
+    p, d, x0, m = 521, 2, 7, 129
+    weights = np.ones(m, dtype=np.int64)
+    calls = route_spy(monkeypatch)
+    corr = _kernels.windowed_correlations(p, d, x0, m, weights)
+    squares = [a * a % p + 2 * a % p * p for a in range(p)]
+    assert corr[squares].tolist() == [128 if 0 <= -a % p - x0 < m else 129 for a in range(p)]
+    assert np.abs(corr).max() == 129
+    keep = np.flatnonzero(np.abs(corr) >= 40)
+    assert 0 < len(keep) < p**d
+    for threads in (1, 3):
+        idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, 40, threads=threads)
+        assert np.array_equal(idx, keep)
+        assert np.array_equal(sums, corr[keep])
+    assert calls
+
+
+def test_window_sums_past_the_int16_range(monkeypatch):
+    # m >= 2^15: the long route's float32 product, then, with the crossover
+    # moved out of reach, the short route's int32 accumulator.  A public call
+    # needs p > 2^15 there, where a single row is a block of m * p > 2^30
+    # cells, so the generator runs directly on a window that wraps the field
+    # of 13 about 3077 times: each square (x + a)^2 sums to m minus the visits
+    # to its root, about 36900, past the int16 range
     p, d, m = 13, 2, 40000
     weights = np.ones(m, dtype=np.int64)
     xs = np.arange(m, dtype=np.int64) % p
     expected = reference_matrix(p, d, xs[:p]).sum(axis=1) * (m // p)
     expected += reference_matrix(p, d, xs[: m % p]).sum(axis=1)
-    got = np.concatenate([c for _, c in _kernels._candidate_sums(p, d, 0, weights, 0, p * p)])
-    assert got.max() > np.iinfo(np.int16).max
-    assert np.array_equal(got, expected)
+    calls = route_spy(monkeypatch)
+    for ratio in (_kernels.HANKEL_RATIO, 0):
+        monkeypatch.setattr(_kernels, "HANKEL_RATIO", ratio)
+        runs = _kernels._candidate_sums(p, d, 0, weights, 0, p * p, _kernels._hankel(p, d, m))
+        got = np.concatenate([c for _, c in runs])
+        assert got.max() > np.iinfo(np.int16).max
+        assert np.array_equal(got, expected)
+        assert bool(calls) is (ratio == 0)
+
+
+def test_long_window_scan_peak_memory():
+    # the int64 output (p^d * 8 bytes) and the float32 Hankel matrix (p^2 * 4)
+    # set the peak; the 32-row blocks at p = 503, about 32 bytes a cell, add
+    # about 0.55 MB, and one block of every row would add about 4.8 MB
+    p = 503
+    weights = np.random.default_rng(0).integers(-1, 2, size=p)
+    tracemalloc.start()
+    try:
+        _kernels.windowed_correlations(p, 2, 0, p, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p**2 * 8 + p**2 * 4 + 2**20, peak
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -171,7 +257,7 @@ def test_d1_short_window_scan_is_one_run():
     # short's window at p = 10007 (x0 = 1, m = 8488) needs one FFT run, not a
     # second one for the last candidate past the wrap
     weights = np.ones(8488, dtype=np.int64)
-    runs = list(_kernels._candidate_sums(10007, 1, 1, weights, 0, 10007))
+    runs = list(_kernels._candidate_sums(10007, 1, 1, weights, 0, 10007, None))
     assert [(i, len(c)) for i, c in runs] == [(0, 10007)]
 
 

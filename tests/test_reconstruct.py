@@ -252,7 +252,8 @@ def test_stage1_sieve_matches_the_full_filter(data):
     on both sides of the prefix; thresholds run from negative (every
     candidate survives) to unreachable.  Besides the production prefix,
     short prefixes make most windows carry a tail, and one-cell blocks
-    split the candidates into many blocks per thread.
+    split the candidates into many blocks per thread on either d >= 2
+    route.
     """
     d = data.draw(st.sampled_from([1, 2, 3]))
     p = data.draw(st.sampled_from(SIEVE_PRIMES[d]))
@@ -270,9 +271,10 @@ def test_stage1_sieve_matches_the_full_filter(data):
     threshold = data.draw(st.one_of(st.integers(-2, m + 2), st.integers(m - 3, m)))
     corr = _kernels.windowed_correlations(p, d, x0, m, weights)
     expected = np.flatnonzero(np.abs(corr) >= threshold)
-    for cells in (_kernels.SCAN_CELLS, 1):
+    for scan_cells, hankel_cells in ((_kernels.SCAN_CELLS, _kernels.HANKEL_CELLS), (1, 1)):
         with mock.patch.object(reconstruct, "PREFIX", prefix), \
-                mock.patch.object(_kernels, "SCAN_CELLS", cells):
+                mock.patch.object(_kernels, "SCAN_CELLS", scan_cells), \
+                mock.patch.object(_kernels, "HANKEL_CELLS", hankel_cells):
             for threads in (1, 3):
                 idx, sums = _stage1_sieve(
                     PrimeModulus(p), d, x0, weights, threshold, threads, None
