@@ -27,9 +27,9 @@ length picks one of two routes:
   sum |hist_h| <= m < 2^24, so the product is exact in any summation
   order and with any BLAS thread count.
 
-brute, short, the pair-identity and the Weil sweeps pass m = p and take
-the long route; two-stage's m <= 24 prefix sieve takes the short one
-once p > 96.  ``check_ops`` counts p^d * m for both.  The long route does
+At d >= 2, brute, short, the pair-identity and the Weil sweeps pass m = p
+and take the long route; two-stage's m <= 24 prefix sieve takes the short
+one once p > 96.  ``check_ops`` counts p^d * m for both.  The long route does
 p^(d+1) multiply-adds, at most p/m <= HANKEL_RATIO = 4 times that count,
 at BLAS speed.  Measured per call, d = 2, one core of a 2-core x86-64
 machine, one BLAS thread, ms (short route / long route):
@@ -45,15 +45,31 @@ byte matrix: at p = m = 503 a scan peaks at p^d * 8 + p^2 * 4 bytes plus
 about 0.55 MB in the 32-row blocks, and plus 4.8 MB in one block.
 
 At d = 1 the one row is a cyclic correlation of the weights with the
-character table, computed by overlap-save: a run of candidates copies
-its slice of the doubled int8 table into a float64 buffer, views it as
-overlapping blocks of a power-of-two length L >= 2m (at least
-``FFT_FLOOR``), and takes one batched real FFT, one product with the
-weights' conjugate spectrum and one inverse FFT.  The first L - m + 1
-outputs of each block are the window sums, rounded to integers.
-Exactness is checked, not assumed: a run with an output 1/4 or more from
-its integer raises ArithmeticError.  The int8 doubled table is the only
-character table kept; there is no float64 copy.
+character table.  Candidate s reads chi2 from t = (x0 + s) mod p, so a
+run of n candidates ends at the latest at t + n = 2p - m + 1.  The window
+length picks one of two routes:
+
+- short windows (m < SLICE_BELOW = 2^7): a run of at most SLICE_RUN
+  candidates is c = sum over the +1 points j of chi2[t + j : t + j + n]
+  minus the same over the -1 points, added in place in int8; |c| <= m,
+  so the sums are exact by construction.
+- long windows: overlap-save.  A run copies its slice of chi2 into a
+  float64 buffer, views it as overlapping blocks of a power-of-two length
+  L >= 2m >= 256, and takes one batched real FFT, one product with the
+  weights' conjugate spectrum and one inverse FFT.  The first L - m + 1
+  outputs of each block are the window sums, rounded to integers, and a
+  run with an output 1/4 or more from its integer raises ArithmeticError.
+
+Two-stage's m <= 24 prefix sieve and the Weil sweep's degree-1 sums
+(m = p <= 61) take the slices, brute (m = p) and short (m = 8488 at
+p = 10007) the FFT.  Measured per correlation_survivors call, p = 1000003,
++-1 weights, one core of a shared 2-core x86-64 machine, lowest process
+time of several runs, ms (FFT / slices; int16 slices at m = 128):
+
+    m = 1: 12 / 0.85,  m = 24: 14 / 1.5,  m = 64: 16 / 3.4,
+    m = 127: 21 / 5.3,  m = 128: 22 / 21
+
+The int8 doubled table chi2 is the only character table kept.
 """
 
 from __future__ import annotations
@@ -74,11 +90,13 @@ from .poly import is_squarefree, poly_from_index
 # about SCAN_CELLS measured fastest.
 BLOCK_CELLS = 1 << 16
 SCAN_CELLS = 1 << 19
-# d = 1 overlap-save: runs of about FFT_RUN candidates, rounded to whole
-# blocks, in blocks of at least FFT_FLOOR points.  At m = 24, p = 1000003,
-# floors from 128 to 1024 measured the same and runs of 2^12 were slower
+# d = 1 windows of m < SLICE_BELOW points: int8 slice sums in runs of at most
+# SLICE_RUN candidates (module docstring).  Longer windows: overlap-save in
+# runs of about FFT_RUN candidates, rounded to whole blocks (at least one) of
+# L >= 2m >= 256 points
+SLICE_BELOW = 1 << 7
+SLICE_RUN = 1 << 16
 FFT_RUN = 1 << 14
-FFT_FLOOR = 256
 # d >= 2 windows with HANKEL_RATIO * m >= p: blocks of at least HANKEL_CELLS
 # cells and at least p // HANKEL_SPLIT rows (module docstring)
 HANKEL_RATIO = 4
@@ -148,6 +166,18 @@ def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
     return w
 
 
+def _slice_sums(p: int, plus: np.ndarray, minus: np.ndarray, t: int, n: int) -> np.ndarray:
+    # c[k] = sum over j in plus of chi2[t + k + j] minus the same over minus, for k < n,
+    # one in-place int8 slice add per point: exact while len(plus) + len(minus) < 2^7
+    chi2 = _chi2(p)
+    c = np.zeros(n, dtype=np.int8)
+    for j in plus:
+        c += chi2[t + j : t + j + n]
+    for j in minus:
+        c -= chi2[t + j : t + j + n]
+    return c
+
+
 def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.ndarray:
     # c[k] = sum_j w[j] * chi2[t + k + j] for k < n, with t + n + m - 1 <= 2p so every
     # read stays inside the doubled table.  Block b holds chi2[t + b*step :][:size]; its
@@ -180,8 +210,8 @@ def _candidate_sums(
     """Yield (i, c) for runs of consecutive candidates covering lo .. hi - 1 in order.
 
     c[k] = sum_j w[j] * chi(g_{i+k}(x0 + j mod p)) for candidate i + k, as
-    exact integers: int8, int16 or int32 at d >= 2, float64 at d = 1
-    (module docstring).  At d >= 2, lo and hi are multiples of p, so the
+    exact integers: int8, int16 or int32 at d >= 2, int8 or float64 at
+    d = 1 (module docstring).  At d >= 2, lo and hi are multiples of p, so the
     runs are whole rows.  hankel is _hankel(p, d, len(w)), built once per
     scan and shared by its threads.
     """
@@ -189,13 +219,19 @@ def _candidate_sums(
     if d == 1:
         # candidate s has the sliding sum at t = (x0 + s) mod p; a run of candidates
         # reads chi2 up to t + n + m - 2, so it ends at the latest at t + n = 2p - m + 1
-        size = max(FFT_FLOOR, 1 << (2 * m - 1).bit_length())
-        spectrum = np.conj(np.fft.rfft(w, size))
-        run = max(1, FFT_RUN // (size - m + 1)) * (size - m + 1)
+        if m < SLICE_BELOW:
+            plus, minus, run = np.flatnonzero(w > 0), np.flatnonzero(w < 0), SLICE_RUN
+        else:
+            size = 1 << (2 * m - 1).bit_length()
+            spectrum = np.conj(np.fft.rfft(w, size))
+            run = max(1, FFT_RUN // (size - m + 1)) * (size - m + 1)
         while lo < hi:
             t = (x0 + lo) % p
             n = min(hi - lo, 2 * p - m + 1 - t, run)
-            yield lo, _sliding_sums(p, m, spectrum, t, n)
+            if m < SLICE_BELOW:
+                yield lo, _slice_sums(p, plus, minus, t, n)
+            else:
+                yield lo, _sliding_sums(p, m, spectrum, t, n)
             lo += n
         return
     xs = (x0 + np.arange(m, dtype=np.int64)) % p

@@ -6,8 +6,10 @@ legendre_euler, one point at a time.  chi_blocks, the window sums at
 every degree (at d >= 2 on both sides of the short/long crossover), the
 window matrix and the array Horner evaluation must reproduce
 it exactly, over every row or a leading slice of rows; the index-set
-helpers must match the per-polynomial tests.  At d = 1 and primes too large
-for that loop, the FFT window sums are checked against
+helpers must match the per-polynomial tests.  At d = 1 the window sums
+take int8 slice sums below SLICE_BELOW points and an overlap-save FFT from
+there on; the property tests run both, the FFT by moving SLICE_BELOW out of
+reach.  At primes too large for that loop, both routes are checked against
 ``reference.shifted_sums`` and the Legendre autocorrelation.
 """
 
@@ -44,6 +46,11 @@ def window(p, x0, m):
     return (x0 + np.arange(m, dtype=np.int64)) % p
 
 
+def d1_routes(d):
+    """SLICE_BELOW as built and, at d = 1, 1, which sends every window to the FFT."""
+    return (_kernels.SLICE_BELOW, 1) if d == 1 else (_kernels.SLICE_BELOW,)
+
+
 @SETTINGS
 @given(problems(), st.data())
 def test_chi_blocks_match_reference(problem, data):
@@ -69,13 +76,16 @@ def test_windowed_correlations_match_reference(problem, data):
     weights = np.array(data.draw(draw), dtype=np.int64)
     rows = data.draw(st.integers(1, p ** (d - 1)))
     expected = reference_matrix(p, d, window(p, x0, m)) @ weights
-    for threads in (1, 3):
-        got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, expected)
-        # a row limit scans the high-digit rows h < rows: the indices below rows * p
-        part = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads, rows=rows)
-        assert np.array_equal(part, expected[: rows * p])
+    for below in d1_routes(d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "SLICE_BELOW", below)
+            for threads in (1, 3):
+                got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
+                # a row limit scans the high-digit rows h < rows: the indices below rows * p
+                part = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads, rows=rows)
+                assert np.array_equal(part, expected[: rows * p])
     for bad in (0, p ** (d - 1) + 1):
         with pytest.raises(ValueError):
             _kernels.windowed_correlations(p, d, x0, m, weights, rows=bad)
@@ -253,6 +263,42 @@ def test_d1_runs_end_at_the_doubled_table_not_at_the_wrap(m):
         assert np.array_equal(got, shifted_sums(p, x0, weights))
 
 
+@pytest.mark.parametrize("m", [127, 128])
+def test_d1_routes_on_either_side_of_the_crossover(monkeypatch, m):
+    # m = 127 is the last window of int8 slice sums, m = 128 the first of the
+    # FFT.  Windows starting at p - 1 and p - m cross the wrap, the weights
+    # carry zeros, and each route runs in its production runs and in runs of
+    # about 257 candidates, on 1 and 3 threads
+    p = 10007
+    weights = np.random.default_rng(m).integers(-1, 2, size=m)
+    weights[::5] = 0
+    runs = []
+    sliding_sums = _kernels._sliding_sums
+
+    def spy(*args):
+        runs.append(args)
+        return sliding_sums(*args)
+
+    monkeypatch.setattr(_kernels, "_sliding_sums", spy)
+    cases = [(x0, shifted_sums(p, x0, weights)) for x0 in (p - 1, p - m)]
+    for run in (None, 257):
+        with pytest.MonkeyPatch.context() as mp:
+            if run:
+                mp.setattr(_kernels, "SLICE_RUN", run)
+                mp.setattr(_kernels, "FFT_RUN", run)
+            for x0, expected in cases:
+                bound = int(np.quantile(np.abs(expected), 0.9))
+                keep = np.flatnonzero(np.abs(expected) >= bound)
+                assert 0 < len(keep) < p
+                for threads in (1, 3):
+                    got = _kernels.windowed_correlations(p, 1, x0, m, weights, threads=threads)
+                    assert np.array_equal(got, expected)
+                    idx, sums = _kernels.correlation_survivors(p, 1, x0, m, weights, bound, threads)
+                    assert np.array_equal(idx, keep)
+                    assert np.array_equal(sums, expected[keep])
+    assert bool(runs) is (m == 128)
+
+
 def test_d1_short_window_scan_is_one_run():
     # short's window at p = 10007 (x0 = 1, m = 8488) needs one FFT run, not a
     # second one for the last candidate past the wrap
@@ -297,7 +343,7 @@ def test_d1_sums_off_an_integer_raise():
     # the exactness check itself: a spectrum scaled by 3/2 puts every odd sum
     # half-way between two integers
     p, m = 101, 5
-    spectrum = np.conj(np.fft.rfft(np.ones(m), _kernels.FFT_FLOOR))
+    spectrum = np.conj(np.fft.rfft(np.ones(m), 256))
     assert np.array_equal(_kernels._sliding_sums(p, m, spectrum, 0, p), shifted_sums(p, 0, np.ones(m)))
     with pytest.raises(ArithmeticError, match="off an integer"):
         _kernels._sliding_sums(p, m, 1.5 * spectrum, 0, p)
@@ -306,7 +352,7 @@ def test_d1_sums_off_an_integer_raise():
 def test_d1_survivor_scan_peak_memory():
     # chi_table's build sets the peak: its 1 MB table beside one 4 MB int64
     # array of the p/2 squares, reduced in place.  The 2 MB int8 doubled table
-    # and the FFT runs' float64 buffers (under 1 MB at m = 24) stay below it
+    # and the slice route's 64 KB int8 runs stay below it
     p = 1000003
     weights = np.random.default_rng(0).integers(-1, 2, size=24)
     _kernels._chi2.cache_clear()
@@ -320,6 +366,25 @@ def test_d1_survivor_scan_peak_memory():
     assert peak < 8 * 10**6, peak
 
 
+def test_d1_prefix_scan_peak_memory_with_a_warm_table():
+    # two-stage's prefix sieve at p = 1000003: weights chi(x + s) for a hidden
+    # shift s and the bound 23 it passes.  With the doubled table cached the
+    # scan holds one run of at most SLICE_RUN = 2^16 int8 sums and its
+    # |c| >= bound temporaries, about 0.2 MiB; the overlap-save FFT's float64
+    # buffers for the same call peaked at about 0.9 MiB
+    p, s = 1000003, 249523
+    weights = chi_table(PrimeModulus(p))[1 + s : 25 + s].astype(np.int64)
+    _kernels.correlation_survivors(p, 1, 1, 24, weights, 23)
+    tracemalloc.start()
+    try:
+        idx, _ = _kernels.correlation_survivors(p, 1, 1, 24, weights, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.tolist() == [s]
+    assert peak < 2**19, peak
+
+
 @SETTINGS
 @given(problems())
 def test_complete_sums_match_reference(problem):
@@ -327,9 +392,12 @@ def test_complete_sums_match_reference(problem):
     p, d, _, _ = problem
     expected = reference_matrix(p, d, np.arange(p)).sum(axis=1)
     ones = np.ones(p, dtype=np.int64)
-    for threads in (1, 3):
-        got = _kernels.windowed_correlations(p, d, 0, p, ones, threads=threads)
-        assert np.array_equal(got, expected)
+    for below in d1_routes(d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "SLICE_BELOW", below)
+            for threads in (1, 3):
+                got = _kernels.windowed_correlations(p, d, 0, p, ones, threads=threads)
+                assert np.array_equal(got, expected)
 
 
 @SETTINGS
