@@ -1,21 +1,20 @@
 """Index-based numpy scan kernels shared by charsum, reconstruct, quantum.
 
 Candidates are addressed by index = sum_i s_i p^i (the package-wide
-lexicographic order).  With the upper coefficients fixed, the s_0 axis
-is contiguous in index space and chi((base + s_0) mod p) is a plain
-slice of a doubled character table.  ``chi_blocks`` is the one kernel
-that turns blocks of candidates into int8 character values this way;
-``chi_window_matrix`` copies its blocks out.  One private generator,
-``_candidate_sums``, turns character values into the exact window sums of
-consecutive candidates for weights in {-1, 0, 1}, and both
-``windowed_correlations`` (every sum) and ``correlation_survivors`` (the
-sums that reach a bound) consume it.  Row h fixes (s_1, ..., s_{d-1}),
-and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for a block of rows;
-chi_blocks and the long-window route share it.  At d >= 2 the window
-length picks one of two routes:
+lexicographic order).  Row h fixes (s_1, ..., s_{d-1}) to its base-p
+digits, and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for any array
+of rows, so chi(g(x_j)) = chi2[u_j + s_0] in the doubled int8 character
+table chi2, the only table kept besides its signed copy.  ``chi_blocks``
+gathers whole rows, the s_0 axis a slice of chi2, and
+``chi_window_matrix`` copies its blocks out; ``index_sums`` gathers any
+list of candidates and reduces them against integer weights in int64.
+``_candidate_sums`` turns rows into the exact window sums of consecutive
+candidates for weights in {-1, 0, 1}, which ``windowed_correlations``
+(every sum) and ``correlation_survivors`` (the sums that reach a bound)
+consume.  At d >= 2 the window length picks one of two routes:
 
-- short windows (HANKEL_RATIO * m < p): a sum is the sum over the +1
-  points minus the sum over the -1 points of a chi_blocks block,
+- short windows (HANKEL_RATIO * m < p): a sum is one sum over a
+  chi_blocks block whose -1 points read a negated copy of chi2,
   accumulated in int8 when m < 2^7, int16 when m < 2^15 and int32
   otherwise, so no partial sum (at most m in magnitude) overflows.
 - long windows (HANKEL_RATIO * m >= p and m < 2^24): every sum of row h
@@ -27,22 +26,15 @@ length picks one of two routes:
   sum |hist_h| <= m < 2^24, so the product is exact in any summation
   order and with any BLAS thread count.
 
-At d >= 2, brute, short, the pair-identity and the Weil sweeps pass m = p
-and take the long route; two-stage's m <= 24 prefix sieve takes the short
-one once p > 96.  ``check_ops`` counts p^d * m for both.  The long route does
-p^(d+1) multiply-adds, at most p/m <= HANKEL_RATIO = 4 times that count,
-at BLAS speed.  Measured per call, d = 2, one core of a 2-core x86-64
-machine, one BLAS thread, ms (short route / long route):
-
-    p = 503:  m = 64: 3.3 / 5.7,   m = 128: 9.2 / 6.2,  m = 503: 29 / 9.4
-    p = 1009: m = 128: 25 / 47,    m = 256: 56 / 45,    m = 1009: 182 / 48
-
-A long-route block holds at least HANKEL_CELLS cells and at least
-p // HANKEL_SPLIT rows.  Smaller blocks starve the product: at
-p = m = 3001, 100 rows took 57 ms in blocks of 31 rows and 26-29 ms in
-blocks of 125 to 250.  Larger ones hold more memory beside the p^2 * 4
-byte matrix: at p = m = 503 a scan peaks at p^d * 8 + p^2 * 4 bytes plus
-about 0.55 MB in the 32-row blocks, and plus 4.8 MB in one block.
+Brute, short and the pair-identity and Weil sweeps pass m = p and take
+the long route, two-stage's first sieve round (m <= 16) the short one
+once p > 64.  ``check_ops`` counts p^d * m for both; the long route does
+p^(d+1) multiply-adds, at most HANKEL_RATIO = 4 times that, at BLAS speed
+(README has per-call times).  A long-route block holds at least
+HANKEL_CELLS cells and p // HANKEL_SPLIT rows: at p = m = 3001, 100 rows
+took 57 ms in blocks of 31 rows and 26-29 ms in blocks of 125 to 250,
+while at p = m = 503 a scan peaks at p^d * 8 + p^2 * 4 bytes plus about
+0.55 MB in 32-row blocks and 4.8 MB in one block.
 
 At d = 1 the one row is a cyclic correlation of the weights with the
 character table.  Candidate s reads chi2 from t = (x0 + s) mod p, so a
@@ -60,7 +52,7 @@ length picks one of two routes:
   outputs of each block are the window sums, rounded to integers, and a
   run with an output 1/4 or more from its integer raises ArithmeticError.
 
-Two-stage's m <= 24 prefix sieve and the Weil sweep's degree-1 sums
+Two-stage's first sieve round and the Weil sweep's degree-1 sums
 (m = p <= 61) take the slices, brute (m = p) and short (m = 8488 at
 p = 10007) the FFT.  Measured per correlation_survivors call, p = 1000003,
 +-1 weights, one core of a shared 2-core x86-64 machine, lowest process
@@ -68,8 +60,6 @@ time of several runs, ms (FFT / slices; int16 slices at m = 128):
 
     m = 1: 12 / 0.85,  m = 24: 14 / 1.5,  m = 64: 16 / 3.4,
     m = 127: 21 / 5.3,  m = 128: 22 / 21
-
-The int8 doubled table chi2 is the only character table kept.
 """
 
 from __future__ import annotations
@@ -105,54 +95,78 @@ HANKEL_SPLIT = 16
 
 
 @lru_cache(maxsize=64)
-def _chi2(p: int) -> np.ndarray:
+def _chi2(p: int, signed: bool = False) -> np.ndarray:
+    # the doubled table; signed appends its negation, read by the short route's -1 points
     base = chi_table(PrimeModulus(p))
-    arr = np.concatenate([base, base])
+    arr = np.concatenate([base, base, -base, -base] if signed else [base, base])
     arr.setflags(write=False)
     return arr
 
 
 def _row_offsets(p: int, d: int, xs: np.ndarray):
-    """Return offsets(h, n), the int64 array u[r, j] = g(xs[j]) - s_0 mod p for rows h .. h+n-1.
+    """Return offsets(rows), the int64 u[r, j] = g(xs[j]) - s_0 mod p for an int64 array of rows.
 
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h, so u is x^d
-    plus digit * x^i for i = 1 .. d-1, added by broadcasting.  Each of the
-    d terms is at most a product of two residues, so p must pass
-    check_int64_products(p, d).
+    plus digit * x^i for i = 1 .. d-1, added by broadcasting (at d = 1 the
+    residues xs themselves).  Each of the d terms is at most a product of
+    two residues, so p must pass check_int64_products(p, d).
     """
     check_int64_products(p, d)
-    xs = np.asarray(xs, dtype=np.int64)
     xp = np.empty((d + 1, len(xs)), dtype=np.int64)
-    xp[0] = 1
-    for i in range(1, d + 1):
-        xp[i] = xp[i - 1] * xs % p
+    xp[0], xp[1] = 1, xs
+    for i in range(2, d + 1):
+        xp[i] = xp[i - 1] * xp[1] % p
 
-    def offsets(h: int, n: int) -> np.ndarray:
-        rows = np.arange(h, h + n, dtype=np.int64)[:, None]
-        u = np.tile(xp[d], (n, 1))
+    def offsets(rows: np.ndarray) -> np.ndarray:
+        u = np.tile(xp[d], (len(rows), 1))
         for i in range(1, d):
-            u += rows // p ** (i - 1) % p * xp[i]
-        u %= p
+            u += rows[:, None] // p ** (i - 1) % p * xp[i]
+        if d > 1:
+            u %= p
         return u
 
     return offsets
 
 
-def chi_blocks(p: int, d: int, xs: np.ndarray, lo: int, hi: int, cells: int = BLOCK_CELLS):
+def chi_blocks(p: int, d: int, xs, lo: int, hi: int, cells: int = BLOCK_CELLS, signs=None):
     """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
 
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
     candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
-    monic degree-d g of index (h + r)*p + s_0.  A block holds about
-    ``cells`` cells, and at least one row.  p must pass
-    check_int64_products(p, d) (``_row_offsets``).
+    monic degree-d g of index (h + r)*p + s_0, times signs[j] (one +-1 per
+    point) when signs is given.  A block holds about ``cells`` cells, at
+    least one row; p must pass check_int64_products(p, d).
     """
     offsets = _row_offsets(p, d, xs)
-    # windows[b] = chi((b + s_0) mod p) for s_0 = 0..p-1, a view of the doubled table
-    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p), p)
+    # windows[b] = chi((b + s_0) mod p) for b < p, and its negation from b = 2p on
+    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, signs is not None), p)
+    shift = 0 if signs is None else np.where(np.asarray(signs) < 0, 2 * p, 0)
     step = max(1, cells // max(1, len(xs) * p))
     for h in range(lo, hi, step):
-        yield h, windows[offsets(h, min(hi, h + step) - h)]
+        yield h, windows[offsets(np.arange(h, min(hi, h + step), dtype=np.int64)) + shift]
+
+
+def index_sums(p: int, d: int, idx, xs, weights) -> np.ndarray:
+    """sums[k] = sum_j weights[j] * chi(g_{idx[k]}(xs[j])) for every index of idx, as int64.
+
+    idx lists candidate indices in any order, repeats allowed, and xs
+    residues in [0, p).  A block of about BLOCK_CELLS cells (at least one
+    candidate) is one int8 gather of chi2 at g(x) - s_0 mod p plus s_0 and
+    one int64 product with the weights, whatever their dtype.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and not (0 <= idx.min() and idx.max() < p**d):
+        raise ValueError("candidate index out of range")
+    w = np.asarray(weights, dtype=np.int64)
+    offsets, chi2 = _row_offsets(p, d, xs), _chi2(p)
+    sums = np.empty(len(idx), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // max(1, len(w)))
+    for k in range(0, len(idx), step):
+        rows, s0 = np.divmod(idx[k : k + step], p)
+        u = offsets(rows)
+        u += s0[:, None]
+        sums[k : k + step] = chi2[u] @ w
+    return sums
 
 
 def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
@@ -234,28 +248,25 @@ def _candidate_sums(
                 yield lo, _sliding_sums(p, m, spectrum, t, n)
             lo += n
         return
-    xs = (x0 + np.arange(m, dtype=np.int64)) % p
+    nz = w != 0  # zero weights drop out
+    xs = ((x0 + np.arange(m, dtype=np.int64)) % p)[nz]
     if hankel is not None:
         # row r of a block: hist[r, u] sums the weights of the points with
         # g(x) - s_0 = u, and c[r, s_0] = sum_u hist[r, u] * chi2[u + s_0]
-        offsets = _row_offsets(p, d, xs[w != 0])
-        weights = w[w != 0].astype(np.float64)
+        offsets = _row_offsets(p, d, xs)
+        weights = w[nz].astype(np.float64)
         step = max(1, HANKEL_CELLS // p, p // HANKEL_SPLIT)
         for h in range(lo // p, hi // p, step):
             n = min(hi // p, h + step) - h
-            u = offsets(h, n)
+            u = offsets(np.arange(h, h + n, dtype=np.int64))
             u += np.arange(0, n * p, p, dtype=np.int64)[:, None]
             hist = np.bincount(u.reshape(-1), np.tile(weights, n), n * p).astype(np.float32)
             yield h * p, (hist.reshape(n, p) @ hankel).astype(np.int32).reshape(-1)
         return
-    # a sum over the +1 points minus a sum over the -1 points; zero weights drop out
-    plus = int(np.count_nonzero(w > 0))
-    order = np.concatenate([xs[w > 0], xs[w < 0]])
+    # the -1 points read the negated table, so one sum covers both signs
     acc = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 15 else np.int32
-    for h, block in chi_blocks(p, d, order, lo // p, hi // p, SCAN_CELLS):
-        c = block[:, :plus].sum(axis=1, dtype=acc)
-        c -= block[:, plus:].sum(axis=1, dtype=acc)
-        yield h * p, c.reshape(-1)
+    for h, block in chi_blocks(p, d, xs, lo // p, hi // p, SCAN_CELLS, signs=w[nz]):
+        yield h * p, block.sum(axis=1, dtype=acc).reshape(-1)
 
 
 def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consume) -> None:

@@ -10,14 +10,15 @@ Three algorithms over the square-free monic degree-d candidates:
   M = min(ceil(d sqrt(p) ln^2 p), p), natural logs.
 * short_window_recover: single-stage signed argmax over [1, M].
 
-Stage 1 is a prefix sieve.  Every candidate is scanned over only the
-first K = min(N, PREFIX) points; each of the other N - K terms
-w_j chi(g(x_j)) lies in [-|w_j|, |w_j|], so a candidate whose full sum
-reaches |c_N| >= t has |c_K| >= t - sum_{j >= K} |w_j|.  Keeping the
-candidates that meet this bound, then adding the N - K tail terms for
-them alone, gives exactly the survivors of the full scan for any weights
-in {-1, 0, 1} and any threshold t, without an array over all p^d
-candidates; the square-free test runs on the survivors.
+Stage 1 is an exact sieve in rounds: every candidate is scanned over the
+first min(N, ROUNDS[0]) points, and each later round adds the points up
+to the next boundary (the rest of ROUNDS, then N) for the candidates
+still alive, through the candidate-list kernel.  No unread term
+w_j chi(g(x_j)) exceeds |w_j|, so |c_N| >= t implies |c_K| >= t -
+sum_{j >= K} |w_j| after K points; dropping the candidates below this
+bound keeps exactly the full scan's survivors for any weights in
+{-1, 0, 1} and any t, with no array over all p^d candidates.  The
+square-free test runs on the survivors.
 
 brute and short-window share one windowed-argmax body and differ only in
 the window.  Every solver records in RecoveryReport.work the candidate x
@@ -42,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .ffield import PrimeModulus, chi_table
+from .ffield import PrimeModulus
 from .limits import check_ops
 from .oracle import OracleSession
 from .poly import MonicPoly, is_squarefree, poly_from_index, squarefree_count
@@ -56,9 +57,8 @@ __all__ = [
     "query_lower_bound",
 ]
 
-# Stage 1 scans every candidate over the first min(N, PREFIX) window points;
-# measured fastest at d = 2 for p = 1009 .. 3001 among 16 .. 32.
-PREFIX = 24
+# Stage-1 round boundaries (module docstring), fastest at d = 2, p = 1009 .. 3001
+ROUNDS = (16, 24)
 
 
 @dataclass(frozen=True)
@@ -177,17 +177,6 @@ def query_lower_bound(modulus: PrimeModulus, d: int) -> int:
     return k
 
 
-def _window_sums(
-    modulus: PrimeModulus, d: int, indices: list[int], xs: np.ndarray, weights: np.ndarray
-) -> list[int]:
-    """sum_j weights[j] * chi(g_i(xs[j])) for each index i, by array Horner evaluation."""
-    chi = chi_table(modulus)
-    return [
-        int(np.dot(weights, chi[poly_from_index(d, modulus, i).eval_array(xs)]))
-        for i in indices
-    ]
-
-
 def _stage1_sieve(
     modulus: PrimeModulus,
     d: int,
@@ -204,19 +193,19 @@ def _stage1_sieve(
     result equals the full windowed_correlations filter (module docstring).
     """
     p = modulus.p
-    n = len(weights)
-    k = min(n, PREFIX)
-    # no tail term exceeds |w_j| in magnitude, so this bound drops no survivor
-    bound = threshold - int(np.abs(weights[k:]).sum())
+    ends = sorted({min(len(weights), k) for k in ROUNDS} | {len(weights)})
+    # rest[k] = sum_{j >= k} |w_j|: no later term can move a sum by more
+    rest = np.append(np.cumsum(np.abs(weights[::-1]), dtype=np.int64)[::-1], 0).tolist()
     idx, sums = _kernels.correlation_survivors(
-        p, d, x0, k, weights[:k], bound, threads=threads
+        p, d, x0, ends[0], weights[: ends[0]], threshold - rest[ends[0]], threads=threads
     )
-    check_ops(len(idx) * (n - k), budget, "stage-1 extension")
-    xs = (x0 + np.arange(k, n, dtype=np.int64)) % p
-    idx = idx.tolist()
-    tails = _window_sums(modulus, d, idx, xs, weights[k:])
-    kept = [(i, c + t) for i, c, t in zip(idx, sums.tolist(), tails) if abs(c + t) >= threshold]
-    return [i for i, _ in kept], [c for _, c in kept]
+    for a, b in zip(ends, ends[1:]):
+        check_ops(len(idx) * (b - a), budget, "stage-1 extension")
+        xs = (x0 + np.arange(a, b, dtype=np.int64)) % p
+        sums += _kernels.index_sums(p, d, idx, xs, weights[a:b])
+        keep = np.abs(sums) >= threshold - rest[b]
+        idx, sums = idx[keep], sums[keep]
+    return idx.tolist(), sums.tolist()
 
 
 def _argmax_recover(
@@ -310,7 +299,7 @@ def two_stage_recover(
     params = params or AlgorithmParams.for_problem(modulus, d)
     # refused before the window cache and the oracle's character table, each
     # of which holds p entries
-    check_ops(p**d * min(params.N, PREFIX), budget, "stage-1 prefix scan")
+    check_ops(p**d * min(params.N, ROUNDS[0]), budget, "stage-1 prefix scan")
     cache = _WindowCache(session, reps)
 
     t0 = time.perf_counter()
@@ -324,7 +313,7 @@ def two_stage_recover(
 
     xs2 = np.arange(1, params.M + 1, dtype=np.int64) % p
     weights2 = cache.window(1, params.M)
-    sums2 = _window_sums(modulus, d, surv1, xs2, weights2)
+    sums2 = _kernels.index_sums(p, d, surv1, xs2, weights2)
     surv2 = [i for i, c in zip(surv1, sums2) if c >= params.stage2_threshold]
     stage_seconds["stage2"] = time.perf_counter() - t1
 
@@ -337,7 +326,7 @@ def two_stage_recover(
         t2 = time.perf_counter()
         pool = surv2 or surv1
         full = cache.window(0, p)
-        sums = _window_sums(modulus, d, pool, np.arange(p, dtype=np.int64), full)
+        sums = _kernels.index_sums(p, d, pool, np.arange(p, dtype=np.int64), full)
         recovered = poly_from_index(d, modulus, pool[int(np.argmax(sums))]) if pool else None
         work += len(pool) * p
         stage_seconds["fallback"] = time.perf_counter() - t2

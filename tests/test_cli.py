@@ -129,9 +129,9 @@ class TestRecover:
     @pytest.mark.parametrize(
         "p, d, budget",
         [
-            # two-stage scans p^d candidates over min(N, PREFIX) points first
-            (1009, 2, 1009**2 * reconstruct.PREFIX - 1),
-            (31, 3, 31**3 * reconstruct.PREFIX - 1),
+            # two-stage scans p^d candidates over min(N, ROUNDS[0]) points first
+            (1009, 2, 1009**2 * reconstruct.ROUNDS[0] - 1),
+            (31, 3, 31**3 * reconstruct.ROUNDS[0] - 1),
         ],
     )
     def test_budget_just_below_the_estimate_exits_2(self, capsys, p, d, budget):

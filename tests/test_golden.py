@@ -7,7 +7,7 @@ number, order or format fails here.  The two quantum files were
 captured again when the exact block eigensolve replaced power
 iteration, which had underestimated lambda_max.  The noisy brute file was
 captured before the batched, early-stopping vote replaced the per-draw
-one.  Recovery and bench reports use --no-timing; quantum and
+one, and the p = 3001 two-stage file before stage 1 ran in rounds.  Recovery and bench reports use --no-timing; quantum and
 verify-bounds print no wall times.  The default verify-bounds report, all
 11925 lines of it, is pinned by its sha256 instead of a file.
 """
@@ -40,6 +40,10 @@ COMMANDS = {
                                     "--seed 1 --json --no-timing",
     "recover_d2_p251_two_stage":
         "recover --p 251 --d 2 --seed 7 --algo two-stage --json --no-timing",
+    # every candidate's first round takes the d >= 2 short route, and thousands
+    # of candidates reach the later rounds
+    "recover_d2_p3001_two_stage":
+        "recover --p 3001 --d 2 --algo two-stage --seed 0 --no-timing",
     "quantum_d1_p101": "quantum --p 101 --d 1 --json",
     "quantum_d2_p13": "quantum --p 13 --d 2 --json",
     "bounds_pair_identity": "verify-bounds --lemma pair-identity --p 7",
@@ -56,8 +60,8 @@ DEFAULT_BOUNDS_SHA256 = "f9a3ef3bde5a77277c255c5719716f0ac2943eb26df7de3336d820e
 
 # the scans that split work across threads, rerun with other thread counts
 THREADED = ("recover_d1_p1009_brute", "recover_d1_p1009_two_stage", "recover_d2_p101_brute",
-            "recover_d1_p1009_noisy_brute", "recover_d2_p251_two_stage", "bounds_pair_identity",
-            "bounds_weil", "bench_small")
+            "recover_d1_p1009_noisy_brute", "recover_d2_p251_two_stage",
+            "recover_d2_p3001_two_stage", "bounds_pair_identity", "bounds_weil", "bench_small")
 
 
 def _stdout(capsys, argv: list[str]) -> bytes:

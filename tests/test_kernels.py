@@ -4,9 +4,10 @@ The reference (``reference.reference_matrix``) evaluates each monic
 candidate with MonicPoly.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, the window sums at
 every degree (at d >= 2 on both sides of the short/long crossover), the
-window matrix and the array Horner evaluation must reproduce
-it exactly, over every row or a leading slice of rows; the index-set
-helpers must match the per-polynomial tests.  At d = 1 the window sums
+list kernel's sums over any index list, the window matrix and the array
+Horner evaluation must reproduce it exactly, over every row or a leading
+slice of rows; the index-set helpers must match the per-polynomial
+tests.  At d = 1 the window sums
 take int8 slice sums below SLICE_BELOW points and an overlap-save FFT from
 there on; the property tests run both, the FFT by moving SLICE_BELOW out of
 reach.  At primes too large for that loop, both routes are checked against
@@ -89,6 +90,32 @@ def test_windowed_correlations_match_reference(problem, data):
     for bad in (0, p ** (d - 1) + 1):
         with pytest.raises(ValueError):
             _kernels.windowed_correlations(p, d, x0, m, weights, rows=bad)
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_index_sums_match_reference(problem, data):
+    # any index list (unsorted, repeated or empty) over a window that may wrap
+    # past p - 1 through 0, or over any list of residues; int8 or int64
+    # weights, zeros among them, summed in int64 whatever their dtype; in the
+    # production blocks and in blocks of one candidate
+    p, d, x0, m = problem
+    xs = window(p, x0, m)
+    if data.draw(st.booleans()):
+        xs = np.array(data.draw(st.lists(st.integers(0, p - 1), max_size=p)), dtype=np.int64)
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    values = st.sampled_from([-1, 0, 1]) | st.integers(-100, 100)
+    weights = np.array(data.draw(st.lists(values, min_size=len(xs), max_size=len(xs))), dtype)
+    idx = data.draw(st.lists(st.integers(0, p**d - 1), max_size=2 * p))
+    expected = (reference_matrix(p, d, xs) @ weights.astype(np.int64))[idx]
+    for cells in (_kernels.BLOCK_CELLS, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "BLOCK_CELLS", cells)
+            got = _kernels.index_sums(p, d, idx, xs, weights)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+    with pytest.raises(ValueError, match="index"):
+        _kernels.index_sums(p, d, [p**d], xs, weights)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

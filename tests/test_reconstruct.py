@@ -19,7 +19,7 @@ from hiddenpoly import _kernels, reconstruct
 from hiddenpoly.ffield import PrimeModulus, legendre
 from hiddenpoly.limits import BudgetExceeded
 from hiddenpoly.oracle import OracleSession
-from hiddenpoly.poly import enumerate_monic, parse_poly, random_squarefree
+from hiddenpoly.poly import MonicPoly, enumerate_monic, parse_poly, random_squarefree
 from hiddenpoly.reconstruct import (
     AlgorithmParams,
     _stage1_sieve,
@@ -230,12 +230,12 @@ class TestTwoStage:
         assert peak < 16 * 2**20
 
     def test_budget_counts_the_prefix_scan(self):
-        # p^2 candidates over min(N, PREFIX) points, then the survivors' tails
+        # p^2 candidates over min(N, ROUNDS[0]) points, then the survivors' later rounds
         m = PrimeModulus(101)
         session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
         with pytest.raises(BudgetExceeded):
-            two_stage_recover(session, 2, budget=101**2 * reconstruct.PREFIX - 1)
-        report = two_stage_recover(session, 2, budget=101**2 * reconstruct.PREFIX)
+            two_stage_recover(session, 2, budget=101**2 * reconstruct.ROUNDS[0] - 1)
+        report = two_stage_recover(session, 2, budget=101**2 * reconstruct.ROUNDS[0])
         assert report.recovered == session.hidden
 
 
@@ -246,14 +246,14 @@ SIEVE_PRIMES = {1: (3, 5, 7, 11, 13, 17, 19, 23, 29, 31), 2: (3, 5, 7, 11, 13, 2
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stage1_sieve_matches_the_full_filter(data):
-    """The prefix sieve keeps exactly the candidates the full scan keeps.
+    """The sieve in rounds keeps exactly the candidates the full scan keeps.
 
     Windows start anywhere, so some wrap past p - 1; weights include zeros
-    on both sides of the prefix; thresholds run from negative (every
-    candidate survives) to unreachable.  Besides the production prefix,
-    short prefixes make most windows carry a tail, and one-cell blocks
-    split the candidates into many blocks per thread on either d >= 2
-    route.
+    on both sides of the first boundary; thresholds run from negative
+    (every candidate survives) to unreachable.  Besides the production
+    rounds, short first rounds make most windows carry later rounds, and
+    one-cell blocks split the candidates into many blocks per thread on
+    either d >= 2 route.
     """
     d = data.draw(st.sampled_from([1, 2, 3]))
     p = data.draw(st.sampled_from(SIEVE_PRIMES[d]))
@@ -263,16 +263,16 @@ def test_stage1_sieve_matches_the_full_filter(data):
         data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m)),
         dtype=np.int64,
     )
-    prefix = data.draw(st.sampled_from([reconstruct.PREFIX, 1, 2, 5]))
+    rounds = data.draw(st.sampled_from([reconstruct.ROUNDS, (1,), (5,), (2, 5)]))
     if data.draw(st.booleans()):
-        weights[data.draw(st.integers(0, min(m, prefix) - 1))] = 0
-        if m > prefix:
-            weights[data.draw(st.integers(prefix, m - 1))] = 0
+        weights[data.draw(st.integers(0, min(m, rounds[0]) - 1))] = 0
+        if m > rounds[0]:
+            weights[data.draw(st.integers(rounds[0], m - 1))] = 0
     threshold = data.draw(st.one_of(st.integers(-2, m + 2), st.integers(m - 3, m)))
     corr = _kernels.windowed_correlations(p, d, x0, m, weights)
     expected = np.flatnonzero(np.abs(corr) >= threshold)
     for scan_cells, hankel_cells in ((_kernels.SCAN_CELLS, _kernels.HANKEL_CELLS), (1, 1)):
-        with mock.patch.object(reconstruct, "PREFIX", prefix), \
+        with mock.patch.object(reconstruct, "ROUNDS", rounds), \
                 mock.patch.object(_kernels, "SCAN_CELLS", scan_cells), \
                 mock.patch.object(_kernels, "HANKEL_CELLS", hankel_cells):
             for threads in (1, 3):
@@ -281,6 +281,17 @@ def test_stage1_sieve_matches_the_full_filter(data):
                 )
                 assert idx == expected.tolist()
                 assert sums == corr[expected].tolist()
+
+
+def test_stage1_sieve_sums_int8_answers_in_int64():
+    # query_block's raw int8 answers over N = 191 points at p = 1000003: the
+    # hidden candidate's sum of 191 would wrap if the tail points were summed
+    # in the weights' dtype, and no candidate would survive
+    m = PrimeModulus(1000003)
+    session = OracleSession(MonicPoly([885440], m), rng_seed=0)
+    weights = session.query_block(np.arange(1, 192))
+    assert weights.dtype == np.int8
+    assert _stage1_sieve(m, 1, 1, weights, 190, 1, None) == ([885440], [191])
 
 
 class TestWork:
