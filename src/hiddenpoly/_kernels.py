@@ -6,8 +6,8 @@ digits, and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for any array
 of rows, so chi(g(x_j)) = chi2[u_j + s_0] in the doubled int8 character
 table chi2, the only table kept besides its signed copy.  ``chi_blocks``
 gathers whole rows, the s_0 axis a slice of chi2, and
-``chi_window_matrix`` copies its blocks out; ``index_sums`` gathers any
-list of candidates and reduces them against integer weights in int64.
+``chi_window_matrix`` copies its blocks out; ``index_rows`` gathers any
+list of candidates, which ``index_sums`` reduces against weights in int64.
 ``_candidate_sums`` turns rows into the exact window sums of consecutive
 candidates for weights in {-1, 0, 1}, which ``windowed_correlations``
 (every sum) and ``correlation_survivors`` (the sums that reach a bound)
@@ -146,26 +146,36 @@ def chi_blocks(p: int, d: int, xs, lo: int, hi: int, cells: int = BLOCK_CELLS, s
         yield h, windows[offsets(np.arange(h, min(hi, h + step), dtype=np.int64)) + shift]
 
 
+def _index_rows(p: int, d: int, idx, offsets) -> np.ndarray:
+    # index_rows with offsets = _row_offsets(p, d, xs) built by the caller
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and not (0 <= idx.min() and idx.max() < p**d):
+        raise ValueError("candidate index out of range")
+    rows, s0 = np.divmod(idx, p)
+    u = offsets(rows)
+    u += s0[:, None]
+    return _chi2(p)[u]
+
+
+def index_rows(p: int, d: int, idx, xs) -> np.ndarray:
+    """rows[k, j] = chi(g_{idx[k]}(xs[j])) as int8, one gather of chi2 at g(x) - s_0 + s_0."""
+    return _index_rows(p, d, idx, _row_offsets(p, d, xs))
+
+
 def index_sums(p: int, d: int, idx, xs, weights) -> np.ndarray:
     """sums[k] = sum_j weights[j] * chi(g_{idx[k]}(xs[j])) for every index of idx, as int64.
 
     idx lists candidate indices in any order, repeats allowed, and xs
     residues in [0, p).  A block of about BLOCK_CELLS cells (at least one
-    candidate) is one int8 gather of chi2 at g(x) - s_0 mod p plus s_0 and
-    one int64 product with the weights, whatever their dtype.
+    candidate) is one ``index_rows`` gather and one int64 product with the
+    weights, whatever their dtype.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and not (0 <= idx.min() and idx.max() < p**d):
-        raise ValueError("candidate index out of range")
     w = np.asarray(weights, dtype=np.int64)
-    offsets, chi2 = _row_offsets(p, d, xs), _chi2(p)
+    offsets = _row_offsets(p, d, xs)
     sums = np.empty(len(idx), dtype=np.int64)
     step = max(1, BLOCK_CELLS // max(1, len(w)))
     for k in range(0, len(idx), step):
-        rows, s0 = np.divmod(idx[k : k + step], p)
-        u = offsets(rows)
-        u += s0[:, None]
-        sums[k : k + step] = chi2[u] @ w
+        sums[k : k + step] = _index_rows(p, d, idx[k : k + step], offsets) @ w
     return sums
 
 

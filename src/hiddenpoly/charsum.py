@@ -20,12 +20,12 @@ Each sweep calls a primitive that is cross-checked against a plain loop:
 kernel: the pair sweep reads every monic quadratic once, the Weil sweep
 one F per translation orbit x -> x + a, which keeps its max |sum|
 exhaustive.
-``multilinear_form_sums`` takes a prime's whole batch of form sets and
-evaluates the sets of each size as one chunked array product.
-``moment_sums`` takes weights in {-1, 0, 1}, streams the candidates in
-row blocks into a histogram of the integer inner sums, one histogram per
-class of columns equal up to sign, and returns its moments as Python
-ints.
+``multilinear_form_sums`` reduces and checks a prime's whole batch of form
+sets as one int64 table and evaluates the sets of each size as one chunked
+array product.  ``moment_sums`` takes weights in {-1, 0, 1}, groups columns
+equal up to sign with one lexsort, streams the candidates in row blocks into
+one histogram of the integer inner sums per class, and sums its moments in
+int64 base-2^b digits, joined as Python ints.  Both records are NamedTuples.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +65,7 @@ __all__ = [
 SHORT_WEIL_CONSTANT = 1.0
 
 
-@dataclass(frozen=True)
-class BoundCheckRow:
+class BoundCheckRow(NamedTuple):
     """One checked instance: a measured value against its bound formula."""
 
     lemma: str
@@ -79,8 +77,7 @@ class BoundCheckRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """S_0 + S_1*c_1 + ... + S_{d-1}*c_{d-1} + c_d over F_p.
 
     The S_0 coefficient is fixed to 1; `coefficients` holds (c_1, ..., c_{d-1})
@@ -108,25 +105,33 @@ def multilinear_form_sums(
 ) -> np.ndarray:
     """out[k] = sum over (S_0,...,S_{d-1}) in F_p^d of chi(prod_v L_v(S)) for set k.
 
-    Each set holds pairwise distinct forms (after reduction mod p); sets may
-    differ in size.  Returns one exact int64 sum per set, in order.  Sets
-    of the same size are evaluated together as one (sets, rows, p) product
-    of the shifted S_0 axis, in chunks of at most about BLOCK_CELLS cells.
+    Each set holds pairwise distinct forms (after reduction mod p) whose
+    coefficients fit int64; sets may differ in size.  Returns one exact
+    int64 sum per set, in order.  Sets of the same size are evaluated
+    together as one (sets, rows, p) product of the shifted S_0 axis, in
+    chunks of at most about BLOCK_CELLS cells.
     """
     p = modulus.p
     if d < 1:
         raise ValueError("d must be at least 1")
-    groups: dict[int, list[int]] = {}
-    reduced_sets = []
-    for k, forms in enumerate(form_sets):
-        reduced = [f.reduced(p) for f in forms]
-        if any(len(f.coefficients) != d - 1 for f in reduced):
-            raise ValueError("each form needs d-1 S_1..S_{d-1} coefficients")
-        if len(set(reduced)) != len(reduced):
+    flat = [form for forms in form_sets for form in forms]
+    if any(len(c) != d - 1 for c, _ in flat):
+        raise ValueError("each form needs d-1 S_1..S_{d-1} coefficients")
+    # table[i] = (c_1, ..., c_{d-1}, c_d) of the i-th form of the batch, reduced mod p
+    table = np.array([(*c, b) for c, b in flat], dtype=np.int64).reshape(len(flat), d) % p
+    sizes = np.array([len(forms) for forms in form_sets], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # groups[n] = (members, forms): forms[k, v] is form v of the set members[k]
+    groups = {}
+    for n in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == n)
+        forms = table[starts[members, None] + np.arange(n)]
+        # sorted within each set, a repeated form sits next to its copy
+        ranked = np.take_along_axis(forms, np.lexsort(forms.transpose(2, 0, 1))[..., None], 1)
+        if (ranked[:, 1:] == ranked[:, :-1]).all(axis=2).any():
             raise ValueError("forms must be pairwise distinct")
-        reduced_sets.append(reduced)
-        groups.setdefault(len(reduced), []).append(k)
-    check_ops(sum(p**d * max(1, len(r)) for r in reduced_sets), budget, "multilinear form scan")
+        groups[n] = members, forms
+    check_ops(p**d * int(np.maximum(sizes, 1).sum()), budget, "multilinear form scan")
 
     # the sum runs over all of F_p^d, so the rows (S_1, ..., S_{d-1}) may come
     # in any order; a chunk takes whole sets when one set's p^d cells fit in
@@ -137,14 +142,10 @@ def multilinear_form_sums(
     rows = p ** (d - 1)
     row_step = min(rows, max(1, _kernels.BLOCK_CELLS // p))
     set_step = max(1, _kernels.BLOCK_CELLS // (rows * p))
-    out = np.zeros(len(reduced_sets), dtype=np.int64)
-    for n_forms, members in groups.items():
+    out = np.zeros(len(form_sets), dtype=np.int64)
+    for n_forms, (members, forms) in groups.items():
         # coeffs[k, v] = (c_1, ..., c_{d-1}) of form v in set k, consts[k, v] = c_d
-        forms = [f for k in members for f in reduced_sets[k]]
-        coeffs = np.array([f.coefficients for f in forms], dtype=np.int64)
-        coeffs = coeffs.reshape(len(members), n_forms, d - 1)
-        consts = np.array([f.constant for f in forms], dtype=np.int64)
-        consts = consts.reshape(len(members), n_forms)
+        coeffs, consts = forms[..., :-1], forms[..., -1]
         for a in range(0, len(members), set_step):
             c, b = coeffs[a : a + set_step], consts[a : a + set_step]
             for h in range(0, rows, row_step):
@@ -197,7 +198,12 @@ def moment_sums(
     # the first nonzero entry of each column (0 for an all-zero column) sets its sign
     first = w8[np.argmax(w8 != 0, axis=0), np.arange(trials)]
     w8 *= np.where(first < 0, -1, 1).astype(np.int8)
-    classes, inverse = np.unique(w8, axis=1, return_inverse=True)
+    # sorted by its rows, a column opens a new class where it differs from the one before
+    order = np.lexsort(w8)
+    ranked = w8[:, order]
+    new = np.concatenate([[True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)])
+    classes = ranked[:, new]
+    inverse = (np.cumsum(new) - 1)[np.argsort(order)]
     k = classes.shape[1]
     chi = _kernels.chi_window_matrix(p, d, 1, n)
     # float32 is exact: every partial sum is an integer of size at most N, and
@@ -211,9 +217,15 @@ def moment_sums(
         codes = np.abs(chi[lo : lo + step].astype(np.float32) @ wf).astype(np.int64)
         codes += offsets
         counts += np.bincount(codes.ravel(), minlength=len(counts))
-    powers = np.array([[v ** (2 * r) for v in range(n + 1)] for r in rs], dtype=object)
-    moments = powers.reshape(len(rs), n + 1) @ counts.reshape(k, n + 1).T.astype(object)
-    return moments[:, inverse.reshape(-1)]
+    # sum_v counts[j, v] * v^(2r) digit by digit, v^(2r) in base 2^b: class j's
+    # counts sum to p^d < 2^(63 - b), so each digit's sum is an exact int64
+    b = 63 - (p**d).bit_length()
+    shifts = range(0, (n ** (2 * max(rs, default=1))).bit_length(), b)
+    digits = np.array([[[(v ** (2 * r) >> s) % (1 << b) for v in range(n + 1)] for s in shifts]
+                       for r in rs], dtype=np.int64)
+    parts = digits.reshape(len(rs), len(shifts), n + 1) @ counts.reshape(k, n + 1).T
+    moments = np.array([1 << s for s in shifts], dtype=object) @ parts.astype(object)
+    return moments[:, inverse]
 
 
 def weil_bound(degree: int, p: int) -> float:
@@ -261,14 +273,13 @@ def sweep_pair_identity(
         check_ops(p**3, budget, "pair-identity sweep")
         ones = np.ones(p, dtype=np.int64)
         sums = _kernels.windowed_correlations(p, 2, 0, p, ones, threads=threads)
-        for a, b in itertools.product(range(p), repeat=2):
-            measured = int(sums[a * b % p + (a + b) % p * p])
-            expected = p - 1 if a == b else -1
-            rows.append(BoundCheckRow(
-                lemma="pair-identity", p=p, d=1,
-                params=f"a={a};b={b}",
-                measured=float(measured), bound=float(expected), passed=measured == expected,
-            ))
+        a, b = np.divmod(np.arange(p * p, dtype=np.int64), p)
+        measured = sums[a * b % p + (a + b) % p * p].astype(np.float64).tolist()
+        expected = np.where(a == b, p - 1.0, -1.0).tolist()
+        rows += [
+            BoundCheckRow("pair-identity", p, 1, f"a={i};b={j}", m, e, m == e)
+            for (i, j), m, e in zip(itertools.product(range(p), repeat=2), measured, expected)
+        ]
     return rows
 
 
@@ -365,18 +376,18 @@ def sweep_mult_weil(
         rng = random.Random(f"{seed}:{p}")
         form_sets = []
         for i in range(500):
-            forms: set[LinearForm] = set()
-            while len(forms) < 1 + i % 3:
-                forms.add(LinearForm((rng.randrange(p),), rng.randrange(p)))
-            form_sets.append(sorted(forms, key=lambda f: (f.coefficients, f.constant)))
+            # (c_1, c_2) per form, the coefficient drawn before the constant
+            pairs: set[tuple[int, int]] = set()
+            while len(pairs) < 1 + i % 3:
+                pairs.add((rng.randrange(p), rng.randrange(p)))
+            form_sets.append([LinearForm((c,), b) for c, b in sorted(pairs)])
         sums = multilinear_form_sums(form_sets, 2, modulus, budget)
-        for i, (forms, measured) in enumerate(zip(form_sets, sums.tolist())):
-            bound = mult_weil_bound(len(forms), 2, p)
-            rows.append(BoundCheckRow(
-                lemma="mult-weil", p=p, d=2,
-                params=f"sample={i};forms={len(forms)}",
-                measured=float(measured), bound=bound, passed=abs(measured) <= bound,
-            ))
+        bounds = {n: mult_weil_bound(n, 2, p) for n in (1, 2, 3)}
+        rows += [
+            BoundCheckRow("mult-weil", p, 2, f"sample={i};forms={len(forms)}",
+                          float(m), bounds[len(forms)], abs(m) <= bounds[len(forms)])
+            for i, (forms, m) in enumerate(zip(form_sets, sums.tolist()))
+        ]
     return rows
 
 

@@ -121,14 +121,12 @@ def _bound_rows(args: argparse.Namespace) -> list[charsum.BoundCheckRow]:
 
 
 def _rows_to_csv(rows: list[charsum.BoundCheckRow]) -> str:
-    lines = ["lemma,p,d,params,measured,bound,pass"]
-    for r in rows:
-        params = r.params.replace(",", ";")
-        lines.append(
-            f"{r.lemma},{r.p},{r.d},{params},{r.measured!r},{r.bound!r},"
-            f"{'pass' if r.passed else 'fail'}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"{lemma},{p},{d},{params.replace(',', ';')},{measured!r},{bound!r},"
+        f"{'pass' if passed else 'fail'}"
+        for lemma, p, d, params, measured, bound, passed in rows
+    ]
+    return "\n".join(["lemma,p,d,params,measured,bound,pass", *lines]) + "\n"
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
@@ -142,7 +140,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     if violations:
         _err(f"{len(violations)} bound violation(s)")
         for r in violations[:20]:
-            _err(f"  {r.lemma} p={r.p} d={r.d} {r.params}: {r.measured} > {r.bound}")
+            _err(f"  {r.lemma} p={r.p} d={r.d} {r.params}: measured={r.measured} bound={r.bound}")
         return 1
     return 0
 

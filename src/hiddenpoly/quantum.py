@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .ffield import PrimeModulus, chi_ext_table
 from .limits import check_ops
-from .poly import MonicPoly, is_squarefree, poly_from_index, poly_index
+from .poly import MonicPoly, is_squarefree, poly_index
 
 __all__ = [
     "GramMatrix",
@@ -174,10 +174,11 @@ def gram_matrix(
         reps = np.flatnonzero(mask[: p ** (d - 1)])
     else:
         reps = np.unique(_translates(p, d, np.flatnonzero(mask)).min(axis=1))
-    signs = np.stack([build_state(poly_from_index(d, modulus, int(r))) for r in reps])
+    signs = _kernels.index_rows(p, d, reps, np.arange(p, dtype=np.int64))
+    # A_r = build_state(g_r): chi(g(x)) is 0 only where g(x) = 0, and chi_ext is +1 there.
     # C[r, s, t] = sum_x A_r(x) A_s(x + t) is a cyclic cross-correlation; every
     # value is an integer of size at most p, so rint makes the FFT exact
-    f = np.fft.rfft(signs.astype(np.float64), axis=1)
+    f = np.fft.rfft(np.where(signs == 0, 1.0, signs), axis=1)
     corr = np.fft.irfft(f.conj()[:, None, :] * f[None, :, :], n=p, axis=2)
     return GramMatrix(
         order=int(mask.sum()),

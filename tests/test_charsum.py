@@ -117,6 +117,48 @@ class TestPairIdentity:
             assert row.bound == (row.p - 1 if a == b else -1)
             assert row.passed
 
+    def test_rows_match_a_plain_loop_in_order(self):
+        # the sweep's rows, built from one array read, against rows built one
+        # (a, b) pair at a time: same order, params, values and verdicts
+        for p in (7, 13):
+            want = []
+            for a in range(p):
+                for b in range(p):
+                    measured = _direct_sum(MonicPoly((a * b % p, (a + b) % p), PrimeModulus(p)),
+                                           range(p))
+                    expected = p - 1 if a == b else -1
+                    want.append(BoundCheckRow("pair-identity", p, 1, f"a={a};b={b}",
+                                              float(measured), float(expected),
+                                              measured == expected))
+            got = charsum.sweep_pair_identity((p,))
+            assert got == want
+            assert [type(v) for v in got[0]] == [str, int, int, str, float, float, bool]
+
+
+class TestRecords:
+    def test_immutable_and_hashable(self):
+        row = BoundCheckRow("weil", 7, 2, "x", 1.0, 2.0, True)
+        form = LinearForm((1, 2), 3)
+        for record, field in ((row, "measured"), (form, "constant")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        assert len({row, BoundCheckRow("weil", 7, 2, "x", 1.0, 2.0, True)}) == 1
+        assert len({form, LinearForm((1, 2), 3), LinearForm((1, 2), 4)}) == 2
+        assert form.reduced(2) == LinearForm((1, 0), 1)
+        assert row._fields == ("lemma", "p", "d", "params", "measured", "bound", "passed")
+        assert form._fields == ("coefficients", "constant")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_forms_equal_after_reduction_are_refused(self, d):
+        # the repeat may sit anywhere in a set of any size, and differ only mod p
+        m = PrimeModulus(5)
+        forms = [LinearForm((1,) * (d - 1), 0), LinearForm((2,) * (d - 1), 1),
+                 LinearForm((-4,) * (d - 1), 10)]
+        good = [[LinearForm((0,) * (d - 1), 4)], forms[:2]]
+        assert len(multilinear_form_sums(good, d, m)) == 2
+        with pytest.raises(ValueError, match="^forms must be pairwise distinct$"):
+            multilinear_form_sums([*good, forms], d, m)
+
 
 def _direct_multilinear(m, d, forms):
     # sum over F_p^d of chi(prod_v L_v(S)) by plain loops in Python ints
@@ -277,6 +319,33 @@ class TestMoment:
         want = _direct_moment(m, 1, w[:, 0], 5)
         assert want == 100000000000000051200
         assert int(got) == want and isinstance(got, int)
+
+    def test_exact_over_several_digits(self):
+        # 43^24 is about 2^130, so at p^d = 101 each v^(2r) spans three int64
+        # digits of 56 bits; the weights make g = x + 3's inner sum 43
+        m = PrimeModulus(101)
+        assert (43**24).bit_length() > 2 * (63 - (101).bit_length())
+        w = np.array([[_chi(m, x + 3)] for x in range(1, 44)])
+        w = np.hstack([w, np.random.default_rng(5).choice(np.array([-1, 1]), size=(43, 1))])
+        got = moment_sums(w, 1, [1, 12], m)
+        for t in range(2):
+            assert got[1, t] == _direct_moment(m, 1, w[:, t], 12)
+            assert got[0, t] == _direct_moment(m, 1, w[:, t], 1)
+        assert got[1, 0] > 43**24 and isinstance(got[1, 0], int)
+
+    def test_zero_duplicate_and_negated_columns(self):
+        # one call over an all-zero column, a column, its duplicate and its
+        # negation gives each column the moments of its own single-column call
+        m = PrimeModulus(11)
+        col = np.array([1, -1, 0, 1, 1])
+        other = np.array([0, 1, 1, -1, 0])
+        w = np.stack([np.zeros(5, dtype=np.int64), col, other, col, -col, -other], axis=1)
+        got = moment_sums(w, 2, [1, 3], m)
+        assert got.shape == (2, 6) and (got[:, 0] == 0).all()
+        for t in range(6):
+            assert list(got[:, t]) == list(moment_sums(w[:, t:t + 1], 2, [1, 3], m)[:, 0])
+        assert list(got[:, 1]) == list(got[:, 3]) == list(got[:, 4])
+        assert list(got[:, 2]) == list(got[:, 5]) != list(got[:, 1])
 
     def test_peak_memory_is_streamed(self):
         # the default sweep's largest cell; holding the p^d x T sums in

@@ -207,6 +207,31 @@ class TestVerifyBounds:
         assert out == ""
         assert err == "error: --p needs at least one prime\n"
 
+    def test_violation_exits_1_with_the_full_csv(self, capsys, monkeypatch):
+        # a pair-identity row measured below its expected value fails: the CSV
+        # still holds every row, and stderr names the row without a direction
+        argv = ("verify-bounds", "--p", "7")
+        code, clean, _ = run(capsys, *argv)
+        assert code == 0
+        sweep = charsum.sweep_pair_identity
+
+        def failing(*args, **kwargs):
+            rows = sweep(*args, **kwargs)
+            rows[1] = rows[1]._replace(measured=-3.0, passed=False)
+            return rows
+
+        monkeypatch.setattr(charsum, "sweep_pair_identity", failing)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        want = clean.splitlines()
+        assert want[2] == "pair-identity,7,1,a=0;b=1,-1.0,-1.0,pass"
+        want[2] = "pair-identity,7,1,a=0;b=1,-3.0,-1.0,fail"
+        assert out.splitlines() == want
+        assert err.splitlines() == [
+            "error: 1 bound violation(s)",
+            "error:   pair-identity p=7 d=1 a=0;b=1: measured=-3.0 bound=-1.0",
+        ]
+
     @pytest.mark.parametrize("lemma", charsum.SWEEPS)
     def test_every_sweep_honours_the_budget(self, capsys, lemma):
         code, out, err = run(

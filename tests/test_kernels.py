@@ -98,7 +98,8 @@ def test_index_sums_match_reference(problem, data):
     # any index list (unsorted, repeated or empty) over a window that may wrap
     # past p - 1 through 0, or over any list of residues; int8 or int64
     # weights, zeros among them, summed in int64 whatever their dtype; in the
-    # production blocks and in blocks of one candidate
+    # production blocks and in blocks of one candidate; index_rows gives the
+    # int8 rows those sums reduce
     p, d, x0, m = problem
     xs = window(p, x0, m)
     if data.draw(st.booleans()):
@@ -107,7 +108,11 @@ def test_index_sums_match_reference(problem, data):
     values = st.sampled_from([-1, 0, 1]) | st.integers(-100, 100)
     weights = np.array(data.draw(st.lists(values, min_size=len(xs), max_size=len(xs))), dtype)
     idx = data.draw(st.lists(st.integers(0, p**d - 1), max_size=2 * p))
-    expected = (reference_matrix(p, d, xs) @ weights.astype(np.int64))[idx]
+    ref = reference_matrix(p, d, xs)
+    rows = _kernels.index_rows(p, d, idx, xs)
+    assert rows.dtype == np.int8 and rows.shape == (len(idx), len(xs))
+    assert np.array_equal(rows, ref[idx])
+    expected = (ref @ weights.astype(np.int64))[idx]
     for cells in (_kernels.BLOCK_CELLS, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "BLOCK_CELLS", cells)
@@ -116,6 +121,8 @@ def test_index_sums_match_reference(problem, data):
         assert np.array_equal(got, expected)
     with pytest.raises(ValueError, match="index"):
         _kernels.index_sums(p, d, [p**d], xs, weights)
+    with pytest.raises(ValueError, match="index"):
+        _kernels.index_rows(p, d, [-1], xs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
