@@ -4,21 +4,32 @@ Candidates are addressed by index = sum_i s_i p^i (the package-wide
 lexicographic order).  Row h fixes (s_1, ..., s_{d-1}) to its base-p
 digits, and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for any array
 of rows, so chi(g(x_j)) = chi2[u_j + s_0] in the doubled int8 character
-table chi2, the only table kept besides its signed copy.  ``chi_blocks``
-gathers whole rows, the s_0 axis a slice of chi2, and
-``chi_window_matrix`` copies its blocks out; ``index_rows`` gathers any
-list of candidates, which ``index_sums`` reduces against weights in int64.
-``_candidate_sums`` turns rows into the exact window sums of consecutive
-candidates for weights in {-1, 0, 1}, which ``windowed_correlations``
-(every sum) and ``correlation_survivors`` (the sums that reach a bound)
-consume.  At d >= 2 the window length picks one of two routes:
+table chi2, the only table kept.  ``chi_blocks`` gathers whole rows, the
+s_0 axis a slice of chi2, and ``chi_window_matrix`` copies its blocks
+out; ``index_rows`` gathers any list of candidates, which ``index_sums``
+reduces against weights in int64.  ``translate_index`` maps an index and
+a shift a to the index of g(x + a).  ``_candidate_sums`` turns rows into
+the exact window sums of consecutive candidates for weights in
+{-1, 0, 1}, which ``windowed_correlations`` (every sum) and
+``correlation_survivors`` (the sums that reach a bound) consume.  At
+d >= 2 the window length picks one of two routes:
 
-- short windows (HANKEL_RATIO * m < p): a sum is one sum over a
-  chi_blocks block whose -1 points read a negated copy of chi2,
-  accumulated in int8 when m < 2^7, int16 when m < 2^15 and int32
-  otherwise, so no partial sum (at most m in magnitude) overflows.
-- long windows (HANKEL_RATIO * m >= p and m < 2^24): every sum of row h
-  is c(h, s_0) = sum_u hist_h[u] * chi((u + s_0) mod p), where hist_h[u]
+- short windows (HANKEL_RATIO * m < p and p does not divide d): the scan
+  runs over translation orbits.  x -> x + a keeps g monic and moves
+  s_{d-1} by d*a, so every candidate is g0_h(x + a) + E for exactly one
+  (h, a, E) in [0, p^(d-2)) x F_p x F_p, where g0_h, of index h*p, has
+  zero x^(d-1) and constant terms.  Its window sums are
+  c(h, a, E) = sum_j w_j T_h[x0 + a + j, E] with the table
+  T_h[y, E] = chi2[g0_h(y mod p) + E].  A block of R consecutive a
+  gathers the R + m - 1 rows of T_h it reads, at most about 2R at a time,
+  then adds the +1 points' (R x p) slabs T_h[j : j + R] and subtracts the
+  -1 points', in int8 when m < 2^7, int16 when m < 2^15 and int32
+  otherwise, so no partial sum (at most m in magnitude) overflows.  Its
+  row r is the orbit row of g0_h(x + a + r), whose index gives every
+  other one: E moves s_0 by E mod p and no other digit.
+- long windows (HANKEL_RATIO * m >= p and m < 2^24), and every window
+  when p divides d (so p <= d): every sum of row h is
+  c(h, s_0) = sum_u hist_h[u] * chi((u + s_0) mod p), where hist_h[u]
   sums the weights of the points with u_j = u.  So a block of rows is one
   float32 product of its (rows x p) histogram matrix with the p x p
   Hankel matrix chi2[u + s_0], copied once per scan and shared by its
@@ -64,6 +75,7 @@ time of several runs, ms (FFT / slices; int16 slices at m = 128):
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -75,11 +87,10 @@ from .limits import check_ops
 from .poly import is_squarefree, poly_from_index
 
 # Cells (rows x points x p) per block yielded by chi_blocks: about 2^16 by
-# default, small enough that a block stays in cache.  The window sums read
-# each block once, so there the per-block overhead dominates and blocks of
-# about SCAN_CELLS measured fastest.
+# default, small enough that a block stays in cache.  The d >= 2 short
+# route sums blocks of about SCAN_CELLS candidates (R orbit rows x p)
 BLOCK_CELLS = 1 << 16
-SCAN_CELLS = 1 << 19
+SCAN_CELLS = 1 << 17
 # d = 1 windows of m < SLICE_BELOW points: int8 slice sums in runs of at most
 # SLICE_RUN candidates (module docstring).  Longer windows: overlap-save in
 # runs of about FFT_RUN candidates, rounded to whole blocks (at least one) of
@@ -95,10 +106,10 @@ HANKEL_SPLIT = 16
 
 
 @lru_cache(maxsize=64)
-def _chi2(p: int, signed: bool = False) -> np.ndarray:
-    # the doubled table; signed appends its negation, read by the short route's -1 points
+def _chi2(p: int) -> np.ndarray:
+    # the doubled table: chi2[b] = chi(b mod p) for b < 2p
     base = chi_table(PrimeModulus(p))
-    arr = np.concatenate([base, base, -base, -base] if signed else [base, base])
+    arr = np.concatenate([base, base])
     arr.setflags(write=False)
     return arr
 
@@ -128,22 +139,47 @@ def _row_offsets(p: int, d: int, xs: np.ndarray):
     return offsets
 
 
-def chi_blocks(p: int, d: int, xs, lo: int, hi: int, cells: int = BLOCK_CELLS, signs=None):
+def chi_blocks(p: int, d: int, xs, lo: int, hi: int, cells: int = BLOCK_CELLS):
     """Yield (h, block) covering the high-digit rows lo <= h < hi in order.
 
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h and spans the
     candidates h*p + s_0.  block[r, j, s_0] = chi(g(xs[j])) as int8 for the
-    monic degree-d g of index (h + r)*p + s_0, times signs[j] (one +-1 per
-    point) when signs is given.  A block holds about ``cells`` cells, at
-    least one row; p must pass check_int64_products(p, d).
+    monic degree-d g of index (h + r)*p + s_0.  A block holds about
+    ``cells`` cells, at least one row; p must pass check_int64_products(p, d).
     """
     offsets = _row_offsets(p, d, xs)
-    # windows[b] = chi((b + s_0) mod p) for b < p, and its negation from b = 2p on
-    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p, signs is not None), p)
-    shift = 0 if signs is None else np.where(np.asarray(signs) < 0, 2 * p, 0)
+    # windows[b] = chi((b + s_0) mod p) for b < p
+    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p), p)
     step = max(1, cells // max(1, len(xs) * p))
     for h in range(lo, hi, step):
-        yield h, windows[offsets(np.arange(h, min(hi, h + step), dtype=np.int64)) + shift]
+        yield h, windows[offsets(np.arange(h, min(hi, h + step), dtype=np.int64))]
+
+
+def translate_index(p: int, d: int, idx, shift) -> np.ndarray:
+    """Index of g(x + a) for the monic degree-d g of index idx, elementwise.
+
+    idx and shift a broadcast against each other.  Coefficient i of
+    g(x + a) is sum_{j >= i} s_j binom(j, i) a^(j - i), with s_d = 1.
+    """
+    check_int64_products(p)
+    idx, a = np.asarray(idx, dtype=np.int64), np.asarray(shift, dtype=np.int64) % p
+    s = [idx // p**j % p for j in range(d)] + [1]
+    powers = [1, a]  # powers[e] = a^e mod p
+    for _ in range(2, d + 1):
+        powers.append(powers[-1] * a % p)
+    out = np.zeros(np.broadcast_shapes(idx.shape, a.shape), dtype=np.int64)
+    for i in range(d):
+        ci = s[i]
+        for j in range(i + 1, d + 1):
+            ci = (ci + s[j] * (math.comb(j, i) % p * powers[j - i] % p)) % p
+        out += ci * p**i
+    return out
+
+
+def _orbit_indices(p: int, first, e) -> np.ndarray:
+    # index of the candidate E = e of the orbit row whose E = 0 candidate has index
+    # first: E moves s_0 by e mod p and keeps the higher digits
+    return first - first % p + (first + e) % p
 
 
 def _index_rows(p: int, d: int, idx, offsets) -> np.ndarray:
@@ -223,7 +259,7 @@ def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.nd
 
 def _hankel(p: int, d: int, m: int) -> np.ndarray | None:
     """The long route's float32 matrix chi2[u + s_0] for u, s_0 < p; None on the other routes."""
-    if d == 1 or HANKEL_RATIO * m < p or m >= 1 << 24:
+    if d == 1 or (HANKEL_RATIO * m < p and d % p) or m >= 1 << 24:
         return None
     return np.lib.stride_tricks.sliding_window_view(_chi2(p), p)[:p].astype(np.float32)
 
@@ -234,10 +270,12 @@ def _candidate_sums(
     """Yield (i, c) for runs of consecutive candidates covering lo .. hi - 1 in order.
 
     c[k] = sum_j w[j] * chi(g_{i+k}(x0 + j mod p)) for candidate i + k, as
-    exact integers: int8, int16 or int32 at d >= 2, int8 or float64 at
-    d = 1 (module docstring).  At d >= 2, lo and hi are multiples of p, so the
+    exact integers: int32 on the long route, int8 or float64 at d = 1
+    (module docstring).  At d >= 2, lo and hi are multiples of p, so the
     runs are whole rows.  hankel is _hankel(p, d, len(w)), built once per
-    scan and shared by its threads.
+    scan and shared by its threads; when it is None at d >= 2, lo .. hi - 1
+    are positions o*p + E in orbit coordinates and the runs those of
+    ``_orbit_sums``, (first, c) with an array first.
     """
     m = len(w)
     if d == 1:
@@ -258,36 +296,82 @@ def _candidate_sums(
                 yield lo, _sliding_sums(p, m, spectrum, t, n)
             lo += n
         return
-    nz = w != 0  # zero weights drop out
-    xs = ((x0 + np.arange(m, dtype=np.int64)) % p)[nz]
-    if hankel is not None:
-        # row r of a block: hist[r, u] sums the weights of the points with
-        # g(x) - s_0 = u, and c[r, s_0] = sum_u hist[r, u] * chi2[u + s_0]
-        offsets = _row_offsets(p, d, xs)
-        weights = w[nz].astype(np.float64)
-        step = max(1, HANKEL_CELLS // p, p // HANKEL_SPLIT)
-        for h in range(lo // p, hi // p, step):
-            n = min(hi // p, h + step) - h
-            u = offsets(np.arange(h, h + n, dtype=np.int64))
-            u += np.arange(0, n * p, p, dtype=np.int64)[:, None]
-            hist = np.bincount(u.reshape(-1), np.tile(weights, n), n * p).astype(np.float32)
-            yield h * p, (hist.reshape(n, p) @ hankel).astype(np.int32).reshape(-1)
+    if hankel is None:
+        yield from _orbit_sums(p, d, x0, w, lo // p, hi // p)
         return
-    # the -1 points read the negated table, so one sum covers both signs
+    # row r of a block: hist[r, u] sums the weights of the points with
+    # g(x) - s_0 = u, and c[r, s_0] = sum_u hist[r, u] * chi2[u + s_0]
+    nz = w != 0  # zero weights drop out
+    offsets = _row_offsets(p, d, ((x0 + np.arange(m, dtype=np.int64)) % p)[nz])
+    weights = w[nz].astype(np.float64)
+    step = max(1, HANKEL_CELLS // p, p // HANKEL_SPLIT)
+    for h in range(lo // p, hi // p, step):
+        n = min(hi // p, h + step) - h
+        u = offsets(np.arange(h, h + n, dtype=np.int64))
+        u += np.arange(0, n * p, p, dtype=np.int64)[:, None]
+        hist = np.bincount(u.reshape(-1), np.tile(weights, n), n * p).astype(np.float32)
+        yield h * p, (hist.reshape(n, p) @ hankel).astype(np.int32).reshape(-1)
+
+
+def _orbit_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
+    """Yield (first, c) for the orbit rows lo <= o < hi in order; p must not divide d.
+
+    Orbit row o = h*p + a holds the candidates g0_h(x + a) + E for E in F_p
+    (module docstring).  c[r, E] is the window sum of candidate E of orbit
+    row o + r, int8, int16 or int32 by len(w), and first[r] the index of its
+    candidate E = 0, g0_h(x + a + r).  A block holds about SCAN_CELLS sums:
+    whole g0_h's when p^2 fits, else an even share of one g0_h's translates.
+    """
+    m = len(w)
     acc = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 15 else np.int32
-    for h, block in chi_blocks(p, d, xs, lo // p, hi // p, SCAN_CELLS, signs=w[nz]):
-        yield h * p, block.sum(axis=1, dtype=acc).reshape(-1)
+    plus, minus = np.flatnonzero(w > 0).tolist(), np.flatnonzero(w < 0).tolist()
+    values = _row_offsets(p, d, np.arange(p, dtype=np.int64))  # values(hs)[r, y] = g0_h(y)
+    windows = np.lib.stride_tricks.sliding_window_view(_chi2(p), p)
+    step = max(1, SCAN_CELLS // p)
+    run = -(-p // -(-p // step))  # translates per block within one g0_h
+    # g0_h's per chunk: their values and the indices of their translates, two
+    # int64 arrays of about SCAN_CELLS bytes each
+    chunk = max(1, SCAN_CELLS // (8 * p))
+    for h0 in range(lo // p, -(-hi // p), chunk):
+        hs = np.arange(h0, min(-(-hi // p), h0 + chunk), dtype=np.int64)
+        g0s, firsts = values(hs), translate_index(p, d, hs[:, None] * p, np.arange(p))
+        o, end = max(lo, h0 * p), min(hi, (h0 + len(hs)) * p)
+        while o < end:
+            h, a = divmod(o, p)
+            n = min(p - a, end - o, run)
+            hn = max(1, min(step, end - o) // p) if n == p else 1
+            g0 = g0s[h - h0 : h - h0 + hn]
+            c = np.zeros((hn, n, p), dtype=acc)
+            # table[:, i] = T_h[x0 + a + j0 + i] for the block's g0_h's: the rows that
+            # window points j0 .. j1 - 1 read for translates a .. a + n - 1, at most
+            # about 2 * SCAN_CELLS bytes
+            span = step // hn
+            for j0 in range(0, m, span):
+                j1 = min(m, j0 + span)
+                table = windows[g0[:, (x0 + a + np.arange(j0, j1 + n - 1)) % p]]
+                for j in plus:
+                    if j0 <= j < j1:
+                        c += table[:, j - j0 : j - j0 + n]
+                for j in minus:
+                    if j0 <= j < j1:
+                        c -= table[:, j - j0 : j - j0 + n]
+            yield firsts[h - h0 : h - h0 + hn, a : a + n].reshape(-1), c.reshape(-1, p)
+            o += hn * n
 
 
 def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consume) -> None:
     # consume(i, c) for every (i, c) of _candidate_sums over the candidates below
-    # rows * p.  Up to os.cpu_count() threads take contiguous ranges (whole rows at
-    # d >= 2), each consumed in index order, so the thread count never changes results
+    # rows * p; the orbit route scans every orbit row whatever rows, and consume
+    # drops what lies past it.  Up to os.cpu_count() threads take contiguous ranges
+    # (whole rows at d >= 2), each consumed in order, so the thread count never
+    # changes results
+    hankel = _hankel(p, d, len(w))
+    if d > 1 and hankel is None:
+        rows = p ** (d - 1)
     unit = p if d > 1 else 1
     n, t = rows * p // unit, max(1, min(int(threads), os.cpu_count() or 1))
     bounds = [n * k // t * unit for k in range(t + 1)]
     ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    hankel = _hankel(p, d, len(w))
 
     def run(lo: int, hi: int) -> None:
         for i, c in _candidate_sums(p, d, x0, w, lo, hi, hankel):
@@ -317,6 +401,8 @@ def windowed_correlations(
     1 <= m <= p, and the weights lie in {-1, 0, 1}.  Returns int64 in index
     order, of length p^d, or rows * p when only the high-digit rows h < rows
     are scanned (the indices below rows * p; d = 1 has the one row h = 0).
+    A row limit saves no work on the d >= 2 short route, which scans every
+    translation orbit.
     """
     w = _window_weights(p, x0, m, weights)
     rows = p ** (d - 1) if rows is None else rows
@@ -324,8 +410,17 @@ def windowed_correlations(
         raise ValueError("rows must satisfy 1 <= rows <= p^(d-1)")
     corr = np.empty(rows * p, dtype=np.int64)
 
-    def consume(i: int, c: np.ndarray) -> None:
-        corr[i : i + len(c)] = c
+    def consume(i, c: np.ndarray) -> None:
+        if np.ndim(i):
+            # candidate E of orbit row r is row i[r] // p's candidate s_0 = (i[r] + E) mod p,
+            # so each orbit row lands whole, rotated right by i[r] mod p: a window of
+            # the row written twice.  The rows past a row limit drop out
+            keep = i < len(corr)
+            high, s0 = np.divmod(i[keep], p)
+            twice = np.lib.stride_tricks.sliding_window_view(np.tile(c[keep], 2), p, axis=1)
+            corr.reshape(-1, p)[high] = twice[np.arange(len(high)), (p - s0) % p]
+        else:
+            corr[i : i + len(c)] = c
 
     _scan(p, d, x0, w, rows, threads, consume)
     return corr
@@ -344,13 +439,21 @@ def correlation_survivors(
     w = _window_weights(p, x0, m, weights)
     found: dict[int, tuple] = {}
 
-    def consume(i: int, c: np.ndarray) -> None:
+    def consume(i, c: np.ndarray) -> None:
         k = np.flatnonzero(np.abs(c) >= bound)
-        found[i] = (k + i, c[k].astype(np.int64))
+        sums = c.reshape(-1)[k].astype(np.int64)
+        if np.ndim(i):  # orbit rows map back to indices per row: s_0 moves by E = k % p
+            found[int(i[0])] = (_orbit_indices(p, i[k // p], k % p), sums)
+        else:
+            found[i] = (k + i, sums)
 
     _scan(p, d, x0, w, p ** (d - 1), threads, consume)
     parts = [found[i] for i in sorted(found)]
-    return np.concatenate([i for i, _ in parts]), np.concatenate([c for _, c in parts])
+    idx, sums = np.concatenate([i for i, _ in parts]), np.concatenate([c for _, c in parts])
+    if (idx[1:] < idx[:-1]).any():  # the orbit route's survivors come in orbit order
+        order = np.argsort(idx)
+        idx, sums = idx[order], sums[order]
+    return idx, sums
 
 
 def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:

@@ -140,23 +140,6 @@ def choose_k(d: int, epsilon: float) -> int:
     return math.ceil(2 * (d + 1) / epsilon)
 
 
-def _translates(p: int, d: int, idx: np.ndarray) -> np.ndarray:
-    """out[i, a] = index of g(x + a) for the monic degree-d g of index idx[i]."""
-    coeffs = idx[:, None] // p ** np.arange(d + 1, dtype=np.int64) % p
-    coeffs[:, d] = 1
-    powers = np.ones((d + 1, p), dtype=np.int64)  # powers[e] = a^e mod p
-    for e in range(1, d + 1):
-        powers[e] = powers[e - 1] * np.arange(p) % p
-    out = np.zeros((len(idx), p), dtype=np.int64)
-    for i in range(d):
-        # coefficient i of g(x + a) is sum_{j >= i} c_j binom(j, i) a^(j - i)
-        ci = np.zeros_like(out)
-        for j in range(i, d + 1):
-            ci = (ci + coeffs[:, j, None] * (math.comb(j, i) % p * powers[j - i] % p)) % p
-        out += ci * p**i
-    return out
-
-
 def gram_matrix(
     modulus: PrimeModulus, d: int, k: int, *, budget: int | None = None
 ) -> GramMatrix:
@@ -169,12 +152,16 @@ def gram_matrix(
     m = p ** (d - 1) + (p ** (d // p) if d % p == 0 else 0)
     check_ops(m * m * p + (p // 2 + 1) * m**3, budget, "quantum orbit tensor")
     mask = _kernels.squarefree_mask(p, d, budget)
+    xs = np.arange(p, dtype=np.int64)  # the points, and the shifts a of tau_a
     if d % p:
         # tau_a moves s_{d-1} by d*a, so each orbit has one member with s_{d-1} = 0
         reps = np.flatnonzero(mask[: p ** (d - 1)])
     else:
-        reps = np.unique(_translates(p, d, np.flatnonzero(mask)).min(axis=1))
-    signs = _kernels.index_rows(p, d, reps, np.arange(p, dtype=np.int64))
+        # each orbit's smallest index, once each and ascending
+        first = np.zeros(p**d, dtype=bool)
+        first[_kernels.translate_index(p, d, np.flatnonzero(mask)[:, None], xs).min(axis=1)] = True
+        reps = np.flatnonzero(first)
+    signs = _kernels.index_rows(p, d, reps, xs)
     # A_r = build_state(g_r): chi(g(x)) is 0 only where g(x) = 0, and chi_ext is +1 there.
     # C[r, s, t] = sum_x A_r(x) A_s(x + t) is a cyclic cross-correlation; every
     # value is an integer of size at most p, so rint makes the FFT exact
@@ -185,7 +172,7 @@ def gram_matrix(
         k=k,
         d=d,
         modulus=modulus,
-        members=_translates(p, d, reps),
+        members=_kernels.translate_index(p, d, reps[:, None], xs),
         overlaps=np.rint(corr).astype(np.int64),
     )
 
@@ -225,7 +212,9 @@ def measurement_distribution(f: MonicPoly, gram: GramMatrix) -> PovmResult:
     outcomes = np.zeros(p**gram.d)
     outcomes[gram.members] = povm.alpha * row * row  # diagonal gives alpha exactly
     # summed in candidate order, one term per candidate
-    residual = 1.0 - float(outcomes[np.unique(gram.members)].sum())
+    family = np.zeros(p**gram.d, dtype=bool)
+    family[gram.members] = True
+    residual = 1.0 - float(outcomes[family].sum())
     return PovmResult(
         alpha=povm.alpha,
         lambda_max=povm.lambda_max,

@@ -466,3 +466,16 @@ class TestRefusalCost:
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert seconds < 1.0
         assert rss_mb < 100.0
+
+
+def test_quantum_run_does_not_import_numpy_ma():
+    # in numpy 2.x np.unique on a 1-D array imports numpy.ma, about 15 ms of a
+    # fresh process; the quantum path dedupes its indices with boolean masks
+    child = (
+        "import sys\n"
+        "from hiddenpoly.cli import main\n"
+        "assert main(['quantum', '--p', '31', '--d', '2']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

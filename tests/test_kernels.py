@@ -3,29 +3,39 @@
 The reference (``reference.reference_matrix``) evaluates each monic
 candidate with MonicPoly.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, the window sums at
-every degree (at d >= 2 on both sides of the short/long crossover), the
-list kernel's sums over any index list, the window matrix and the array
-Horner evaluation must reproduce it exactly, over every row or a leading
-slice of rows; the index-set helpers must match the per-polynomial
-tests.  At d = 1 the window sums
-take int8 slice sums below SLICE_BELOW points and an overlap-save FFT from
-there on; the property tests run both, the FFT by moving SLICE_BELOW out of
-reach.  At primes too large for that loop, both routes are checked against
-``reference.shifted_sums`` and the Legendre autocorrelation.
+every degree (at d >= 2 on both sides of the short/long crossover, and
+the short route's translation orbits with the crossover out of reach),
+the list kernel's sums over any index list, the window matrix and the
+array Horner evaluation must reproduce it exactly, over every row or a
+leading slice of rows; the translation map must match g(x + a) built with
+poly arithmetic, and the index-set helpers the per-polynomial tests.  At
+d = 1 the window sums take int8 slice sums below SLICE_BELOW points and an
+overlap-save FFT from there on; the property tests run both, the FFT by
+moving SLICE_BELOW out of reach.  At primes too large for that loop, both
+routes are checked against ``reference.shifted_sums`` and the Legendre
+autocorrelation.
 """
 
 import tracemalloc
 from concurrent.futures import Future
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import WIDE_PRIMES, reference_matrix, shifted_sums
 
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, chi_table
-from hiddenpoly.poly import MonicPoly, is_perfect_square, is_squarefree, poly_from_index
+from hiddenpoly.poly import (
+    MonicPoly,
+    is_perfect_square,
+    is_squarefree,
+    mul,
+    poly_from_index,
+    poly_index,
+)
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # keeps p^d * p reference evaluations small
@@ -136,15 +146,15 @@ def test_weights_outside_plus_minus_one_are_refused(d):
 
 
 def route_spy(monkeypatch):
-    """Record the chi_blocks calls; of the d >= 2 routes only the short one makes them."""
+    """Record the _orbit_sums calls; of the d >= 2 routes only the short one makes them."""
     calls = []
-    chi_blocks = _kernels.chi_blocks
+    orbit_sums = _kernels._orbit_sums
 
     def spy(*args, **kwargs):
         calls.append(args[:2])
-        return chi_blocks(*args, **kwargs)
+        return orbit_sums(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "chi_blocks", spy)
+    monkeypatch.setattr(_kernels, "_orbit_sums", spy)
     return calls
 
 
@@ -174,6 +184,138 @@ def test_both_routes_on_either_side_of_the_crossover(monkeypatch, p, d, long):
         zero = _kernels.windowed_correlations(p, d, x0, m, np.zeros(m, dtype=np.int64))
         assert zero.dtype == np.int64 and not zero.any()
     assert bool(calls) is not long
+
+
+@lru_cache(maxsize=None)
+def full_reference(p, d):
+    """reference_matrix over every point of F_p, read by column for any window."""
+    return reference_matrix(p, d, np.arange(p))
+
+
+# keeps the p^d * p reference evaluations small
+ORBIT_MAX_P = {2: 31, 3: 13, 4: 7}
+
+
+@st.composite
+def orbit_problems(draw):
+    d = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([q for q in PRIMES if q <= ORBIT_MAX_P[d]]))
+    x0, m = draw(st.integers(0, p - 1)), draw(st.integers(1, p))
+    weights = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m))
+    rows = draw(st.integers(1, p ** (d - 1)))
+    return p, d, x0, np.array(weights, dtype=np.int64), rows, draw(st.integers(0, m + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@example((3, 3, 2, np.array([1, 0, -1]), 4, 1))  # p | d: the long route whatever m
+@given(orbit_problems())
+def test_orbit_route_matches_reference(problem):
+    # the crossover moved out of reach sends every window to the orbit route
+    # unless p divides d; windows wrap past p - 1 for x0 + m > p and weights
+    # carry zeros.  Every sum, a leading slice of rows and the survivors of a
+    # bound, in the production blocks on 1 and 3 threads and in blocks of one
+    # orbit row on 3
+    p, d, x0, weights, rows, bound = problem
+    m = len(weights)
+    expected = full_reference(p, d)[:, window(p, x0, m)] @ weights
+    keep = np.flatnonzero(np.abs(expected) >= bound)
+    for cells, thread_counts in ((_kernels.SCAN_CELLS, (1, 3)), (1, (3,))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "HANKEL_RATIO", 0)
+            mp.setattr(_kernels, "SCAN_CELLS", cells)
+            calls = route_spy(mp)
+            for threads in thread_counts:
+                got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
+                part = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads, rows=rows)
+                assert np.array_equal(part, expected[: rows * p])
+                idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, bound, threads)
+                assert idx.dtype == sums.dtype == np.int64
+                assert np.array_equal(idx, keep)
+                assert np.array_equal(sums, expected[keep])
+        assert bool(calls) is bool(d % p)
+
+
+@pytest.mark.parametrize("m", [127, 128])
+def test_orbit_route_across_the_int8_step(monkeypatch, m):
+    # m = 127 is the last window summed in int8, m = 128 the first in int16.
+    # f = x^2 - r for a non-residue r has no root, so with weights chi(f(x))
+    # its own sum is m, the largest any candidate reaches.  The crossover is
+    # moved out of reach so that p = 131 takes the orbit route, the window
+    # wraps past p - 1, and blocks of 8 translates read the points in spans
+    # of 8 as well as in the production blocks' one span
+    p, d, x0 = 131, 2, 131 - 40
+    r = next(v for v in range(2, p) if chi_table(PrimeModulus(p))[v] == -1)
+    f = p - r  # the index of x^2 - r
+    xs = window(p, x0, m)
+    weights = full_reference(p, d)[f, xs]
+    expected = full_reference(p, d)[:, xs] @ weights
+    assert expected[f] == expected.max() == m
+    bound = int(np.quantile(np.abs(expected), 0.99))
+    keep = np.flatnonzero(np.abs(expected) >= bound)
+    assert 1 < len(keep) < p**d
+    monkeypatch.setattr(_kernels, "HANKEL_RATIO", 0)
+    calls = route_spy(monkeypatch)
+    for cells in (_kernels.SCAN_CELLS, 8 * p):
+        monkeypatch.setattr(_kernels, "SCAN_CELLS", cells)
+        for threads in (1, 3):
+            got = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
+            assert np.array_equal(got, expected)
+            idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, bound, threads)
+            assert np.array_equal(idx, keep)
+            assert np.array_equal(sums, expected[keep])
+    assert calls
+
+
+def shifted(g, a):
+    """g(x + a) by poly arithmetic: sum_j s_j (x + a)^j, the powers built with mul."""
+    p, modulus = g.modulus.p, g.modulus
+    linear = MonicPoly([a], modulus)
+    powers = [[1], [a % p, 1]]  # coefficient lists of (x + a)^j, lowest first
+    for _ in range(2, g.degree + 1):
+        powers.append(list(mul(MonicPoly(powers[-1][:-1], modulus), linear).coeffs) + [1])
+    out = [0] * (g.degree + 1)
+    for s, power in zip(list(g.coeffs) + [1], powers):
+        for i, c in enumerate(power):
+            out[i] = (out[i] + s * c) % p
+    return MonicPoly(out[:-1], modulus)
+
+
+# keeps the p^d * p translates small
+TRANSLATE_MAX_P = {1: 31, 2: 31, 3: 13, 4: 7}
+
+
+@st.composite
+def translate_problems(draw):
+    d = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([q for q in PRIMES if q <= TRANSLATE_MAX_P[d]]))
+    picks = draw(st.lists(st.integers(0, p**d - 1), min_size=1, max_size=4))
+    return p, d, picks, draw(st.integers(-p, 2 * p)), draw(st.integers(-p, 2 * p))
+
+
+@SETTINGS
+@example((3, 3, [0, 11, 26], 1, 5))  # p | d, the only such family with d <= 4
+@given(translate_problems())
+def test_translate_index_matches_the_shifted_polynomial(problem):
+    p, d, picks, a, b = problem
+    modulus = PrimeModulus(p)
+    table = _kernels.translate_index(p, d, np.arange(p**d)[:, None], np.arange(p))
+    assert table.dtype == np.int64 and table.shape == (p**d, p)
+    for i in picks:
+        g = poly_from_index(d, modulus, i)
+        assert table[i].tolist() == [poly_index(shifted(g, s)) for s in range(p)]
+    # a group action, for shifts of any sign and size: by a, then by b, is by a + b
+    once = _kernels.translate_index(p, d, np.arange(p**d), a)
+    assert np.array_equal(_kernels.translate_index(p, d, once, b), table[:, (a + b) % p])
+    # an orbit is free, s -> index of g(x + s) a bijection onto its p members,
+    # or fixed; every member of an orbit lists the same members
+    members = np.sort(table, axis=1)
+    distinct = 1 + (np.diff(members, axis=1) != 0).sum(axis=1)
+    assert set(distinct.tolist()) <= {1, p}
+    assert np.array_equal(members[table[:, 1]], members)
+    # the fixed ones exist only when p divides d
+    assert bool((distinct == p).all()) is bool(d % p)
 
 
 def test_correlation_survivors_past_the_int8_range(monkeypatch):
@@ -224,7 +366,8 @@ def test_window_sums_past_the_int16_range(monkeypatch):
     # needs p > 2^15 there, where a single row is a block of m * p > 2^30
     # cells, so the generator runs directly on a window that wraps the field
     # of 13 about 3077 times: each square (x + a)^2 sums to m minus the visits
-    # to its root, about 36900, past the int16 range
+    # to its root, about 36900, past the int16 range.  The short route yields
+    # orbit rows, placed at their indices as windowed_correlations places them
     p, d, m = 13, 2, 40000
     weights = np.ones(m, dtype=np.int64)
     xs = np.arange(m, dtype=np.int64) % p
@@ -234,7 +377,12 @@ def test_window_sums_past_the_int16_range(monkeypatch):
     for ratio in (_kernels.HANKEL_RATIO, 0):
         monkeypatch.setattr(_kernels, "HANKEL_RATIO", ratio)
         runs = _kernels._candidate_sums(p, d, 0, weights, 0, p * p, _kernels._hankel(p, d, m))
-        got = np.concatenate([c for _, c in runs])
+        got = np.zeros(p * p, dtype=np.int64)
+        for i, c in runs:
+            if np.ndim(i):
+                got[_kernels._orbit_indices(p, i[:, None], np.arange(p))] = c
+            else:
+                got[i : i + len(c)] = c
         assert got.max() > np.iinfo(np.int16).max
         assert np.array_equal(got, expected)
         assert bool(calls) is (ratio == 0)
@@ -381,6 +529,42 @@ def test_d1_sums_off_an_integer_raise():
     assert np.array_equal(_kernels._sliding_sums(p, m, spectrum, 0, p), shifted_sums(p, 0, np.ones(m)))
     with pytest.raises(ArithmeticError, match="off an integer"):
         _kernels._sliding_sums(p, m, 1.5 * spectrum, 0, p)
+
+
+def test_orbit_scan_peak_memory():
+    # two-stage's first sieve round at p = 3001, m = 16: blocks of about
+    # SCAN_CELLS = 2^17 int8 sums, the table rows they read and the |c| >= bound
+    # temporaries, about 0.8 MiB with about 4700 survivors; the per-point
+    # gather of the route before it peaked at about 1.1 MiB
+    p = 3001
+    weights = np.random.default_rng(0).choice([-1, 1], size=16)
+    _kernels.correlation_survivors(p, 2, 1, 16, weights, 14)
+    tracemalloc.start()
+    try:
+        idx, _ = _kernels.correlation_survivors(p, 2, 1, 16, weights, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(idx) > 1000
+    assert peak < 2 * 2**20, peak
+
+
+def test_long_short_window_peak_memory():
+    # m = 250 at p = 1009 is about the longest window of the orbit route.  A
+    # block reads its table rows in spans of at most 2 * SCAN_CELLS bytes
+    # whatever m, so the int16 sums (256 KiB), the table (at most 256 KiB) and
+    # the survivor temporaries stay near 1 MiB; R * m gathered windows would
+    # take 32 MB
+    p, m = 1009, 250
+    weights = np.random.default_rng(0).choice([-1, 1], size=m)
+    _kernels.correlation_survivors(p, 2, 1, m, weights, 60)
+    tracemalloc.start()
+    try:
+        _kernels.correlation_survivors(p, 2, 1, m, weights, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20, peak
 
 
 def test_d1_survivor_scan_peak_memory():
