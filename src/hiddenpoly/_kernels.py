@@ -11,8 +11,10 @@ reduces against weights in int64.  ``translate_index`` maps an index and
 a shift a to the index of g(x + a).  ``_candidate_sums`` turns rows into
 the exact window sums of consecutive candidates for weights in
 {-1, 0, 1}, which ``windowed_correlations`` (every sum) and
-``correlation_survivors`` (the sums that reach a bound) consume.  At
-d >= 2 the window length picks one of two routes:
+``correlation_survivors`` (the sums that reach a bound) consume.
+``squarefree_mask`` clears every h^2 * k (deg h >= 1) that
+``_square_multiples`` lists by digit convolution.  At d >= 2 the window
+length picks one of two routes:
 
 - short windows (HANKEL_RATIO * m < p and p does not divide d): the scan
   runs over translation orbits.  x -> x + a keeps g monic and moves
@@ -84,7 +86,6 @@ import numpy as np
 
 from .ffield import PrimeModulus, check_int64_products, chi_table
 from .limits import check_ops
-from .poly import is_squarefree, poly_from_index
 
 # Cells (rows x points x p) per block yielded by chi_blocks: about 2^16 by
 # default, small enough that a block stays in cache.  The d >= 2 short
@@ -465,40 +466,39 @@ def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:
     return out.reshape(p**d, m)
 
 
-def perfect_square_indices(p: int, degree: int) -> np.ndarray:
-    """Indices (in the monic degree-D order) of all perfect squares g^2.
+def _mul_rows(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # coefficient rows, lowest first, of the column-wise products a * b mod p
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1]), dtype=np.int64)
+    for i, row in enumerate(a):
+        out[i : i + len(b)] += row * b
+    return np.remainder(out, p, out=out)
 
-    All p^m monic roots g of degree m = D/2 are squared at once: row i of
-    the (p^m, m+1) digit array holds g_i's coefficients (s_0, ..., s_{m-1}, 1),
-    the coefficients of g_i^2 are their self-convolution mod p, and the
-    index is the dot product of the lower D of them with p^j.
+
+def _square_multiples(p: int, d: int, e: int):
+    """Yield int64 index arrays listing every monic h^2 * k of degree d, deg h = e.
+
+    Product t < p^(d - e) holds k's d - 2e free coefficients in its low
+    base-p digits and h's e above them; chunks of about BLOCK_CELLS
+    coefficients are convolved at once, and an index may repeat.
     """
-    if degree % 2:
-        return np.empty(0, dtype=np.int64)
-    m = degree // 2
-    digits = np.ones((p**m, m + 1), dtype=np.int64)
-    digits[:, :m] = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m) % p
-    square = np.zeros((p**m, degree + 1), dtype=np.int64)
-    for i in range(m + 1):
-        square[:, i : i + m + 1] += digits[:, i : i + 1] * digits
-        square[:, i : i + m + 1] %= p
-    return square[:, :degree] @ p ** np.arange(degree, dtype=np.int64)
+    check_int64_products(p, d + 1)
+    c, powers = d - 2 * e, p ** np.arange(d, dtype=np.int64)
+    step = max(1, BLOCK_CELLS // (d + 1))
+    for lo in range(0, p ** (d - e), step):
+        t = np.arange(lo, min(p ** (d - e), lo + step), dtype=np.int64)
+        # k's c + 1 coefficients, then h's e + 1, each with its leading 1
+        k, h = np.split(np.insert(t // powers[: d - e, None] % p, [c, d - e], 1, axis=0), [c + 1])
+        yield powers @ _mul_rows(p, _mul_rows(p, h, h), k)[:d]
 
 
 def squarefree_mask(p: int, d: int, budget: int | None = None) -> np.ndarray:
-    """Boolean mask over the monic degree-d index space: True iff square-free."""
-    if d == 1:
-        return np.ones(p, dtype=bool)
-    if d == 2:
-        # x^2 + s_1 x + s_0 has a repeated root iff s_0 = s_1^2 / 4
-        s1 = np.arange(p, dtype=np.int64)
-        mask = np.ones(p * p, dtype=bool)
-        mask[s1 * p + s1 * s1 % p * pow(4, -1, p) % p] = False
-        return mask
-    total = p**d
-    check_ops(total * d * d * 8, budget, "square-free scan")
-    modulus = PrimeModulus(p)
-    mask = np.zeros(total, dtype=bool)
-    for i in range(total):
-        mask[i] = is_squarefree(poly_from_index(d, modulus, i))
+    """Boolean mask over the monic degree-d index space: True iff square-free.
+
+    g is not square-free iff g = h^2 * k, deg h = e >= 1 (over F_p too: G^p
+    is a square), so the mask clears e = 1 .. d // 2, d^2 ops per product.
+    """
+    check_ops(d * d * sum(p ** (d - e) for e in range(1, d // 2 + 1)), budget, "square-free mask")
+    mask = np.ones(p**d, dtype=bool)
+    for idx in (i for e in range(1, d // 2 + 1) for i in _square_multiples(p, d, e)):
+        mask[idx] = False
     return mask

@@ -305,7 +305,7 @@ def sweep_weil(
         PrimeModulus(p)  # validate
         scans = [p ** (degree - 2) if degree > 1 and degree % p else p ** (degree - 1)
                  for degree in range(1, 5)]
-        # p points per scanned candidate, plus the perfect-square enumeration (at most 9 p^2)
+        # p points per scanned candidate, plus squaring the p + p^2 roots (charged 9 p^2)
         check_ops(sum(n * p * p for n in scans) + 9 * p * p, budget, "weil sweep")
         ones = np.ones(p, dtype=np.int64)
         for degree, n in enumerate(scans, start=1):
@@ -313,8 +313,9 @@ def sweep_weil(
             sums = _kernels.windowed_correlations(p, degree, 0, p, ones, threads=threads, rows=n)
             # zeroing the scanned perfect squares in place leaves the max of
             # |sum| over the non-squares unchanged and allocates no second array
-            squares = _kernels.perfect_square_indices(p, degree)
-            sums[squares[squares < len(sums)]] = 0
+            if degree % 2 == 0:
+                for squares in _kernels._square_multiples(p, degree, degree // 2):
+                    sums[squares[squares < len(sums)]] = 0
             measured = int(np.max(np.abs(sums, out=sums)))
             bound = weil_bound(degree, p)
             rows.append(BoundCheckRow(

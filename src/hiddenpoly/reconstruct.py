@@ -18,7 +18,7 @@ w_j chi(g(x_j)) exceeds |w_j|, so |c_N| >= t implies |c_K| >= t -
 sum_{j >= K} |w_j| after K points; dropping the candidates below this
 bound keeps exactly the full scan's survivors for any weights in
 {-1, 0, 1} and any t, with no array over all p^d candidates.  The
-square-free test runs on the survivors.
+square-free test runs on the few survivors alone, not on a p^d mask.
 
 brute and short-window share one windowed-argmax body and differ only in
 the window.  Every solver records in RecoveryReport.work the candidate x
@@ -292,7 +292,7 @@ def two_stage_recover(
 
     If several candidates clear stage 2 (or none do, which cannot happen
     for an exact oracle), falls back to the full-range correlation argmax
-    over the surviving pool; ties break to the lexicographically smallest.
+    over the surviving pool; ties go to the smallest index, flagged ambiguous.
     """
     modulus = session.modulus
     p = modulus.p
@@ -318,22 +318,19 @@ def two_stage_recover(
     stage_seconds["stage2"] = time.perf_counter() - t1
 
     work = p**d * params.N + len(surv1) * params.M
-    fallback = len(surv2) != 1
-    if not fallback:
-        recovered = poly_from_index(d, modulus, surv2[0])
-    else:
+    fallback, winners = len(surv2) != 1, surv2
+    if fallback:
         # ambiguity: decide on the full range among the surviving pool
         t2 = time.perf_counter()
         pool = surv2 or surv1
-        full = cache.window(0, p)
-        sums = _kernels.index_sums(p, d, pool, np.arange(p, dtype=np.int64), full)
-        recovered = poly_from_index(d, modulus, pool[int(np.argmax(sums))]) if pool else None
+        sums = _kernels.index_sums(p, d, pool, np.arange(p, dtype=np.int64), cache.window(0, p))
+        winners = [pool[i] for i in np.flatnonzero(sums == sums.max())] if pool else []
         work += len(pool) * p
         stage_seconds["fallback"] = time.perf_counter() - t2
 
     return RecoveryReport(
         algorithm="two-stage",
-        recovered=recovered,
+        recovered=poly_from_index(d, modulus, winners[0]) if winners else None,
         survivors_stage1=len(surv1),
         survivors_stage2=len(surv2),
         total_queries=cache.queries,
@@ -341,5 +338,6 @@ def two_stage_recover(
         stage_seconds=stage_seconds,
         params=params,
         fallback=fallback,
+        ambiguous=len(winners) > 1,
         work=work,
     )

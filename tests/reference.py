@@ -7,7 +7,8 @@ check against it.  ``shifted_sums`` gives the degree-1 window sums the
 same way, by whole shifts of that character table, at primes where the
 candidate loop would be slow.  ``reference_answers`` and ``reference_vote``
 are the noisy oracle's answers and plurality vote, hashed and counted
-draw by draw.  WIDE_PRIMES are the
+draw by draw.  ``sympy_is_squarefree`` decides square-freeness from
+sympy's square-free factorisation.  WIDE_PRIMES are the
 large primes the kernel and poly tests draw from.
 """
 
@@ -15,6 +16,7 @@ import hashlib
 import struct
 
 import numpy as np
+import sympy
 
 from hiddenpoly.ffield import FpElement, PrimeModulus, legendre_euler
 from hiddenpoly.poly import poly_from_index
@@ -34,6 +36,16 @@ def reference_matrix(p, d, xs, patched=False):
         g = poly_from_index(d, modulus, i)
         rows.append([chi[g.eval_int(int(x))] for x in xs])
     return np.array(rows, dtype=np.int64).reshape(p**d, len(xs))
+
+
+def sympy_is_squarefree(f):
+    """True iff the MonicPoly f has no repeated factor, from sympy's square-free factorisation.
+
+    sympy 1.14's Poly.is_sqf calls a p-th power such as x^3 + 1 over GF(3)
+    square-free, because f' = 0 there, so the factorisation decides.
+    """
+    g = sympy.Poly([1, *reversed(f.coeffs)], sympy.Symbol("x"), modulus=f.modulus.p)
+    return all(k == 1 for _, k in g.sqf_list()[1])
 
 
 def shifted_sums(p, x0, weights):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import WIDE_PRIMES, reference_matrix, shifted_sums
+from reference import WIDE_PRIMES, reference_matrix, shifted_sums, sympy_is_squarefree
 
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, chi_table
@@ -627,33 +627,76 @@ def test_window_matrix_matches_reference(problem):
     assert np.array_equal(got, reference_matrix(p, d, window(p, x0, m)))
 
 
-@SETTINGS
-@given(problems())
-def test_squarefree_mask_matches_gcd_test(problem):
-    p, d, _, _ = problem
-    modulus = PrimeModulus(p)
-    expected = [is_squarefree(poly_from_index(d, modulus, i)) for i in range(p**d)]
-    assert _kernels.squarefree_mask(p, d).tolist() == expected
-
-
-# keeps the p^D per-polynomial square tests small
-SQUARE_MAX_P = {1: 31, 2: 31, 3: 13, 4: 7}
+# keeps the p^d per-polynomial gcd tests small; p <= d is included from d = 3
+SQUAREFREE_MAX_P = {1: 31, 2: 31, 3: 13, 4: 7, 5: 5}
 
 
 @st.composite
-def square_problems(draw):
-    degree = draw(st.integers(1, 4))
-    return draw(st.sampled_from([q for q in PRIMES if q <= SQUARE_MAX_P[degree]])), degree
+def squarefree_problems(draw):
+    d = draw(st.integers(1, 5))
+    return draw(st.sampled_from([q for q in PRIMES if q <= SQUAREFREE_MAX_P[d]])), d
 
 
 @SETTINGS
-@given(square_problems())
+@given(squarefree_problems(), st.booleans())
+@example((3, 3), True)
+@example((3, 4), False)
+@example((3, 5), True)
+@example((5, 5), False)
+def test_squarefree_mask_matches_gcd_test(problem, chunked):
+    p, d = problem
+    modulus = PrimeModulus(p)
+    expected = [is_squarefree(poly_from_index(d, modulus, i)) for i in range(p**d)]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:  # one product h^2 * k per chunk
+            mp.setattr(_kernels, "BLOCK_CELLS", 1)
+        assert _kernels.squarefree_mask(p, d).tolist() == expected
+
+
+@pytest.mark.parametrize("p, d", [(101, 3), (31, 4), (3, 6)])
+def test_squarefree_mask_count(p, d):
+    # p^d - p^(d-1) of the monic degree-d polynomials over F_p are square-free, d >= 2
+    assert int(_kernels.squarefree_mask(p, d).sum()) == p**d - p ** (d - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 6), (5, 4), (7, 4), (11, 3), (31, 3), (5, 5)]), st.data())
+def test_squarefree_mask_matches_sympy_on_a_sample(problem, data):
+    p, d = problem
+    mask = _kernels.squarefree_mask(p, d)
+    modulus = PrimeModulus(p)
+    # any candidates, and some the mask clears, which are rare at large p
+    idx = data.draw(st.lists(st.integers(0, p**d - 1), min_size=1, max_size=15))
+    idx += data.draw(st.lists(st.sampled_from(np.flatnonzero(~mask).tolist()), max_size=5))
+    for i in idx:
+        assert mask[i] == sympy_is_squarefree(poly_from_index(d, modulus, i)), (p, d, i)
+
+
+def test_squarefree_mask_peak_memory():
+    # the p^d bool mask plus one chunk of about BLOCK_CELLS int64 coefficients and
+    # its products: about 0.9 + 1.8 MiB at (31, 4), where the p^3 products h^2 * k
+    # of e = 1 taken in one piece would add about 3.9 MiB
+    p, d = 31, 4
+    _kernels.squarefree_mask(3, 2)  # warm-up
+    tracemalloc.start()
+    try:
+        mask = _kernels.squarefree_mask(p, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.nbytes == p**d
+    assert peak < p**d + 6 * 8 * _kernels.BLOCK_CELLS, peak
+
+
+@SETTINGS
+@given(st.sampled_from([(p, 2) for p in PRIMES] + [(p, 4) for p in PRIMES if p <= 7]))
 def test_perfect_square_indices_match_square_test(problem):
+    # the e = D/2 case of the square-free helper (k = 1) lists the perfect squares
     p, degree = problem
     modulus = PrimeModulus(p)
     polys = (poly_from_index(degree, modulus, i) for i in range(p**degree))
     squares = [i for i, f in enumerate(polys) if is_perfect_square(f)]
-    got = _kernels.perfect_square_indices(p, degree)
+    got = np.concatenate(list(_kernels._square_multiples(p, degree, degree // 2)))
     assert got.dtype == np.int64
     assert sorted(got.tolist()) == squares  # an index set: order is free, no repeats
 

@@ -9,10 +9,9 @@ import itertools
 import random
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import WIDE_PRIMES
+from reference import WIDE_PRIMES, sympy_is_squarefree
 
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.limits import BudgetExceeded
@@ -151,20 +150,13 @@ class TestSquarefree:
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-def _sympy_is_sqf(f: MonicPoly) -> bool:
-    # from the square-free factorisation: sympy 1.14's Poly.is_sqf calls a
-    # p-th power such as x^3 + 1 over GF(3) square-free, because f' = 0 there
-    g = sympy.Poly([1, *reversed(f.coeffs)], sympy.Symbol("x"), modulus=f.modulus.p)
-    return all(k == 1 for _, k in g.sqf_list()[1])
-
-
 class TestSquarefreeAgainstSympy:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 4), st.data())
     def test_any_monic(self, p, d, data):
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
         f = MonicPoly(coeffs, PrimeModulus(p))
-        assert is_squarefree(f) == _sympy_is_sqf(f)
+        assert is_squarefree(f) == sympy_is_squarefree(f)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 2), st.integers(0, 2), st.data())
@@ -178,7 +170,7 @@ class TestSquarefreeAgainstSympy:
             f = _mul(f, MonicPoly(data.draw(
                 st.lists(st.integers(0, p - 1), min_size=dh, max_size=dh)), m))
         assert not is_squarefree(f)
-        assert not _sympy_is_sqf(f)
+        assert not sympy_is_squarefree(f)
 
 
 class TestPerfectSquare:

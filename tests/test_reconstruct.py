@@ -208,6 +208,20 @@ class TestTwoStage:
         assert report.fallback
         assert report.survivors_stage1 == 101
         assert report.recovered == hidden
+        assert not report.ambiguous
+
+    @pytest.mark.parametrize(
+        "p, d, seed", [(7, 3, 6), (3, 2, 0)], ids=["p7-d3-seed6", "p3-d2-seed0"]
+    )
+    def test_tied_fallback_is_flagged(self, p, d, seed):
+        # the exact oracle cannot tell these hidden polynomials from other pool
+        # members: the full-range argmax ties (10 members at 4 for p = 7), and the
+        # report must say so instead of returning one of them silently
+        m = PrimeModulus(p)
+        session = OracleSession(random_squarefree(m, d, random.Random(seed)), rng_seed=seed)
+        report = two_stage_recover(session, d)
+        assert report.fallback
+        assert report.ambiguous
 
     def test_stage_seconds_keys(self):
         m = PrimeModulus(101)
