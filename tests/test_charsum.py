@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_matrix
+from reference import reference_matrix, shifted_sums
 
 from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
@@ -415,6 +415,71 @@ class TestMoment:
         for i, r in enumerate(rs):
             assert list(got[i]) == list((sums.astype(object) ** (2 * r)).sum(axis=0))
 
+    @pytest.mark.parametrize("group_bins", [1, 12, 100, 1 << 12])
+    def test_column_groups_match_single_columns(self, monkeypatch, group_bins):
+        # N = 5 bins 6 values per class, so the groups hold 1, 2, 16 and all
+        # classes; 21 distinct classes leave a partial last group for 2 and 16
+        monkeypatch.setattr(charsum, "GROUP_BINS", group_bins)
+        m = PrimeModulus(11)
+        w = np.array(list(itertools.product((0, 1), repeat=5))[1:22]).T * np.tile([1, -1], 11)[:21]
+        assert len({max(tuple(col), tuple(-col)) for col in w.T}) == 21
+        rs = [1, 2]
+        got = moment_sums(w, 2, rs, m)
+        sums = reference_matrix(11, 2, range(1, 6)) @ w
+        for i, r in enumerate(rs):
+            assert list(got[i]) == list((sums.astype(object) ** (2 * r)).sum(axis=0))
+        for t in (0, 7, 20):
+            assert list(got[:, t]) == list(moment_sums(w[:, t:t + 1], 2, rs, m)[:, 0])
+            assert got[1, t] == _direct_moment(m, 2, w[:, t], 2)
+
+    def test_group_partial_at_the_default_size(self):
+        # N = 11 gives groups of 4096 // 12 = 341 classes; 1000 random columns
+        # draw k classes with k > 341 and k % 341 != 0
+        m = PrimeModulus(11)
+        w = np.random.default_rng(8).choice(np.array([-1, 0, 1]), size=(11, 1000))
+        k = len({max(tuple(col), tuple(-col)) for col in w.T})
+        group = charsum.GROUP_BINS // 12
+        assert k > group and k % group
+        got = moment_sums(w, 2, [1, 3], m)
+        sums = reference_matrix(11, 2, range(1, 12)) @ w
+        for i, r in enumerate((1, 3)):
+            assert list(got[i]) == list((sums.astype(object) ** (2 * r)).sum(axis=0))
+        assert list(got[:, 999]) == list(moment_sums(w[:, 999:], 2, [1, 3], m)[:, 0])
+
+    def test_one_column(self):
+        m = PrimeModulus(13)
+        w = np.array([[1], [-1], [0], [1], [1], [-1]])
+        got = moment_sums(w, 2, [1, 2], m)
+        assert got.shape == (2, 1)
+        assert got[0, 0] == _direct_moment(m, 2, w[:, 0], 1)
+        assert got[1, 0] == _direct_moment(m, 2, w[:, 0], 2)
+
+    def test_one_column_per_group_at_large_n(self):
+        # N + 1 > GROUP_BINS / 2, so every group holds one class; the d = 1
+        # sums are whole shifts of the character table
+        p, n = 4099, 2100
+        assert charsum.GROUP_BINS // (n + 1) == 1
+        w = np.random.default_rng(9).choice(np.array([-1, 1]), size=(n, 3))
+        got = moment_sums(w, 1, [1, 2], PrimeModulus(p))
+        for t in range(3):
+            sums = shifted_sums(p, 1, w[:, t]).astype(object)
+            assert got[0, t] == (sums**2).sum() and got[1, t] == (sums**4).sum()
+
+    def test_one_row_per_block(self, monkeypatch):
+        # BLOCK_CELLS = 1 streams the candidates one row at a time
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", 1)
+        m = PrimeModulus(7)
+        w = np.random.default_rng(10).choice(np.array([-1, 0, 1]), size=(4, 6))
+        got = moment_sums(w, 2, [1, 2], m)
+        for t in range(6):
+            assert got[0, t] == _direct_moment(m, 2, w[:, t], 1)
+            assert got[1, t] == _direct_moment(m, 2, w[:, t], 2)
+
+    def test_no_columns(self):
+        # T = 0 columns in, T = 0 columns out: one empty row per r
+        got = moment_sums(np.zeros((3, 0)), 1, [1, 2], PrimeModulus(7))
+        assert got.shape == (2, 0)
+
     @settings(max_examples=25, deadline=None)
     @given(p=st.sampled_from((7, 11)), d=st.integers(1, 2), data=st.data())
     def test_sign_classes_follow_their_columns(self, p, d, data):
@@ -481,9 +546,12 @@ class TestSweeps:
 
     @settings(max_examples=20, deadline=None)
     @example(p=3)  # 3 | D = 3: the full-scan path
+    @example(p=5)  # least non-residue 2
+    @example(p=7)  # 3
+    @example(p=23)  # 5
     @given(p=st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
     def test_weil_representatives_match_full_scan(self, p):
-        # the sweep scans translation-orbit representatives; the max |sum| over
+        # the sweep scans affine-orbit representatives; the max |sum| over
         # non-squares must equal the full scan's at every degree, D = 1 included
         ones = np.ones(p, dtype=np.int64)
         rows = charsum.sweep_weil((p,))
@@ -496,9 +564,7 @@ class TestSweeps:
                 nonsquare[[poly_index(mul(g, g)) for g in roots]] = False
             assert row.measured == np.abs(sums[nonsquare]).max()
 
-    def test_weil_scan_sizes(self, monkeypatch):
-        # representatives (p^(D-1) candidates) only where p does not divide D > 1;
-        # at p = 3, D = 3 they happen to reach the same max, so count the cells
+    def _scanned(self, monkeypatch, primes):
         scanned = []
         kernel = _kernels.windowed_correlations
 
@@ -508,8 +574,26 @@ class TestSweeps:
             return out
 
         monkeypatch.setattr(_kernels, "windowed_correlations", spy)
-        charsum.sweep_weil((3, 5))
-        assert scanned == [3, 3, 27, 27, 5, 5, 25, 125]
+        charsum.sweep_weil(primes)
+        return scanned
+
+    def test_weil_scan_sizes(self, monkeypatch):
+        # representatives only where p does not divide D > 1; at p = 3, D = 3
+        # they happen to reach the same max, so count the cells
+        assert self._scanned(monkeypatch, (3, 5)) == [3, 3, 27, 27, 5, 5, 15, 75]
+
+    @pytest.mark.parametrize("p, nonresidue", [(5, 2), (7, 3), (23, 5), (71, 7)])
+    def test_weil_scans_affine_representatives(self, monkeypatch, p, nonresidue):
+        # s_{D-1} = 0 and s_{D-2} <= n: (n + 1) * p^(D-3) rows of p candidates at D >= 3
+        rows = [cells // p for cells in self._scanned(monkeypatch, (p,))]
+        assert rows == [1, 1, nonresidue + 1, (nonresidue + 1) * p]
+
+    def test_weil_budget_counts_the_scanned_rows(self):
+        # least non-residue 3 at p = 127: 1 + 1 + 4 + 4 * 127 rows of p^2 cells,
+        # plus 9 p^2 for the perfect squares
+        assert len(charsum.sweep_weil((127,), budget=523 * 127**2)) == 4
+        with pytest.raises(BudgetExceeded, match="needs ~8435467 elementary operations"):
+            charsum.sweep_weil((127,), budget=523 * 127**2 - 1)
 
     def test_weil_short_sweep_deterministic(self):
         a = charsum.sweep_weil_short((11, 31), seed=0)

@@ -162,19 +162,22 @@ class TestVerifyBounds:
         assert code == 0
         assert "weil," in out
 
-    def test_weil_p127_fits_the_default_budget(self, capsys):
-        code, out, _ = run(capsys, "verify-bounds", "--lemma", "weil", "--p", "127")
+    # at 509 the affine-orbit rows need 1541 p^2 ~ 4e8 operations, a full scan p^4 ~ 6.7e10
+    @pytest.mark.parametrize("p", [127, 509])
+    def test_weil_fits_the_default_budget(self, capsys, p):
+        code, out, _ = run(capsys, "verify-bounds", "--lemma", "weil", "--p", str(p))
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 1 + 4
-        assert all(line.startswith("weil,127,") and line.endswith(",pass") for line in lines[1:])
+        assert all(line.startswith(f"weil,{p},") and line.endswith(",pass") for line in lines[1:])
 
     @pytest.mark.parametrize(
         "lemma, p, budget",
         [
-            # representatives at D = 2, 3, 4 (p^0, p, p^2 rows), the one row at D = 1,
-            # p^2 cells per row, and 9 p^2 for the perfect squares: one below that
-            ("weil", 127, 127**4 + 127**3 + 11 * 127**2 - 1),
+            # the one row at D = 1, 2, then n + 1 and (n + 1) p rows at D = 3, 4 with
+            # the least non-residue n = 3, p^2 cells per row, and 9 p^2 for the
+            # perfect squares: one below that
+            ("weil", 127, 523 * 127**2 - 1),
             # above the old p^d * max(N, 1000) count, below the p^d * N * 1000 product
             ("average", 101, 10**8),
             # p^2 pairs, p points each
