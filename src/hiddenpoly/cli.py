@@ -155,7 +155,9 @@ def cmd_quantum(args: argparse.Namespace) -> int:
     if args.d < 1:
         raise ValueError("d must be at least 1")
     hidden = _load_hidden(args.hidden, modulus, args.d, args.seed)
-    k = args.k if args.k is not None else quantum.choose_k(args.d, args.epsilon)
+    # choose_k also vets epsilon, which the report and the regime note use under --k too
+    default_k = quantum.choose_k(args.d, args.epsilon)
+    k = args.k if args.k is not None else default_k
     if k < 1:
         raise ValueError("k must be at least 1")
     gram = quantum.gram_matrix(modulus, args.d, k, budget=args.budget)

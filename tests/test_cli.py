@@ -1,8 +1,9 @@
 """CLI tests: schemas, exit codes, determinism, file output.
 
 Everything runs in-process through main(argv) so coverage tools and
-debuggers see the command paths, except the refusal-cost checks, which
-need a fresh interpreter to measure its time and peak memory.
+debuggers see the command paths, except the refusal-cost and quantum
+reach checks, which need a fresh interpreter to measure its time and
+peak memory.
 """
 
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from hiddenpoly import charsum, reconstruct
 from hiddenpoly.cli import main
+from hiddenpoly.limits import DEFAULT_OP_BUDGET
 
 RECOVER_KEYS = [
     "p",
@@ -301,8 +303,40 @@ class TestQuantum:
         assert code == 2
         assert out == ""
         (line,) = [line for line in err.splitlines() if line.startswith("error:")]
-        assert line == "error: quantum orbit tensor needs ~53575652 elementary operations, " \
-            "budget is 1000"
+        # m^2 p ceil(log2 p) + 2 m^3 with m = 101 orbits
+        assert line == "error: quantum Gram needs ~9272709 elementary operations, budget is 1000"
+
+    @pytest.mark.parametrize(
+        "p, d, admitted",
+        [
+            (38461513, 1, True), (38461541, 1, False),
+            (449, 2, True), (457, 2, False),
+            (23, 3, True), (29, 3, False),
+        ],
+    )
+    def test_default_budget_edges(self, capsys, p, d, admitted):
+        # estimate only: a tiny budget refuses before the character table or the
+        # non-residue search, and the refusal line carries the charge that the
+        # default budget is held to
+        code, out, err = run(capsys, "quantum", "--p", str(p), "--d", str(d), "--budget", "1")
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        charge = int(line.split("~")[1].split()[0])
+        assert (charge <= DEFAULT_OP_BUDGET) == admitted
+
+    @pytest.mark.parametrize("k", [(), ("--k", "3")])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, capsys, epsilon, k):
+        # with --k the epsilon still reaches the report, where NaN is not JSON
+        code, out, err = run(capsys, "quantum", "--p", "13", "--d", "1", *k, "--epsilon", epsilon)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: epsilon must be finite"]
+
+    def test_negative_infinite_epsilon_exits_2(self, capsys):
+        # with "=": a separate "-inf" would read as an option
+        code, _, err = run(capsys, "quantum", "--p", "13", "--d", "1", "--epsilon=-inf")
+        assert code == 2
+        assert err.splitlines() == ["error: epsilon must be positive"]
 
     def test_d1_beyond_the_old_candidate_cap(self, capsys):
         # 10007 candidates: one orbit, so no dense 10007 x 10007 matrix
@@ -459,6 +493,8 @@ class TestRefusalCost:
             ("recover", "--p", "1009", "--d", "2", "--algo", "two-stage", "--budget", "1000"),
             # refused before the p-entry window cache and character table
             ("recover", "--p", "100000007", "--d", "1"),
+            # odd d, p = 1 (mod 4): refused before the non-residue n is looked up
+            ("quantum", "--p", "1000000009", "--d", "1"),
         ],
     )
     def test_refuses_fast_and_small(self, argv):
@@ -482,3 +518,15 @@ def test_quantum_run_does_not_import_numpy_ma():
     )
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("p, d", [(211, 2), (23, 3)])
+def test_quantum_fits_the_default_budget(p, d):
+    # both refused under the full-tensor charge; two solved blocks each now
+    code, out, err, seconds, rss_mb = run_measured("quantum", "--p", str(p), "--d", str(d))
+    assert code == 0, err
+    report = dict(line.split(": ", 1) for line in out.splitlines())
+    assert report["p_correct"] == report["alpha"]
+    assert float(report["residual_mass"]) >= 0
+    assert seconds < 2.0
+    assert rss_mb < 100.0

@@ -5,9 +5,13 @@ command below.  The files were captured before the candidate-scan
 kernels were consolidated, so a refactor that changes any reported
 number, order or format fails here.  The two quantum files were
 captured again when the exact block eigensolve replaced power
-iteration, which had underestimated lambda_max.  The noisy brute file was
+iteration, which had underestimated lambda_max, and again when only the
+distinct Fourier blocks were solved, summed from a streamed C with the
+powers taken by repeated squaring (lambda_max and the four fields
+derived from it moved in the last digits).  The noisy brute file was
 captured before the batched, early-stopping vote replaced the per-draw
-one, and the p = 3001 two-stage file before stage 1 ran in rounds.  Recovery and bench reports use --no-timing; quantum and
+one, and the p = 3001 two-stage file before stage 1 ran in rounds.
+Recovery and bench reports use --no-timing; quantum and
 verify-bounds print no wall times.  The default verify-bounds report, all
 11925 lines of it, is pinned by its sha256 instead of a file.
 """

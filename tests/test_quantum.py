@@ -8,6 +8,7 @@ the plain-loop reference sign matrix and numpy's dense symmetric
 eigensolver.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from hiddenpoly.poly import (
     poly_index,
 )
 from hiddenpoly.quantum import (
+    ALPHA_MARGIN,
     build_state,
     choose_k,
     gram_matrix,
@@ -52,7 +54,9 @@ def dense(gram):
     order = sorted(where)
     rs = np.array([where[i][0] for i in order])
     shifts = np.array([where[i][1] for i in order])
-    counts = gram.overlaps[rs[:, None], rs[None, :], (shifts[None, :] - shifts[:, None]) % p]
+    # C[r] is the row measurement_distribution reads
+    overlaps = np.stack([gram.overlap_rows(r) for r in range(len(gram.members))])
+    counts = overlaps[rs[:, None], rs[None, :], (shifts[None, :] - shifts[:, None]) % p]
     polys = [poly_from_index(gram.d, gram.modulus, i) for i in order]
     return polys, (counts / p) ** gram.k
 
@@ -156,7 +160,7 @@ class TestSigma:
         assert sigma(13, 1) == best
 
     def test_budget(self):
-        # the refusal lives where the tensor is built, before sigma can read it
+        # the refusal comes before the pass over C that sigma is taken in
         with pytest.raises(BudgetExceeded):
             gram_matrix(PrimeModulus(101), 2, 1, budget=100)
 
@@ -172,6 +176,11 @@ class TestChooseK:
             choose_k(1, 0.0)
         with pytest.raises(ValueError):
             choose_k(0, 0.5)
+        for epsilon in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                choose_k(1, epsilon)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            choose_k(1, float("-inf"))
 
 
 class TestGramMatrix:
@@ -213,6 +222,26 @@ class TestGramMatrix:
         assert int(gram.fixed.sum()) == fixed
         polys, _ = dense(gram)
         assert gram.order == len(polys) == len(set(polys))
+
+    @pytest.mark.parametrize(
+        "p, d, k",
+        [(5, 1, 3), (13, 1, 2), (7, 1, 2), (7, 2, 3), (5, 3, 2), (7, 3, 2), (3, 3, 2), (5, 5, 2)],
+    )
+    def test_solved_blocks_cover_every_frequency(self, p, d, k):
+        # every Fourier block H_j shares its spectrum with the solved block of j's
+        # class: j = 0, j a square (H_1) or not (H_n); one nonzero class when d is
+        # even or p = 3 (mod 4)
+        gram = gram_matrix(PrimeModulus(p), d, k)
+        weight = np.where(gram.fixed, 1 / math.sqrt(p), 1.0)
+        overlaps = np.stack([gram.overlap_rows(r) for r in range(len(gram.members))])
+        every = np.fft.fft((overlaps / p) ** k, axis=2) * np.outer(weight, weight)[:, :, None]
+        solved = [np.linalg.eigvalsh(h) for h in gram.blocks]
+        assert len(solved) == (2 if d % 2 == 0 or p % 4 == 3 else 3)
+        squares = {x * x % p for x in range(1, p)}
+        for j in range(p):
+            solved_j = solved[0 if j == 0 else 1 if j in squares else len(solved) - 1]
+            spectrum = np.linalg.eigvalsh(every[:, :, j])
+            assert spectrum == pytest.approx(solved_j, rel=0, abs=1e-12 * solved[0][-1])
 
 
 @st.composite
@@ -283,6 +312,21 @@ class TestPovm:
         gram = gram_matrix(PrimeModulus(13), 1, 2)
         assert povm_alpha(gram).lambda_max >= 1.0
 
+    @pytest.mark.parametrize("p, d", [(211, 2), (23, 3)])
+    def test_margin_covers_the_eigensolver_error(self, p, d):
+        # H V = V diag(w) + R for the computed eigenpairs, so by Bauer-Fike every
+        # eigenvalue of H lies within ||R||_2 / sigma_min(V) of some w_i; Frobenius
+        # norms bound both 2-norms, and sigma_min(V)^2 >= 1 - ||V^H V - I||_2
+        gram = gram_matrix(PrimeModulus(p), d, choose_k(d, 0.5))
+        povm = povm_alpha(gram)
+        for h in gram.blocks:
+            w, v = np.linalg.eigh(h)
+            residual = np.linalg.norm(h @ v - v * w)
+            defect = np.linalg.norm(v.conj().T @ v - np.eye(len(w)))
+            error = residual / math.sqrt(1.0 - defect)
+            assert error <= ALPHA_MARGIN * w[-1] / 2
+            assert povm.alpha * (w[-1] + error) <= 1.0
+
 
 class TestMeasurementDistribution:
     def test_correct_outcome_equals_alpha(self):
@@ -310,13 +354,16 @@ class TestMeasurementDistribution:
         m = PrimeModulus(13)
         f = parse_poly("x + 3", m)
         gram = gram_matrix(m, 1, 4)
-        before = gram.overlaps.copy()
+        before = gram.overlap_rows(0).copy(), [h.copy() for h in gram.blocks]
         for g in (f, parse_poly("x + 7", m)):
             dist = measurement_distribution(g, gram)
             assert dist.k == 4  # k is the Gram matrix's, there is no second source
             assert dist.outcomes[poly_index(g)] == dist.alpha
         sigma_2d(gram)
-        assert np.array_equal(gram.overlaps, before)  # reuse leaves the tensor intact
+        povm_alpha(gram)
+        # reuse leaves the overlaps and the blocks intact
+        assert np.array_equal(gram.overlap_rows(0), before[0])
+        assert all(np.array_equal(h, b) for h, b in zip(gram.blocks, before[1]))
 
     def test_non_member_rejected(self):
         m = PrimeModulus(13)
