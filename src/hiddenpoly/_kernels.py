@@ -4,14 +4,16 @@ Candidates are addressed by index = sum_i s_i p^i (the package-wide
 lexicographic order).  Row h fixes (s_1, ..., s_{d-1}) to its base-p
 digits, and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for any array
 of rows, so chi(g(x_j)) = chi2[u_j + s_0] in the doubled int8 character
-table chi2, the only table kept.  ``chi_blocks`` gathers whole rows, the
-s_0 axis a slice of chi2, and ``chi_window_matrix`` copies its blocks
-out; ``index_rows`` gathers any list of candidates, which ``index_sums``
-reduces against weights in int64.  ``translate_index`` maps an index and
-a shift a to the index of g(x + a).  ``_candidate_sums`` turns rows into
-the exact window sums of consecutive candidates for weights in
-{-1, 0, 1}, which ``windowed_correlations`` (every sum) and
-``correlation_survivors`` (the sums that reach a bound) consume.
+table chi2, the only table kept.  ``chi_blocks`` (the moment sweep)
+gathers whole rows, the s_0 axis a slice of chi2; ``index_rows`` gathers
+any list of candidates, which ``index_sums`` (two-stage) reduces against
+weights in int64.  ``translate_index`` maps an index and a shift a to the
+index of g(x + a).  ``_candidate_sums`` turns rows into the exact window
+sums of consecutive candidates for weights in {-1, 0, 1}, and ``_scan``
+hands their blocks to one of two reductions: ``correlation_survivors``
+(two-stage, the pair sweep at bound 0) keeps the sums that reach a bound,
+``masked_extrema`` (brute, short, the Weil sweep) the least and largest
+sum a mask selects and the indices that reach the largest.
 ``squarefree_mask`` clears every h^2 * k (deg h >= 1) that
 ``_square_multiples`` lists by digit convolution.  At d >= 2 the window
 length picks one of two routes:
@@ -46,8 +48,8 @@ p^(d+1) multiply-adds, at most HANKEL_RATIO = 4 times that, at BLAS speed
 (README has per-call times).  A long-route block holds at least
 HANKEL_CELLS cells and p // HANKEL_SPLIT rows: at p = m = 3001, 100 rows
 took 57 ms in blocks of 31 rows and 26-29 ms in blocks of 125 to 250,
-while at p = m = 503 a scan peaks at p^d * 8 + p^2 * 4 bytes plus about
-0.55 MB in 32-row blocks and 4.8 MB in one block.
+while at p = m = 503 a masked_extrema scan peaks at p^2 * 4 bytes plus
+about 0.55 MB in 32-row blocks and 4.8 MB in one block.
 
 At d = 1 the one row is a cyclic correlation of the weights with the
 character table.  Candidate s reads chi2 from t = (x0 + s) mod p, so a
@@ -386,56 +388,15 @@ def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consu
             fut.result()
 
 
-def windowed_correlations(
-    p: int,
-    d: int,
-    x0: int,
-    m: int,
-    weights,
-    threads: int = 1,
-    *,
-    rows: int | None = None,
-) -> np.ndarray:
-    """corr[i] = sum_j weights[j] * chi(g_i(x0 + j mod p)) for all monic degree-d g_i.
-
-    The window is the contiguous residue run x0, x0+1, ..., x0+m-1 (mod p),
-    1 <= m <= p, and the weights lie in {-1, 0, 1}.  Returns int64 in index
-    order, of length p^d, or rows * p when only the high-digit rows h < rows
-    are scanned (the indices below rows * p; d = 1 has the one row h = 0).
-    A row limit saves no work on the d >= 2 short route, which scans every
-    translation orbit.
-    """
-    w = _window_weights(p, x0, m, weights)
-    rows = p ** (d - 1) if rows is None else rows
-    if not 1 <= rows <= p ** (d - 1):
-        raise ValueError("rows must satisfy 1 <= rows <= p^(d-1)")
-    corr = np.empty(rows * p, dtype=np.int64)
-
-    def consume(i, c: np.ndarray) -> None:
-        if np.ndim(i):
-            # candidate E of orbit row r is row i[r] // p's candidate s_0 = (i[r] + E) mod p,
-            # so each orbit row lands whole, rotated right by i[r] mod p: a window of
-            # the row written twice.  The rows past a row limit drop out
-            keep = i < len(corr)
-            high, s0 = np.divmod(i[keep], p)
-            twice = np.lib.stride_tricks.sliding_window_view(np.tile(c[keep], 2), p, axis=1)
-            corr.reshape(-1, p)[high] = twice[np.arange(len(high)), (p - s0) % p]
-        else:
-            corr[i : i + len(c)] = c
-
-    _scan(p, d, x0, w, rows, threads, consume)
-    return corr
-
-
 def correlation_survivors(
     p: int, d: int, x0: int, m: int, weights, bound: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, sums) of the candidates whose |windowed correlation| reaches bound.
 
-    With corr = windowed_correlations(p, d, x0, m, weights), returns the
-    ascending indices i with |corr[i]| >= bound and corr at those indices,
-    both int64.  Only the survivors are kept, so no array over all p^d
-    candidates exists unless they all survive.
+    corr[i] = sum_j weights[j] * chi(g_i(x0 + j mod p)) over the window
+    x0 .. x0 + m - 1 (mod p), 1 <= m <= p, with weights in {-1, 0, 1}.
+    Returns the ascending i with |corr[i]| >= bound and corr[i], both int64
+    (bound 0: every sum).  Only the survivors are kept.
     """
     w = _window_weights(p, x0, m, weights)
     found: dict[int, tuple] = {}
@@ -457,13 +418,45 @@ def correlation_survivors(
     return idx, sums
 
 
-def chi_window_matrix(p: int, d: int, x0: int, m: int) -> np.ndarray:
-    """int8 matrix of chi(g(x)): rows all monic degree-d g, columns the window."""
-    xs = (x0 + np.arange(m, dtype=np.int64)) % p
-    out = np.empty((p ** (d - 1), p, m), dtype=np.int8)
-    for h, block in chi_blocks(p, d, xs, 0, p ** (d - 1)):
-        out[h : h + len(block)] = block.transpose(0, 2, 1)
-    return out.reshape(p**d, m)
+def masked_extrema(
+    p: int, d: int, x0: int, m: int, weights, mask, threads: int = 1
+) -> tuple[int, int, np.ndarray]:
+    """(min, max, winners) of correlation_survivors' corr[i] over the i with mask[i].
+
+    len(mask) sets the scanned indices, whole rows: a multiple of p from p
+    to p^d.  min and max are ints, winners the ascending int64 indices that
+    reach max.  Blocks are reduced as they stream, so no sum array exists.
+    """
+    w, mask = _window_weights(p, x0, m, weights), np.asarray(mask, dtype=bool)
+    n = len(mask)
+    if n % p or not p <= n <= p**d:
+        raise ValueError("mask must cover whole rows: a multiple of p from p to p^d")
+    if not mask.any():
+        raise ValueError("mask selects no candidate")
+    found: dict[int, tuple] = {}
+
+    def consume(i, c: np.ndarray) -> None:
+        c = c.reshape(-1)
+        if np.ndim(i):  # orbit rows map back to indices per row: s_0 moves by E
+            idx = _orbit_indices(p, i[:, None], np.arange(p)).reshape(-1)
+            inside = idx < n  # the orbit route scans past the mask's rows
+            idx, c = idx[inside], c[inside]
+            key, sel = int(i[0]), mask[idx]
+        else:
+            key, sel = i, mask[i : i + len(c)]
+        values = c[sel]
+        if values.size:
+            top = values.max()
+            k = np.flatnonzero(c == top)
+            k = k[sel[k]]
+            found[key] = (int(values.min()), int(top), idx[k] if np.ndim(i) else k + i)
+
+    _scan(p, d, x0, w, n // p, threads, consume)
+    # partials joined by block start, so the thread count never changes the result
+    parts = [found[key] for key in sorted(found)]
+    top = max(hi for _, hi, _ in parts)
+    winners = np.concatenate([k for _, hi, k in parts if hi == top])
+    return min(lo for lo, _, _ in parts), top, np.sort(winners)
 
 
 def _mul_rows(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

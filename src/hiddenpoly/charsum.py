@@ -17,16 +17,18 @@ Each sweep calls a primitive that is cross-checked against a plain loop:
 ``sweep_weil_short`` calls ``short_char_sums``, ``sweep_mult_weil``
 ``multilinear_form_sums``, ``sweep_moment`` ``moment_sums``, and
 ``sweep_pair_identity`` and ``sweep_weil`` the all-F complete-sum scan
-kernel: the pair sweep reads every monic quadratic once, the Weil sweep
-a superset of one F per affine orbit x -> ux + a, which keeps its max
-|sum| exhaustive.
+kernel: the pair sweep reads every monic quadratic's sum once, through
+``correlation_survivors`` at bound 0, and the Weil sweep reduces a
+superset of one F per affine orbit x -> ux + a to its least and largest
+sum over the non-squares, through ``masked_extrema``, which keeps its max
+|sum| exhaustive with no array of sums.
 ``multilinear_form_sums`` reduces and checks a prime's whole batch of form
 sets as one int64 table and evaluates the sets of each size as one chunked
 array product.  ``moment_sums`` takes weights in {-1, 0, 1}, groups columns
-equal up to sign with one lexsort, streams the candidates in row blocks into
-one histogram of the integer inner sums per class, binned in column groups
-of about GROUP_BINS counts, and sums its moments in int64 base-2^b digits,
-joined as Python ints.  Both records are NamedTuples.
+equal up to sign with one lexsort, streams the candidates in ``chi_blocks``
+row blocks into one histogram of the integer inner sums per class, binned
+in column groups of about GROUP_BINS counts, and sums its moments in int64
+base-2^b digits, joined as Python ints.  Both records are NamedTuples.
 """
 
 from __future__ import annotations
@@ -220,23 +222,24 @@ def moment_sums(
     classes = ranked[:, new]
     inverse = (np.cumsum(new) - 1)[np.argsort(order)]
     k = classes.shape[1]
-    chi = _kernels.chi_window_matrix(p, d, 1, n)
     # float32 is exact: every partial sum is an integer of size at most N, and
-    # N < 2^24, or chi's p^d * N >= N^2 bytes (2^48 and up) could not be held
-    wf = classes.astype(np.float32)
-    # class j counts |S| = v at code j*(N+1) + v, binned in its group's slice of
-    # counts; a block holds rows * N float32 entries and rows * G codes, each at
-    # most about BLOCK_CELLS
+    # N < 2^24 in any scan that ends: N >= 2^24 means p^d * N >= 2^48 cells
+    wf = np.ascontiguousarray(classes.T, dtype=np.float32)
+    # class j (row j of wf) counts |S| = v at code j*(N+1) + v, binned in its
+    # group's slice of counts; a (rows, N, p) block of c candidates gives
+    # (rows, G, p) codes, and c * N and c * G are at most about BLOCK_CELLS
+    # (at least one row of p candidates)
     group = min(k, max(1, GROUP_BINS // (n + 1)))
     offsets = np.arange(group, dtype=np.float32) * (n + 1)
     counts = np.zeros(k * (n + 1), dtype=np.int64)
-    step = max(1, _kernels.BLOCK_CELLS // max(group, n))
-    for lo in range(0, p**d, step):
-        block = chi[lo : lo + step].astype(np.float32)
+    cells = _kernels.BLOCK_CELLS // max(group, n) * n
+    xs = np.arange(1, n + 1, dtype=np.int64) % p
+    for _, chi in _kernels.chi_blocks(p, d, xs, 0, p ** (d - 1), cells):
+        block = chi.astype(np.float32)
         for j in range(0, k, group):
             # a code is below max(GROUP_BINS, N + 1) < 2^24, so still exact in float32
-            codes = np.abs(block @ wf[:, j : j + group])
-            codes += offsets[: codes.shape[1]]
+            codes = np.abs(wf[j : j + group] @ block)
+            codes += offsets[: codes.shape[1], None]
             counts[j * (n + 1) : (j + group) * (n + 1)] += np.bincount(
                 codes.astype(np.int64).ravel(), minlength=codes.shape[1] * (n + 1))
     # sum_v counts[j, v] * v^(2r) digit by digit, v^(2r) in base 2^b: class j's
@@ -294,7 +297,8 @@ def sweep_pair_identity(
         PrimeModulus(p)  # validate
         check_ops(p**3, budget, "pair-identity sweep")
         ones = np.ones(p, dtype=np.int64)
-        sums = _kernels.windowed_correlations(p, 2, 0, p, ones, threads=threads)
+        # bound 0 keeps every sum, in index order
+        _, sums = _kernels.correlation_survivors(p, 2, 0, p, ones, 0, threads=threads)
         a, b = np.divmod(np.arange(p * p, dtype=np.int64), p)
         measured = sums[a * b % p + (a + b) % p * p].astype(np.float64).tolist()
         expected = np.where(a == b, p - 1.0, -1.0).tolist()
@@ -324,6 +328,8 @@ def sweep_weil(
     sweep scans the high-digit rows h < (n + 1) * p^(D-3), which hold them,
     and the max over those is the max over all F.  Degree 2 scans its one
     row s_1 = 0; degree 1 and degrees divisible by p scan all p^(D-1) rows.
+    Each scan streams to the least and largest sum over a mask of its
+    non-squares; measured is max(largest, -least).
     """
     rows = []
     for p in primes:
@@ -336,14 +342,13 @@ def sweep_weil(
         check_ops(sum(n * p * p for n in scans) + 9 * p * p, budget, "weil sweep")
         ones = np.ones(p, dtype=np.int64)
         for degree, n in enumerate(scans, start=1):
-            # complete sums: all-ones weights over the whole field
-            sums = _kernels.windowed_correlations(p, degree, 0, p, ones, threads=threads, rows=n)
-            # zeroing the scanned perfect squares in place leaves the max of
-            # |sum| over the non-squares unchanged and allocates no second array
+            nonsquare = np.ones(n * p, dtype=bool)
             if degree % 2 == 0:
                 for squares in _kernels._square_multiples(p, degree, degree // 2):
-                    sums[squares[squares < len(sums)]] = 0
-            measured = int(np.max(np.abs(sums, out=sums)))
+                    nonsquare[squares[squares < len(nonsquare)]] = False
+            # complete sums: all-ones weights over the whole field
+            low, high, _ = _kernels.masked_extrema(p, degree, 0, p, ones, nonsquare, threads)
+            measured = max(high, -low)
             bound = weil_bound(degree, p)
             rows.append(BoundCheckRow(
                 lemma="weil", p=p, d=degree,

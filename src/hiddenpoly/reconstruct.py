@@ -21,11 +21,13 @@ bound keeps exactly the full scan's survivors for any weights in
 square-free test runs on the few survivors alone, not on a p^d mask.
 
 brute and short-window share one windowed-argmax body and differ only in
-the window.  Every solver records in RecoveryReport.work the candidate x
-window cells of the unpruned scans: all p^d monic candidates over the
-scanned window, square-free or not, and a fallback each candidate of its
-pool.  For two-stage that is p^d * N + survivors * M whatever the sieve
-skips, so the count follows from the report fields alone.
+the window; it reduces each scanned block to its square-free maximum and
+winners, so only the p^d bool mask spans the candidates.  Every solver
+records in RecoveryReport.work the candidate x window cells of the
+unpruned scans: all p^d monic candidates over the scanned window,
+square-free or not, and a fallback each candidate of its pool.  For
+two-stage that is p^d * N + survivors * M whatever the sieve skips, so
+the count follows from the report fields alone.
 
 Oracle answers over a window are queried once, cached, and reused by
 every candidate, so query counts are exact.  Correctness is guaranteed
@@ -190,7 +192,8 @@ def _stage1_sieve(
 
     c_i = sum_j weights[j] * chi(g_i(x0 + j mod p)) over all len(weights)
     points, for every monic degree-d g_i; weights lie in {-1, 0, 1}.  The
-    result equals the full windowed_correlations filter (module docstring).
+    result equals one correlation_survivors call over every point (module
+    docstring).
     """
     p = modulus.p
     ends = sorted({min(len(weights), k) for k in ROUNDS} | {len(weights)})
@@ -228,11 +231,7 @@ def _argmax_recover(
     t0 = time.perf_counter()
     mask = _kernels.squarefree_mask(p, d, budget)
     weights = cache.window(x0, m)
-    corr = _kernels.windowed_correlations(p, d, x0, m, weights, threads=threads)
-    # masked in place: no second p^d array
-    corr[~mask] = np.iinfo(np.int64).min
-    best = int(corr.max())
-    winners = np.flatnonzero(corr == best)
+    _, _, winners = _kernels.masked_extrema(p, d, x0, m, weights, mask, threads=threads)
     return RecoveryReport(
         algorithm=algorithm,
         recovered=poly_from_index(d, modulus, int(winners[0])),

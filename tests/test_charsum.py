@@ -51,7 +51,7 @@ def _complete_sum(f):
     # the complete sums the pair and Weil sweeps read: the scan kernel with
     # all-ones weights over the whole field, at f's index
     p = f.modulus.p
-    sums = _kernels.windowed_correlations(p, f.degree, 0, p, np.ones(p, dtype=np.int64))
+    _, sums = _kernels.correlation_survivors(p, f.degree, 0, p, np.ones(p, dtype=np.int64), 0)
     return int(sums[poly_index(f)])
 
 
@@ -557,7 +557,7 @@ class TestSweeps:
         rows = charsum.sweep_weil((p,))
         assert [r.d for r in rows] == [1, 2, 3, 4]
         for row in rows:
-            sums = _kernels.windowed_correlations(p, row.d, 0, p, ones)
+            _, sums = _kernels.correlation_survivors(p, row.d, 0, p, ones, 0)
             nonsquare = np.ones(p**row.d, dtype=bool)
             if row.d % 2 == 0:  # the squares g^2 of every monic root g, by poly arithmetic
                 roots = enumerate_monic(row.d // 2, PrimeModulus(p))
@@ -565,15 +565,15 @@ class TestSweeps:
             assert row.measured == np.abs(sums[nonsquare]).max()
 
     def _scanned(self, monkeypatch, primes):
+        # the cells each degree scans: the length of the mask it reduces over
         scanned = []
-        kernel = _kernels.windowed_correlations
+        kernel = _kernels.masked_extrema
 
-        def spy(*args, **kwargs):
-            out = kernel(*args, **kwargs)
-            scanned.append(len(out))
-            return out
+        def spy(p, d, x0, m, weights, mask, *args, **kwargs):
+            scanned.append(len(mask))
+            return kernel(p, d, x0, m, weights, mask, *args, **kwargs)
 
-        monkeypatch.setattr(_kernels, "windowed_correlations", spy)
+        monkeypatch.setattr(_kernels, "masked_extrema", spy)
         charsum.sweep_weil(primes)
         return scanned
 

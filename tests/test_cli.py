@@ -530,3 +530,18 @@ def test_quantum_fits_the_default_budget(p, d):
     assert float(report["residual_mass"]) >= 0
     assert seconds < 2.0
     assert rss_mb < 100.0
+
+
+@pytest.mark.parametrize(
+    "p, d, algo, limit_mb",
+    # an int64 array of all p^d sums peaked at 167 MB and 111 MB; the streamed
+    # argmax holds the p^d bool mask beside the tables and scan blocks, about
+    # 50 MB and 44 MB
+    [(61, 4, "brute", 80.0), (53, 4, "short", 70.0)],
+)
+def test_argmax_holds_no_array_of_every_sum(p, d, algo, limit_mb):
+    argv = ("recover", "--p", str(p), "--d", str(d), "--algo", algo, "--no-timing", "--json")
+    code, out, err, _, rss_mb = run_measured(*argv)
+    assert code == 0, err
+    assert json.loads(out)["match"] is True
+    assert rss_mb < limit_mb, rss_mb

@@ -283,7 +283,7 @@ def test_stage1_sieve_matches_the_full_filter(data):
         if m > rounds[0]:
             weights[data.draw(st.integers(rounds[0], m - 1))] = 0
     threshold = data.draw(st.one_of(st.integers(-2, m + 2), st.integers(m - 3, m)))
-    corr = _kernels.windowed_correlations(p, d, x0, m, weights)
+    _, corr = _kernels.correlation_survivors(p, d, x0, m, weights, 0)
     expected = np.flatnonzero(np.abs(corr) >= threshold)
     for scan_cells, hankel_cells in ((_kernels.SCAN_CELLS, _kernels.HANKEL_CELLS), (1, 1)):
         with mock.patch.object(reconstruct, "ROUNDS", rounds), \
