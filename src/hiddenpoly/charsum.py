@@ -14,8 +14,9 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 * 2r-th moment of weighted short sums             (``average``)
 
 Each sweep calls a primitive that is cross-checked against a plain loop:
-``sweep_weil_short`` calls ``short_char_sums``, ``sweep_mult_weil``
-``multilinear_form_sums``, ``sweep_moment`` ``moment_sums``, and
+``sweep_weil_short`` calls ``short_char_sums``, once per (p, d) on all 20
+products, ``sweep_mult_weil`` ``multilinear_form_sums``, ``sweep_moment``
+``moment_sums``, and
 ``sweep_pair_identity`` and ``sweep_weil`` the all-F complete-sum scan
 kernel: the pair sweep reads every monic quadratic's sum once, through
 ``correlation_survivors`` at bound 0, and the Weil sweep reduces a
@@ -24,16 +25,22 @@ sum over the non-squares, through ``masked_extrema``, which keeps its max
 |sum| exhaustive with no array of sums.
 ``multilinear_form_sums`` reduces and checks a prime's whole batch of form
 sets as one int64 table and evaluates the sets of each size as one chunked
-array product.  ``moment_sums`` takes weights in {-1, 0, 1}, groups columns
-equal up to sign with one lexsort, streams the candidates in ``chi_blocks``
-row blocks into one histogram of the integer inner sums per class, binned
-in column groups of about GROUP_BINS counts, and sums its moments in int64
-base-2^b digits, joined as Python ints.  Both records are NamedTuples.
+int8 product of the forms' characters.  ``moment_sums`` takes weights in
+{-1, 0, 1}, groups columns equal up to sign with one lexsort, streams the
+candidates in ``chi_blocks`` row blocks into one histogram of the integer
+inner sums per class, binned in column groups of about GROUP_BINS counts,
+and sums its moments in int64 base-2^b digits, joined as Python ints.
+
+Every sweep returns one ``BoundTable`` per prime: the lemma id, p and
+equal-length columns ``d``, ``params``, ``measured``, ``bound`` and
+``passed``, so no record is built per checked instance.
+``BoundTable.rows()`` gives the same instances as ``BoundCheckRow``
+records.  ``BoundCheckRow`` and ``LinearForm`` are NamedTuples;
+``BoundTable`` is a NamedTuple of lists.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -49,6 +56,7 @@ from .poly import MonicPoly, format_poly, mul, random_squarefree
 __all__ = [
     "LinearForm",
     "BoundCheckRow",
+    "BoundTable",
     "short_char_sums",
     "multilinear_form_sums",
     "moment_sums",
@@ -88,6 +96,23 @@ class BoundCheckRow(NamedTuple):
     passed: bool
 
 
+class BoundTable(NamedTuple):
+    """One sweep's checked instances at one prime, as equal-length columns."""
+
+    lemma: str
+    p: int
+    d: list[int]
+    params: list[str]
+    measured: list[float]
+    bound: list[float]
+    passed: list[bool]
+
+    def rows(self) -> list[BoundCheckRow]:
+        """The same instances, one BoundCheckRow each, in order."""
+        return [BoundCheckRow(self.lemma, self.p, *cells)
+                for cells in zip(self.d, self.params, self.measured, self.bound, self.passed)]
+
+
 class LinearForm(NamedTuple):
     """S_0 + S_1*c_1 + ... + S_{d-1}*c_{d-1} + c_d over F_p.
 
@@ -102,10 +127,25 @@ class LinearForm(NamedTuple):
         return LinearForm(tuple(c % p for c in self.coefficients), self.constant % p)
 
 
-def short_char_sums(f: MonicPoly) -> np.ndarray:
-    """Every short sum at once: out[M-1] = sum_{x=1}^{M} chi(f(x)), 1 <= M < p; int64."""
-    xs = np.arange(1, f.modulus.p, dtype=np.int64)
-    return np.cumsum(chi_table(f.modulus)[f.eval_array(xs)], dtype=np.int64)
+def short_char_sums(polys: Sequence[MonicPoly]) -> np.ndarray:
+    """Every short sum of every f: out[k, M-1] = sum_{x=1}^{M} chi(polys[k](x)), 1 <= M < p.
+
+    The polynomials share one field and may differ in degree; they are
+    evaluated together, one Horner step per power over all of them.  int64.
+    """
+    if len({f.modulus.p for f in polys}) != 1:
+        raise ValueError("short_char_sums needs polynomials over one field")
+    modulus = polys[0].modulus
+    chi = chi_table(modulus)  # also refuses a p where acc * x + c could wrap int64
+    # coeffs[k] = polys[k]'s coefficients from x^top down, zero above its degree
+    top = max(f.degree for f in polys)
+    coeffs = np.array([(*[0] * (top - f.degree), 1, *f.coeffs[::-1]) for f in polys],
+                      dtype=np.int64)
+    xs = np.arange(1, modulus.p, dtype=np.int64)
+    acc = np.zeros((len(polys), len(xs)), dtype=np.int64)
+    for column in coeffs.T:
+        acc = (acc * xs + column[:, None]) % modulus.p
+    return np.cumsum(chi[acc], axis=1, dtype=np.int64)
 
 
 def multilinear_form_sums(
@@ -120,7 +160,9 @@ def multilinear_form_sums(
     coefficients fit int64; sets may differ in size.  Returns one exact
     int64 sum per set, in order.  Sets of the same size are evaluated
     together as one (sets, rows, p) product of the shifted S_0 axis, in
-    chunks of at most about BLOCK_CELLS cells.
+    chunks of at most about BLOCK_CELLS cells.  chi is completely
+    multiplicative, so the product is taken of the forms' characters, in
+    int8, and never of the forms mod p.
     """
     p = modulus.p
     if d < 1:
@@ -147,7 +189,8 @@ def multilinear_form_sums(
     # the sum runs over all of F_p^d, so the rows (S_1, ..., S_{d-1}) may come
     # in any order; a chunk takes whole sets when one set's p^d cells fit in
     # BLOCK_CELLS, and otherwise one set and a block of rows
-    chi = chi_table(modulus)
+    # chi2[s] = chi(s mod p) for 0 <= s < 2p: S_0 plus a shift below p
+    chi2 = np.tile(chi_table(modulus), 2)
     s0 = np.arange(p, dtype=np.int64)
     place = p ** np.arange(d - 1, dtype=np.int64)
     rows = p ** (d - 1)
@@ -163,11 +206,10 @@ def multilinear_form_sums(
                 rest = np.arange(h, min(rows, h + row_step), dtype=np.int64)[:, None] // place % p
                 # shifts[k, v, r] = L_v(0, rest[r]) for the set members[a + k]
                 shifts = (c @ rest.T + b[:, :, None]) % p
-                prod = np.ones((len(c), len(rest), p), dtype=np.int64)
+                prod = np.ones((len(c), len(rest), p), dtype=np.int8)
                 for v in range(n_forms):
-                    prod *= (s0 + shifts[:, v, :, None]) % p
-                    prod %= p
-                out[members[a : a + set_step]] += chi[prod].sum(axis=(1, 2), dtype=np.int64)
+                    prod *= chi2[s0 + shifts[:, v, :, None]]
+                out[members[a : a + set_step]] += prod.sum(axis=(1, 2), dtype=np.int64)
     return out
 
 
@@ -190,7 +232,8 @@ def moment_sums(
     streamed.  Each block of candidates is cast to float32 once, then
     binned G columns at a time, G * (N + 1) about GROUP_BINS and G times
     the block's rows about BLOCK_CELLS, so each bincount fills a slice of
-    the histogram small enough to stay in cache.  The budget still counts
+    the histogram small enough to stay in cache; the codes of every group
+    are written into the same two buffers.  The budget still counts
     p^d * N * T, an upper bound on that work.  No columns (T = 0) give an
     empty (len(rs), 0) result.  The candidate set is deliberately the full
     p^d monic family, not just the square-free part; the companion bound
@@ -234,14 +277,25 @@ def moment_sums(
     counts = np.zeros(k * (n + 1), dtype=np.int64)
     cells = _kernels.BLOCK_CELLS // max(group, n) * n
     xs = np.arange(1, n + 1, dtype=np.int64) % p
+    # every group's codes go to the same two buffers, sized by the first block:
+    # a fresh array per group may be mapped anew and page-faulted each time
+    fbuf = ibuf = np.empty(0)
     for _, chi in _kernels.chi_blocks(p, d, xs, 0, p ** (d - 1), cells):
         block = chi.astype(np.float32)
+        if len(fbuf) < len(block) * group * p:
+            fbuf = np.empty(len(block) * group * p, dtype=np.float32)
+            ibuf = np.empty(len(fbuf), dtype=np.int64)
         for j in range(0, k, group):
+            w_group = wf[j : j + group]
+            shape = (len(block), len(w_group), p)
+            size = math.prod(shape)
             # a code is below max(GROUP_BINS, N + 1) < 2^24, so still exact in float32
-            codes = np.abs(wf[j : j + group] @ block)
-            codes += offsets[: codes.shape[1], None]
+            codes = np.matmul(w_group, block, out=fbuf[:size].reshape(shape))
+            np.abs(codes, out=codes)
+            codes += offsets[: shape[1], None]
+            np.copyto(ibuf[:size].reshape(shape), codes, casting="unsafe")
             counts[j * (n + 1) : (j + group) * (n + 1)] += np.bincount(
-                codes.astype(np.int64).ravel(), minlength=codes.shape[1] * (n + 1))
+                ibuf[:size], minlength=shape[1] * (n + 1))
     # sum_v counts[j, v] * v^(2r) digit by digit, v^(2r) in base 2^b: class j's
     # counts sum to p^d < 2^(63 - b), so each digit's sum is an exact int64
     b = 63 - (p**d).bit_length()
@@ -273,7 +327,7 @@ def moment_bound(r: int, n: int, d: int, p: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Sweep drivers: each returns BoundCheckRow records for the CSV report.
+# Sweep drivers: each returns one BoundTable per prime for the CSV report.
 # Every sweep takes (primes, *, seed, threads, budget) and refuses a
 # prime whose cells together exceed the budget before computing any.
 # ----------------------------------------------------------------------
@@ -285,14 +339,14 @@ def sweep_pair_identity(
     seed: int = 0,
     threads: int = 1,
     budget: int | None = None,
-) -> list[BoundCheckRow]:
+) -> list[BoundTable]:
     """Exhaustive two-point identity check: one row per (a, b) pair.
 
     sum_x chi((x+a)(x+b)) is p-1 when a = b and exactly -1 otherwise.
     (x+a)(x+b) is the monic quadratic of index ab + (a+b)p (both mod p),
     so one complete-sum scan of all p^2 quadratics holds every pair sum.
     """
-    rows = []
+    tables = []
     for p in primes:
         PrimeModulus(p)  # validate
         check_ops(p**3, budget, "pair-identity sweep")
@@ -300,13 +354,14 @@ def sweep_pair_identity(
         # bound 0 keeps every sum, in index order
         _, sums = _kernels.correlation_survivors(p, 2, 0, p, ones, 0, threads=threads)
         a, b = np.divmod(np.arange(p * p, dtype=np.int64), p)
-        measured = sums[a * b % p + (a + b) % p * p].astype(np.float64).tolist()
-        expected = np.where(a == b, p - 1.0, -1.0).tolist()
-        params = [f"a={i};b={j}" for i in range(p) for j in range(p)]
-        rows += map(BoundCheckRow._make, zip(
-            itertools.repeat("pair-identity"), itertools.repeat(p), itertools.repeat(1),
-            params, measured, expected, map(operator.eq, measured, expected)))
-    return rows
+        measured = sums[a * b % p + (a + b) % p * p].astype(np.float64)
+        expected = np.where(a == b, p - 1.0, -1.0)
+        # "a={i};b={j}" as two joined pieces: a quarter of the cost of formatting each
+        heads, tails = [f"a={i};b=" for i in range(p)], [str(j) for j in range(p)]
+        tables.append(BoundTable(
+            "pair-identity", p, [1] * (p * p), [h + t for h in heads for t in tails],
+            measured.tolist(), expected.tolist(), (measured == expected).tolist()))
+    return tables
 
 
 def sweep_weil(
@@ -315,7 +370,7 @@ def sweep_weil(
     seed: int = 0,
     threads: int = 1,
     budget: int | None = None,
-) -> list[BoundCheckRow]:
+) -> list[BoundTable]:
     """Exhaustive complete-sum bound check; one row per (p, degree <= 4) cell.
 
     The measured value is max |sum_x chi(F(x))| over every monic non-square
@@ -331,31 +386,31 @@ def sweep_weil(
     Each scan streams to the least and largest sum over a mask of its
     non-squares; measured is max(largest, -least).
     """
-    rows = []
+    tables = []
+    degrees = range(1, 5)
     for p in primes:
         modulus = PrimeModulus(p)  # validate
         nonresidue = int(np.argmax(chi_table(modulus) < 0))  # the least one
         scans = [p ** (degree - 1) if degree == 1 or degree % p == 0
                  else 1 if degree == 2 else (nonresidue + 1) * p ** (degree - 3)
-                 for degree in range(1, 5)]
+                 for degree in degrees]
         # p points per scanned candidate, plus squaring the p + p^2 roots (charged 9 p^2)
         check_ops(sum(n * p * p for n in scans) + 9 * p * p, budget, "weil sweep")
         ones = np.ones(p, dtype=np.int64)
-        for degree, n in enumerate(scans, start=1):
+        measured = []
+        for degree, n in zip(degrees, scans):
             nonsquare = np.ones(n * p, dtype=bool)
             if degree % 2 == 0:
                 for squares in _kernels._square_multiples(p, degree, degree // 2):
                     nonsquare[squares[squares < len(nonsquare)]] = False
             # complete sums: all-ones weights over the whole field
             low, high, _ = _kernels.masked_extrema(p, degree, 0, p, ones, nonsquare, threads)
-            measured = max(high, -low)
-            bound = weil_bound(degree, p)
-            rows.append(BoundCheckRow(
-                lemma="weil", p=p, d=degree,
-                params=f"monic degree {degree}, non-squares, exhaustive",
-                measured=float(measured), bound=bound, passed=measured <= bound,
-            ))
-    return rows
+            measured.append(float(max(high, -low)))
+        bounds = [weil_bound(degree, p) for degree in degrees]
+        params = [f"monic degree {degree}, non-squares, exhaustive" for degree in degrees]
+        tables.append(BoundTable("weil", p, list(degrees), params, measured, bounds,
+                                 list(map(operator.le, measured, bounds))))
+    return tables
 
 
 def sweep_weil_short(
@@ -364,7 +419,7 @@ def sweep_weil_short(
     seed: int = 0,
     threads: int = 1,
     budget: int | None = None,
-) -> list[BoundCheckRow]:
+) -> list[BoundTable]:
     """Short-interval bound on products g*h of distinct square-free monics.
 
     20 seeded pairs per degree d in {1, 2}.  For each pair the measured
@@ -372,26 +427,29 @@ def sweep_weil_short(
     The reported bound uses the pinned empirical constant; the true
     constant is implicit in the O().
     """
-    rows = []
+    tables = []
     for p in primes:
         modulus = PrimeModulus(p)
         # 20 pairs per degree, 2d Horner steps each over p points
         check_ops(20 * (2 + 4) * p, budget, "weil-short sweep")
+        ds, params, measured = [], [], []
         for d in (1, 2):
             rng = random.Random(f"{seed}:{p}:{d}")
+            pairs = []
             for _ in range(20):
                 g = random_squarefree(modulus, d, rng)
                 h = random_squarefree(modulus, d, rng)
                 while h == g:
                     h = random_squarefree(modulus, d, rng)
-                measured = int(np.max(np.abs(short_char_sums(mul(g, h)))))
-                bound = short_weil_bound(2 * d, p)
-                rows.append(BoundCheckRow(
-                    lemma="weil-short", p=p, d=d,
-                    params=f"g={format_poly(g)};h={format_poly(h)};worst M",
-                    measured=float(measured), bound=bound, passed=measured <= bound,
-                ))
-    return rows
+                pairs.append((g, h))
+            sums = short_char_sums([mul(g, h) for g, h in pairs])
+            ds += [d] * len(pairs)
+            params += [f"g={format_poly(g)};h={format_poly(h)};worst M" for g, h in pairs]
+            measured += np.abs(sums).max(axis=1).astype(np.float64).tolist()
+        bounds = [short_weil_bound(2 * d, p) for d in ds]
+        tables.append(BoundTable("weil-short", p, ds, params, measured, bounds,
+                                 list(map(operator.le, measured, bounds))))
+    return tables
 
 
 def sweep_mult_weil(
@@ -400,9 +458,9 @@ def sweep_mult_weil(
     seed: int = 0,
     threads: int = 1,
     budget: int | None = None,
-) -> list[BoundCheckRow]:
+) -> list[BoundTable]:
     """Multilinear average bound at d = 2 over 500 seeded sets of 1-3 distinct forms."""
-    rows = []
+    tables = []
     for p in primes:
         modulus = PrimeModulus(p)
         check_ops(500 * 3 * p**2, budget, "mult-weil sweep")
@@ -415,13 +473,15 @@ def sweep_mult_weil(
                 pairs.add((rng.randrange(p), rng.randrange(p)))
             form_sets.append([LinearForm((c,), b) for c, b in sorted(pairs)])
         sums = multilinear_form_sums(form_sets, 2, modulus, budget)
-        bounds = {n: mult_weil_bound(n, 2, p) for n in (1, 2, 3)}
-        rows += [
-            BoundCheckRow("mult-weil", p, 2, f"sample={i};forms={len(forms)}",
-                          float(m), bounds[len(forms)], abs(m) <= bounds[len(forms)])
-            for i, (forms, m) in enumerate(zip(form_sets, sums.tolist()))
-        ]
-    return rows
+        sizes = [len(forms) for forms in form_sets]
+        bound_of = {n: mult_weil_bound(n, 2, p) for n in (1, 2, 3)}
+        bounds = [bound_of[n] for n in sizes]
+        tables.append(BoundTable(
+            "mult-weil", p, [2] * len(sizes),
+            [f"sample={i};forms={n}" for i, n in enumerate(sizes)],
+            sums.astype(np.float64).tolist(), bounds,
+            list(map(operator.le, np.abs(sums).tolist(), bounds))))
+    return tables
 
 
 def sweep_moment(
@@ -430,13 +490,13 @@ def sweep_moment(
     seed: int = 0,
     threads: int = 1,
     budget: int | None = None,
-) -> list[BoundCheckRow]:
+) -> list[BoundTable]:
     """Moment bound over 1000 seeded random +/-1 weight vectors, d in {1, 2}.
 
     One row per (p, d, r, N) cell; the measured value is the worst moment
     over the trials.
     """
-    rows = []
+    tables = []
     for p in primes:
         modulus = PrimeModulus(p)
         cells = [(d, n) for d in (1, 2)
@@ -444,18 +504,18 @@ def sweep_moment(
         # p^d * N * 1000 multiply-adds per cell, as moment_sums counts them
         check_ops(sum(p**d * n * 1000 for d, n in cells), budget, "moment sweep")
         rs = sorted({1, 2, math.ceil(math.log(p))})
+        ds, params, measured, bounds = [], [], [], []
         for d, n in cells:
             rng = np.random.default_rng([seed, p, d, n])
             weights = rng.choice(np.array([-1.0, 1.0]), size=(n, 1000))
             for r, moments in zip(rs, moment_sums(weights, d, rs, modulus, budget)):
-                measured = float(np.max(moments))
-                bound = moment_bound(r, n, d, p)
-                rows.append(BoundCheckRow(
-                    lemma="average", p=p, d=d,
-                    params=f"r={r};N={n};trials=1000;weights=+-1",
-                    measured=measured, bound=bound, passed=measured <= bound,
-                ))
-    return rows
+                ds.append(d)
+                params.append(f"r={r};N={n};trials=1000;weights=+-1")
+                measured.append(float(np.max(moments)))
+                bounds.append(moment_bound(r, n, d, p))
+        tables.append(BoundTable("average", p, ds, params, measured, bounds,
+                                 list(map(operator.le, measured, bounds))))
+    return tables
 
 
 # CSV lemma id -> sweep, in report order.  Sweeps are held by name and

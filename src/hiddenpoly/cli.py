@@ -48,9 +48,13 @@ def _err(message: str) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
+    # the file first: a path that cannot be written leaves stdout empty
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+    sys.stdout.write(text)
 
 
 def _emit_report(payload: dict, args: argparse.Namespace) -> None:
@@ -110,23 +114,27 @@ def cmd_recover(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _bound_rows(args: argparse.Namespace) -> list[charsum.BoundCheckRow]:
-    # one row list per lemma in report order; --p replaces each sweep's primes
+def _bound_tables(args: argparse.Namespace) -> list[charsum.BoundTable]:
+    # the tables of each lemma in report order; --p replaces each sweep's primes
     primes = (tuple(args.p),) if args.p else ()
-    rows: list[charsum.BoundCheckRow] = []
+    tables: list[charsum.BoundTable] = []
     for lemma in (args.lemma,) if args.lemma else LEMMAS:
         sweep = getattr(charsum, charsum.SWEEPS[lemma])
-        rows += sweep(*primes, seed=args.seed, threads=args.threads, budget=args.budget)
-    return rows
+        tables += sweep(*primes, seed=args.seed, threads=args.threads, budget=args.budget)
+    return tables
 
 
-def _rows_to_csv(rows: list[charsum.BoundCheckRow]) -> str:
-    lines = [
-        f"{lemma},{p},{d},{params.replace(',', ';')},{measured!r},{bound!r},"
-        f"{'pass' if passed else 'fail'}"
-        for lemma, p, d, params, measured, bound, passed in rows
-    ]
-    return "\n".join(["lemma,p,d,params,measured,bound,pass", *lines]) + "\n"
+def _tables_to_csv(tables: list[charsum.BoundTable]) -> str:
+    lines = ["lemma,p,d,params,measured,bound,pass"]
+    for table in tables:
+        head = f"{table.lemma},{table.p},"
+        lines += [
+            f"{head}{d},{params.replace(',', ';')},{measured!r},{bound!r},"
+            f"{'pass' if passed else 'fail'}"
+            for d, params, measured, bound, passed in zip(
+                table.d, table.params, table.measured, table.bound, table.passed)
+        ]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
@@ -134,9 +142,9 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
         raise ValueError("--p needs at least one prime")
     for p in args.p or ():
         PrimeModulus(p)  # validate every prime before any sweep runs
-    rows = _bound_rows(args)
-    _emit(_rows_to_csv(rows), args.out)
-    violations = [r for r in rows if not r.passed]
+    tables = _bound_tables(args)
+    _emit(_tables_to_csv(tables), args.out)
+    violations = [r for t in tables if not all(t.passed) for r in t.rows() if not r.passed]
     if violations:
         _err(f"{len(violations)} bound violation(s)")
         for r in violations[:20]:

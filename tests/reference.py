@@ -8,8 +8,10 @@ same way, by whole shifts of that character table, at primes where the
 candidate loop would be slow.  ``reference_answers`` and ``reference_vote``
 are the noisy oracle's answers and plurality vote, hashed and counted
 draw by draw.  ``sympy_is_squarefree`` decides square-freeness from
-sympy's square-free factorisation.  WIDE_PRIMES are the
-large primes the kernel and poly tests draw from.
+sympy's square-free factorisation.  ``reference_short_sums`` gives every
+prefix sum of chi(f(x)) one polynomial and one point at a time, and
+``rows_to_csv`` writes the verify-bounds CSV one record at a time.
+WIDE_PRIMES are the large primes the kernel and poly tests draw from.
 """
 
 import hashlib
@@ -83,3 +85,25 @@ def reference_vote(seed, gamma, truth, x, first, t):
     """Plurality of all t reference_answers, with no early stop; smallest value on ties."""
     answers = reference_answers(seed, gamma, truth, x, first, t)
     return max((-1, 0, 1), key=lambda v: (answers.count(v), -v))
+
+
+def reference_short_sums(polys):
+    """[k][M-1] = sum_{x=1}^{M} chi(polys[k](x)), 1 <= M < p, by a plain loop per polynomial."""
+    out = []
+    for f in polys:
+        total, sums = 0, []
+        for x in range(1, f.modulus.p):
+            total += legendre_euler(FpElement(f.eval_int(x), f.modulus))
+            sums.append(total)
+        out.append(sums)
+    return out
+
+
+def rows_to_csv(rows):
+    """The verify-bounds CSV of BoundCheckRow records, one f-string per record."""
+    lines = [
+        f"{lemma},{p},{d},{params.replace(',', ';')},{measured!r},{bound!r},"
+        f"{'pass' if passed else 'fail'}"
+        for lemma, p, d, params, measured, bound, passed in rows
+    ]
+    return "\n".join(["lemma,p,d,params,measured,bound,pass", *lines]) + "\n"

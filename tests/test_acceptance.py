@@ -99,7 +99,7 @@ class TestSubLinearWindow:
 
 class TestPairIdentity:
     def test_exhaustive(self, verdicts):
-        rows = charsum.sweep_pair_identity((7, 101))
+        rows = [row for table in charsum.sweep_pair_identity((7, 101)) for row in table.rows()]
         bad = sum(not r.passed for r in rows)
         _verdict(
             verdicts,
@@ -112,7 +112,7 @@ class TestPairIdentity:
 class TestWeilBound:
     def test_exhaustive_low_degree(self, verdicts):
         t0 = time.time()
-        rows = charsum.sweep_weil()
+        rows = [row for table in charsum.sweep_weil() for row in table.rows()]
         elapsed = time.time() - t0
         bad = [r for r in rows if not r.passed]
         _verdict(
@@ -126,7 +126,7 @@ class TestWeilBound:
 
 class TestMomentBound:
     def test_seeded_weight_vectors(self, verdicts):
-        rows = charsum.sweep_moment()
+        rows = [row for table in charsum.sweep_moment() for row in table.rows()]
         bad = [r for r in rows if not r.passed]
         _verdict(
             verdicts,
@@ -138,7 +138,7 @@ class TestMomentBound:
 
 class TestMultilinearBound:
     def test_seeded_form_sets(self, verdicts):
-        rows = charsum.sweep_mult_weil()
+        rows = [row for table in charsum.sweep_mult_weil() for row in table.rows()]
         bad = [r for r in rows if not r.passed]
         _verdict(
             verdicts,

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_matrix, shifted_sums
+from reference import reference_matrix, reference_short_sums, shifted_sums
 
 from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
     BoundCheckRow,
+    BoundTable,
     LinearForm,
     moment_bound,
     moment_sums,
@@ -45,6 +46,11 @@ def _direct_sum(f, xs):
         v = (pow(x, f.degree, p) + sum(c * pow(x, i, p) for i, c in enumerate(f.coeffs))) % p
         total += _chi(f.modulus, v)
     return total
+
+
+def _rows(tables):
+    # the sweep's checked instances as records, in report order
+    return [row for table in tables for row in table.rows()]
 
 
 def _complete_sum(f):
@@ -81,13 +87,13 @@ class TestCompleteSum:
 class TestShortSum:
     def test_anchor(self):
         # chi(1) + chi(2) + chi(3) over F_7 = 1 + 1 - 1; one sum per M = 1..6
-        sums = short_char_sums(parse_poly("x", PrimeModulus(7)))
+        sums = short_char_sums([parse_poly("x", PrimeModulus(7))])[0]
         assert sums[2] == 1
         assert sums.shape == (6,) and sums.dtype == np.int64
 
     def test_prefix_recursion(self):
         f = parse_poly("x^2 + x + 3", PrimeModulus(101))
-        sums = short_char_sums(f)
+        sums = short_char_sums([f])[0]
         assert len(sums) == 100
         for mm in range(2, 101):
             assert sums[mm - 1] - sums[mm - 2] == _direct_sum(f, [mm])
@@ -98,17 +104,39 @@ class TestShortSum:
         for _ in range(20):
             d = rng.randrange(1, 4)
             f = MonicPoly(tuple(rng.randrange(101) for _ in range(d)), m)
-            sums = short_char_sums(f)
+            sums = short_char_sums([f])[0]
             assert len(sums) == 100
             for mm in range(1, 101):
                 assert sums[mm - 1] == _direct_sum(f, range(1, mm + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_a_plain_loop(self, data):
+        # a batch of 1-20 polynomials of degrees 1-4, repeats included, in one
+        # Horner pass, against the reference loop one polynomial at a time
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13, 31, 101)))
+        m = PrimeModulus(p)
+        poly = st.integers(1, 4).flatmap(
+            lambda d: st.tuples(*[st.integers(0, p - 1)] * d)).map(lambda c: MonicPoly(c, m))
+        pool = data.draw(st.lists(poly, min_size=1, max_size=10))
+        polys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+        sums = short_char_sums(polys)
+        assert sums.shape == (len(polys), p - 1) and sums.dtype == np.int64
+        assert sums.tolist() == reference_short_sums(polys)
+
+    def test_batch_needs_one_field(self):
+        with pytest.raises(ValueError, match="one field"):
+            short_char_sums([parse_poly("x", PrimeModulus(7)), parse_poly("x", PrimeModulus(11))])
+        with pytest.raises(ValueError, match="one field"):
+            short_char_sums([])
 
 
 class TestPairIdentity:
     def test_exhaustive_small_primes(self):
         # every sweep row against a plain loop over (x+a)(x+b); threads change nothing
-        rows = charsum.sweep_pair_identity((7, 11))
-        assert charsum.sweep_pair_identity((7, 11), threads=3) == rows
+        tables = charsum.sweep_pair_identity((7, 11))
+        assert charsum.sweep_pair_identity((7, 11), threads=3) == tables
+        rows = _rows(tables)
         assert len(rows) == 7**2 + 11**2
         for row in rows:
             a, b = (int(part.split("=")[1]) for part in row.params.split(";"))
@@ -130,7 +158,7 @@ class TestPairIdentity:
                     want.append(BoundCheckRow("pair-identity", p, 1, f"a={a};b={b}",
                                               float(measured), float(expected),
                                               measured == expected))
-            got = charsum.sweep_pair_identity((p,))
+            got = _rows(charsum.sweep_pair_identity((p,)))
             assert got == want
             assert [type(v) for v in got[0]] == [str, int, int, str, float, float, bool]
 
@@ -147,6 +175,14 @@ class TestRecords:
         assert form.reduced(2) == LinearForm((1, 0), 1)
         assert row._fields == ("lemma", "p", "d", "params", "measured", "bound", "passed")
         assert form._fields == ("coefficients", "constant")
+
+    def test_table_rows_read_the_columns(self):
+        # one record per column position, lemma and p repeated, in order
+        table = BoundTable("weil", 7, [1, 2], ["x", "y"], [1.0, 3.0], [2.0, 2.0], [True, False])
+        assert table.rows() == [BoundCheckRow("weil", 7, 1, "x", 1.0, 2.0, True),
+                                BoundCheckRow("weil", 7, 2, "y", 3.0, 2.0, False)]
+        assert BoundTable("weil", 7, [], [], [], [], []).rows() == []
+        assert table._fields == ("lemma", "p", "d", "params", "measured", "bound", "passed")
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_forms_equal_after_reduction_are_refused(self, d):
@@ -532,14 +568,16 @@ class TestBoundFormulas:
 
 class TestSweeps:
     def test_pair_sweep_shape_and_pass(self):
-        rows = charsum.sweep_pair_identity((7,))
+        tables = charsum.sweep_pair_identity((7,))
+        assert [(t.lemma, t.p) for t in tables] == [("pair-identity", 7)]
+        rows = _rows(tables)
         assert len(rows) == 49
         assert all(isinstance(r, BoundCheckRow) for r in rows)
         assert all(r.passed for r in rows)
         assert all(r.lemma == "pair-identity" for r in rows)
 
     def test_weil_sweep_small(self):
-        rows = charsum.sweep_weil((5, 7))
+        rows = _rows(charsum.sweep_weil((5, 7)))
         assert all(r.passed for r in rows)
         degrees = {r.d for r in rows}
         assert degrees == {1, 2, 3, 4}
@@ -554,7 +592,7 @@ class TestSweeps:
         # the sweep scans affine-orbit representatives; the max |sum| over
         # non-squares must equal the full scan's at every degree, D = 1 included
         ones = np.ones(p, dtype=np.int64)
-        rows = charsum.sweep_weil((p,))
+        rows = _rows(charsum.sweep_weil((p,)))
         assert [r.d for r in rows] == [1, 2, 3, 4]
         for row in rows:
             _, sums = _kernels.correlation_survivors(p, row.d, 0, p, ones, 0)
@@ -591,7 +629,7 @@ class TestSweeps:
     def test_weil_budget_counts_the_scanned_rows(self):
         # least non-residue 3 at p = 127: 1 + 1 + 4 + 4 * 127 rows of p^2 cells,
         # plus 9 p^2 for the perfect squares
-        assert len(charsum.sweep_weil((127,), budget=523 * 127**2)) == 4
+        assert len(_rows(charsum.sweep_weil((127,), budget=523 * 127**2))) == 4
         with pytest.raises(BudgetExceeded, match="needs ~8435467 elementary operations"):
             charsum.sweep_weil((127,), budget=523 * 127**2 - 1)
 
@@ -599,15 +637,16 @@ class TestSweeps:
         a = charsum.sweep_weil_short((11, 31), seed=0)
         b = charsum.sweep_weil_short((11, 31), seed=0)
         assert a == b
-        assert all(r.passed for r in a)
+        assert all(r.passed for r in _rows(a))
+        assert [len(t.d) for t in a] == [40, 40]
 
     def test_mult_weil_sweep(self):
-        rows = charsum.sweep_mult_weil((5, 7), seed=0)
+        rows = _rows(charsum.sweep_mult_weil((5, 7), seed=0))
         assert all(r.passed for r in rows)
         assert {r.lemma for r in rows} == {"mult-weil"}
 
     def test_moment_sweep(self):
-        rows = charsum.sweep_moment((7,), seed=0)
+        rows = _rows(charsum.sweep_moment((7,), seed=0))
         assert all(r.passed for r in rows)
         # r grid at p=7: {1, 2, ceil(ln 7)} collapses to {1, 2}
         assert {r.d for r in rows} == {1, 2}

@@ -12,9 +12,10 @@ import sys
 import time
 
 import pytest
+from reference import rows_to_csv
 
 from hiddenpoly import charsum, reconstruct
-from hiddenpoly.cli import main
+from hiddenpoly.cli import _tables_to_csv, main
 from hiddenpoly.limits import DEFAULT_OP_BUDGET
 
 RECOVER_KEYS = [
@@ -221,9 +222,9 @@ class TestVerifyBounds:
         sweep = charsum.sweep_pair_identity
 
         def failing(*args, **kwargs):
-            rows = sweep(*args, **kwargs)
-            rows[1] = rows[1]._replace(measured=-3.0, passed=False)
-            return rows
+            tables = sweep(*args, **kwargs)
+            tables[0].measured[1], tables[0].passed[1] = -3.0, False
+            return tables
 
         monkeypatch.setattr(charsum, "sweep_pair_identity", failing)
         code, out, err = run(capsys, *argv)
@@ -236,6 +237,26 @@ class TestVerifyBounds:
             "error: 1 bound violation(s)",
             "error:   pair-identity p=7 d=1 a=0;b=1: measured=-3.0 bound=-1.0",
         ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lemma", charsum.SWEEPS)
+    def test_csv_matches_the_per_row_writer(self, capsys, lemma, seed):
+        # the column writer's CSV against one f-string per BoundCheckRow
+        argv = ("verify-bounds", "--lemma", lemma, "--p", "3", "5", "7", "11", "--seed", str(seed))
+        _, out, _ = run(capsys, *argv)
+        tables = getattr(charsum, charsum.SWEEPS[lemma])((3, 5, 7, 11), seed=seed)
+        assert out == rows_to_csv([row for table in tables for row in table.rows()])
+        assert len(out.splitlines()) == 1 + sum(len(table.d) for table in tables)
+
+    def test_csv_prints_a_comma_in_params_as_a_semicolon(self):
+        tables = [charsum.BoundTable("weil", 7, [2, 3], ["monic degree 2, non-squares", "a=1;b=2"],
+                                     [2.0, 5.5], [2.5, 5.0], [True, False])]
+        want = ("lemma,p,d,params,measured,bound,pass\n"
+                "weil,7,2,monic degree 2; non-squares,2.0,2.5,pass\n"
+                "weil,7,3,a=1;b=2,5.5,5.0,fail\n")
+        assert _tables_to_csv(tables) == want
+        assert rows_to_csv(tables[0].rows()) == want
+        assert _tables_to_csv([]) == "lemma,p,d,params,measured,bound,pass\n"
 
     @pytest.mark.parametrize("lemma", charsum.SWEEPS)
     def test_every_sweep_honours_the_budget(self, capsys, lemma):
@@ -452,6 +473,25 @@ class TestFileOutput:
             "--out", str(target),
         )
         assert target.read_text() == out
+
+    @pytest.mark.parametrize("command", [
+        ("recover", "--p", "13", "--d", "1"),
+        ("verify-bounds", "--lemma", "pair-identity", "--p", "3"),
+        ("quantum", "--p", "13", "--d", "1"),
+        ("bench", "--p", "13", "--seeds", "1"),
+    ])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, command):
+        # the file is written before stdout: a missing directory prints no
+        # report, one error line and no traceback, and exits 2
+        target = tmp_path / "missing" / "report"
+        argv = [sys.executable, "-m", "hiddenpoly.cli", *command, "--out", str(target)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: cannot write --out {target}: No such file or directory"]
+        assert not target.exists()
 
 
 # Runs the CLI in a fresh interpreter, then prints that process's peak RSS in kB.
