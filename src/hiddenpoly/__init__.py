@@ -4,24 +4,12 @@ bounds that make recovery work and to simulate the k-copy quantum
 identification measurement classically.
 """
 
-from .ffield import (
-    FpElement,
-    PrimeModulus,
-    chi_ext_table,
-    chi_table,
-    is_prime_u64,
-    jacobi_symbol,
-    legendre,
-    legendre_euler,
-    legendre_ext,
-)
-from .limits import DEFAULT_ENUM_LIMIT, DEFAULT_OP_BUDGET, BudgetExceeded
+from .ffield import PrimeModulus, chi_table, is_prime_u64, jacobi_symbol
+from .limits import DEFAULT_OP_BUDGET, BudgetExceeded
 from .oracle import OracleSession
 from .poly import (
     MonicPoly,
-    enumerate_monic,
     format_poly,
-    is_perfect_square,
     is_squarefree,
     parse_poly,
     poly_from_index,
@@ -43,25 +31,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmParams",
     "BudgetExceeded",
-    "DEFAULT_ENUM_LIMIT",
     "DEFAULT_OP_BUDGET",
-    "FpElement",
     "MonicPoly",
     "OracleSession",
     "PrimeModulus",
     "RecoveryReport",
     "brute_force_recover",
-    "chi_ext_table",
     "chi_table",
-    "enumerate_monic",
     "format_poly",
-    "is_perfect_square",
     "is_prime_u64",
     "is_squarefree",
     "jacobi_symbol",
-    "legendre",
-    "legendre_euler",
-    "legendre_ext",
     "parse_poly",
     "poly_from_index",
     "poly_index",

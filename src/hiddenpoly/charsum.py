@@ -123,9 +123,6 @@ class LinearForm(NamedTuple):
     coefficients: tuple[int, ...]
     constant: int
 
-    def reduced(self, p: int) -> "LinearForm":
-        return LinearForm(tuple(c % p for c in self.coefficients), self.constant % p)
-
 
 def short_char_sums(polys: Sequence[MonicPoly]) -> np.ndarray:
     """Every short sum of every f: out[k, M-1] = sum_{x=1}^{M} chi(polys[k](x)), 1 <= M < p.

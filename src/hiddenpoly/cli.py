@@ -317,6 +317,11 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
+        if args.budget is not None and args.budget < 1:
+            raise ValueError("--budget must be at least 1")
+        # refused before the work; _emit still reports a file that cannot be written
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ValueError(f"cannot write --out {args.out}: No such file or directory")
         return args.func(args)
     except (BudgetExceeded, ValueError) as exc:
         _err(str(exc))

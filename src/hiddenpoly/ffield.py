@@ -1,13 +1,10 @@
-"""Prime moduli, validated residues and the quadratic character.
+"""Prime moduli and the quadratic character.
 
 Residues are canonical integers in [0, p-1]; all arithmetic on them in
-the package runs on numpy int64 arrays or Python ints, so FpElement is
-only a validated residue that knows its modulus.  The quadratic character
-(Legendre symbol) is implemented twice on purpose -- once through
-Euler's criterion and once through the binary Jacobi reduction -- so
-the test suite can check the two routes against each other.  A patched
-variant maps 0 to +1; it is the character the measurement simulation
-attaches to candidate polynomials.
+the package runs on numpy int64 arrays or Python ints.  The program
+reads the quadratic character (Legendre symbol) from one table built
+from the squares, chi_table; jacobi_symbol, the binary Jacobi
+reduction, is the character of a single scalar oracle answer.
 """
 
 from __future__ import annotations
@@ -18,15 +15,10 @@ import numpy as np
 
 __all__ = [
     "PrimeModulus",
-    "FpElement",
     "is_prime_u64",
     "jacobi_symbol",
-    "legendre",
-    "legendre_euler",
-    "legendre_ext",
     "check_int64_products",
     "chi_table",
-    "chi_ext_table",
 ]
 
 # Witness set proven deterministic for every n < 3.3 * 10^24, which covers
@@ -72,9 +64,6 @@ class PrimeModulus:
             raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
         self.p = p
 
-    def element(self, value) -> "FpElement":
-        return FpElement(value, self)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeModulus) and other.p == self.p
 
@@ -83,31 +72,6 @@ class PrimeModulus:
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-
-class FpElement:
-    """Residue modulo an odd prime, kept as the canonical representative."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus: PrimeModulus):
-        if isinstance(value, FpElement):
-            value = value.value
-        self.value = int(value) % modulus.p
-        self.modulus = modulus
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FpElement):
-            return self.modulus.p == other.modulus.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus.p})"
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -126,26 +90,6 @@ def jacobi_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def legendre(a: FpElement) -> int:
-    """Quadratic character of a: 0 at 0, +1 on nonzero squares, -1 otherwise."""
-    return jacobi_symbol(a.value, a.modulus.p)
-
-
-def legendre_euler(a: FpElement) -> int:
-    """The same character via Euler's criterion a^((p-1)/2).
-
-    Independent of legendre(); the suite checks the two agree.
-    """
-    p = a.modulus.p
-    r = pow(a.value, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
-def legendre_ext(a: FpElement) -> int:
-    """Patched character: +1 at 0, the quadratic character elsewhere."""
-    return 1 if a.value == 0 else legendre(a)
 
 
 def check_int64_products(p: int, terms: int = 1) -> None:
@@ -177,11 +121,3 @@ def chi_table(modulus: PrimeModulus) -> np.ndarray:
     table.setflags(write=False)
     return table
 
-
-@lru_cache(maxsize=128)
-def chi_ext_table(modulus: PrimeModulus) -> np.ndarray:
-    """Patched character as a read-only int8 lookup table over [0, p)."""
-    table = chi_table(modulus).copy()
-    table[0] = 1
-    table.setflags(write=False)
-    return table

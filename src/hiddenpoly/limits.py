@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 DEFAULT_OP_BUDGET = 10**9
-DEFAULT_ENUM_LIMIT = 2**26
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a requested scan or enumeration exceeds its budget."""
+    """Raised when a requested scan exceeds its budget."""
 
 
 def check_ops(n_ops: int, budget: int | None = None, label: str = "scan") -> None:

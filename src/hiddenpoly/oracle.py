@@ -9,7 +9,9 @@ index), one sha256 of tag + seed + x + draw each, so answers do not
 depend on global query order and concurrent callers see a consistent
 oracle.  One batched vote answers every query and stops drawing at a
 point once its plurality is decided.  query_block answers a whole array
-of points in one call, with the same answers and counts as the scalar calls.
+of points in one call, with the same answers and counts as the scalar calls;
+it reads the truth from chi_table, the scalar calls from jacobi_symbol.
+Points are integers, taken mod p.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import threading
 
 import numpy as np
 
-from .ffield import FpElement, PrimeModulus, chi_table, legendre
+from .ffield import PrimeModulus, chi_table, jacobi_symbol
 from .poly import MonicPoly, is_squarefree
 
 _MASK64 = (1 << 64) - 1
@@ -76,7 +78,7 @@ class OracleSession:
         return self._count
 
     def _truth(self, xv: int) -> int:
-        return legendre(FpElement(self._hidden.eval_int(xv), self.modulus))
+        return jacobi_symbol(self._hidden.eval_int(xv), self.p)
 
     def _take_draws(self, xv: int, t: int) -> int:
         # caller holds the lock; returns the first of t fresh draw indices at xv
@@ -122,7 +124,7 @@ class OracleSession:
         return out
 
     def _answer(self, x, t: int) -> int:
-        xv = x.value if isinstance(x, FpElement) else int(x) % self.p
+        xv = int(x) % self.p
         with self._lock:
             self._count += t
             first = self._take_draws(xv, t) if self.gamma < 1.0 else 0

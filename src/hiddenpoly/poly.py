@@ -1,4 +1,4 @@
-"""Monic polynomials over F_p: evaluation, square-freeness, enumeration.
+"""Monic polynomials over F_p: evaluation, square-freeness, indexing.
 
 A degree-d monic polynomial is stored as the coefficient tuple
 (s_0, ..., s_{d-1}) with the leading coefficient 1 implicit.  The
@@ -10,19 +10,16 @@ sum_i s_i * p^i; every scan in the package uses that same order.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ffield import PrimeModulus, check_int64_products
-from .limits import DEFAULT_ENUM_LIMIT, BudgetExceeded
 
 __all__ = [
     "MonicPoly",
     "mul",
     "is_squarefree",
-    "is_perfect_square",
-    "enumerate_monic",
     "poly_from_index",
     "poly_index",
     "squarefree_count",
@@ -153,29 +150,6 @@ def is_squarefree(f: MonicPoly) -> bool:
     return len(_poly_gcd(full, deriv, p)) == 1
 
 
-def is_perfect_square(f: MonicPoly) -> bool:
-    """True iff f = g^2 for some monic g.
-
-    The candidate root is extracted coefficient by coefficient from the
-    top (2 is invertible because p is odd) and confirmed by squaring.
-    """
-    d = f.degree
-    if d % 2:
-        return False
-    p = f.modulus.p
-    m = d // 2
-    full = list(f.coeffs) + [1]
-    g = [0] * m + [1]
-    inv2 = pow(2, p - 2, p)
-    for j in range(1, m + 1):
-        acc = 0
-        for u in range(m - j + 1, m):
-            acc += g[u] * g[2 * m - j - u]
-        g[m - j] = (full[2 * m - j] - acc) * inv2 % p
-    root = MonicPoly(g[:-1], f.modulus)
-    return mul(root, root) == f
-
-
 def poly_from_index(d: int, modulus: PrimeModulus, index: int) -> MonicPoly:
     """Inverse of poly_index: base-p digits of index are (s_0, ..., s_{d-1})."""
     p = modulus.p
@@ -195,27 +169,6 @@ def poly_index(f: MonicPoly) -> int:
     for c in reversed(f.coeffs):
         idx = idx * p + c
     return idx
-
-
-def enumerate_monic(
-    d: int,
-    modulus: PrimeModulus,
-    squarefree_only: bool = False,
-) -> Iterator[MonicPoly]:
-    """All monic degree-d polynomials in lexicographic (s_{d-1},...,s_0) order.
-
-    Rejects candidate spaces larger than the enumeration limit.
-    """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    total = modulus.p**d
-    if total > DEFAULT_ENUM_LIMIT:
-        raise BudgetExceeded(f"p^d = {total} exceeds the enumeration limit {DEFAULT_ENUM_LIMIT}")
-    for i in range(total):
-        f = poly_from_index(d, modulus, i)
-        if squarefree_only and not is_squarefree(f):
-            continue
-        yield f
 
 
 def squarefree_count(modulus: PrimeModulus, d: int) -> int:

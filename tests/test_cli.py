@@ -14,8 +14,8 @@ import time
 import pytest
 from reference import rows_to_csv
 
-from hiddenpoly import charsum, reconstruct
-from hiddenpoly.cli import _tables_to_csv, main
+from hiddenpoly import charsum, quantum, reconstruct
+from hiddenpoly.cli import SOLVERS, _tables_to_csv, main
 from hiddenpoly.limits import DEFAULT_OP_BUDGET
 
 RECOVER_KEYS = [
@@ -54,10 +54,38 @@ QUANTUM_KEYS = [
 ]
 
 
+# one short run of each subcommand
+COMMANDS = [
+    ("recover", "--p", "13", "--d", "1"),
+    ("verify-bounds",),
+    ("quantum", "--p", "13", "--d", "1"),
+    ("bench", "--p", "13", "--seeds", "1"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stub_the_work(monkeypatch):
+    """Replace every solver, sweep and quantum.gram_matrix with a stub that
+    records its call and fails; returns the list of calls."""
+    calls = []
+
+    def stub(name):
+        def fail(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return fail
+
+    for name in SOLVERS.values():
+        monkeypatch.setattr(reconstruct, name, stub(name))
+    for name in charsum.SWEEPS.values():
+        monkeypatch.setattr(charsum, name, stub(name))
+    monkeypatch.setattr(quantum, "gram_matrix", stub("gram_matrix"))
+    return calls
 
 
 class TestRecover:
@@ -458,6 +486,16 @@ class TestDeterminism:
         assert out == ""
         assert err == "error: --threads must be at least 1\n"
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_budget_below_one_exits_2_before_the_work(self, capsys, monkeypatch, command, budget):
+        calls = _stub_the_work(monkeypatch)
+        code, out, err = run(capsys, *command, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --budget must be at least 1\n"
+        assert calls == []
+
     def test_repeat_runs_agree(self, capsys):
         args = ("recover", "--p", "101", "--d", "1", "--seed", "5", "--json", "--no-timing")
         _, out1, _ = run(capsys, *args)
@@ -492,6 +530,19 @@ class TestFileOutput:
         assert proc.stderr.splitlines() == [
             f"error: cannot write --out {target}: No such file or directory"]
         assert not target.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_out_directory_is_refused_before_the_work(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        calls = _stub_the_work(monkeypatch)
+        target = tmp_path / "missing" / "report"
+        code, out, err = run(capsys, *command, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {target}: No such file or directory\n"
+        assert calls == []
+        assert not target.parent.exists()
 
 
 # Runs the CLI in a fresh interpreter, then prints that process's peak RSS in kB.

@@ -1,8 +1,9 @@
 """Field arithmetic, primality, and quadratic-character tests.
 
-The character is computed by two independent routes (Euler criterion vs
-binary Jacobi reduction); agreement between them is the main correctness
-check, with hand-computed values frozen in as anchors.
+The program's two character routes, the squares table chi_table and the
+binary Jacobi reduction jacobi_symbol, are held to each other, to the
+Euler-criterion reference and to sympy's Legendre and Jacobi symbols,
+with hand-computed values frozen in as anchors.
 """
 
 import random
@@ -12,19 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import WIDE_PRIMES, build_state, legendre_euler
+from sympy.functions.combinatorial.numbers import jacobi_symbol as sympy_jacobi
 from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from hiddenpoly.ffield import (
     PrimeModulus,
     check_int64_products,
-    chi_ext_table,
     chi_table,
     is_prime_u64,
     jacobi_symbol,
-    legendre,
-    legendre_euler,
-    legendre_ext,
 )
+from hiddenpoly.poly import MonicPoly
 
 TEST_PRIMES = (3, 5, 7, 11, 13, 101, 251, 1009, 10007)
 
@@ -62,83 +62,78 @@ class TestPrimeModulus:
         with pytest.raises(ValueError):
             PrimeModulus(2)
 
-    def test_element_canonicalizes(self):
-        m = PrimeModulus(7)
-        assert m.element(9).value == 2
-        assert m.element(-1).value == 6
-        assert m.element(7).value == 0
-
     def test_equality_and_hash(self):
         assert PrimeModulus(7) == PrimeModulus(7)
         assert PrimeModulus(7) != PrimeModulus(11)
         assert hash(PrimeModulus(7)) == hash(PrimeModulus(7))
 
 
-class TestFpElement:
-    def test_int_comparison(self):
-        a = PrimeModulus(7).element(10)
-        assert a == 3
-        assert a != 4
-
-
 class TestLegendre:
     def test_dual_route_agreement_exhaustive(self):
-        # the load-bearing check: Jacobi reduction vs Euler criterion
+        # the load-bearing check: Jacobi reduction vs the Euler-criterion reference
         for p in TEST_PRIMES:
-            m = PrimeModulus(p)
             for a in range(p):
-                x = m.element(a)
-                assert legendre(x) == legendre_euler(x), (p, a)
+                assert jacobi_symbol(a, p) == legendre_euler(a, p), (p, a)
 
     def test_euler_criterion_directly(self):
         # chi(a) = a^((p-1)/2) mod p, via the builtin pow as a third route
         for p in (7, 101, 1009):
-            m = PrimeModulus(p)
             for a in range(1, p):
                 r = pow(a, (p - 1) // 2, p)
                 want = 1 if r == 1 else -1
-                assert legendre(m.element(a)) == want
+                assert jacobi_symbol(a, p) == want
 
     def test_zero(self):
         for p in (3, 7, 101):
-            assert legendre(PrimeModulus(p).element(0)) == 0
+            assert jacobi_symbol(0, p) == 0
 
     def test_multiplicative_seeded(self):
         rng = random.Random(4)
-        m = PrimeModulus(1009)
         for _ in range(300):
-            a = m.element(rng.randrange(1009))
-            b = m.element(rng.randrange(1009))
-            assert legendre(m.element(a.value * b.value)) == legendre(a) * legendre(b)
+            a, b = rng.randrange(1009), rng.randrange(1009)
+            assert jacobi_symbol(a * b, 1009) == jacobi_symbol(a, 1009) * jacobi_symbol(b, 1009)
 
     def test_balanced(self):
         # (p-1)/2 residues and (p-1)/2 non-residues
         for p in (7, 101, 251):
-            m = PrimeModulus(p)
-            vals = [legendre(m.element(a)) for a in range(p)]
+            vals = [jacobi_symbol(a, p) for a in range(p)]
             assert sum(vals) == 0
             assert vals.count(1) == (p - 1) // 2
 
     def test_frozen_row_mod_11(self):
         # squares mod 11 are {1, 3, 4, 5, 9}
-        m = PrimeModulus(11)
-        row = [legendre(m.element(a)) for a in range(11)]
+        row = [jacobi_symbol(a, 11) for a in range(11)]
         assert row == [0, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1]
 
     def test_patched_character(self):
+        # the reference state of g = x is the patched character: +1 at 0, chi elsewhere
         for p in (7, 101):
-            m = PrimeModulus(p)
-            assert legendre_ext(m.element(0)) == 1
+            signs = build_state(MonicPoly((0,), PrimeModulus(p)))
+            assert int(signs[0]) == 1
             for a in range(1, p):
-                x = m.element(a)
-                assert legendre_ext(x) == legendre(x)
+                assert int(signs[a]) == jacobi_symbol(a, p)
 
 
 class TestLegendreAgainstSympy:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)), st.integers(-10**9, 10**9))
     def test_matches_sympy(self, p, a):
-        assert legendre(PrimeModulus(p).element(a)) == int(legendre_symbol(a % p, p))
+        want = int(legendre_symbol(a % p, p))
+        assert jacobi_symbol(a, p) == want
+        assert legendre_euler(a, p) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-10**18, 10**18))
+    def test_jacobi_matches_sympy_on_odd_composites(self, i, j, a):
+        n = (2 * i + 1) * (2 * j + 1)
+        assert jacobi_symbol(a, n) == int(sympy_jacobi(a % n, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(WIDE_PRIMES), st.integers(0, 2**64))
+    def test_matches_sympy_on_wide_primes(self, p, a):
+        want = int(sympy_jacobi(a % p, p))
+        assert jacobi_symbol(a, p) == want
+        assert legendre_euler(a, p) == want
 
 
 class TestJacobi:
@@ -170,19 +165,19 @@ class TestJacobi:
 class TestChiTables:
     def test_table_matches_legendre(self):
         for p in (3, 7, 101, 1009):
-            m = PrimeModulus(p)
-            table = chi_table(m)
+            table = chi_table(PrimeModulus(p))
             assert table.dtype == np.int8
             assert len(table) == p
             for a in range(p):
-                assert int(table[a]) == legendre(m.element(a))
+                assert int(table[a]) == int(legendre_symbol(a, p))
 
     def test_patched_table(self):
+        # the reference state of g = x against the table: +1 at 0, the table elsewhere
         for p in (3, 7, 101):
             m = PrimeModulus(p)
-            table = chi_ext_table(m)
-            assert int(table[0]) == 1
-            assert (table[1:] == chi_table(m)[1:]).all()
+            signs = build_state(MonicPoly((0,), m))
+            assert int(signs[0]) == 1
+            assert (signs[1:] == chi_table(m)[1:]).all()
 
     def test_tables_are_read_only(self):
         table = chi_table(PrimeModulus(7))
@@ -208,8 +203,6 @@ class TestInt64Guard:
         try:
             with pytest.raises(ValueError, match="too large for int64"):
                 chi_table(modulus)
-            with pytest.raises(ValueError, match="too large for int64"):
-                chi_ext_table(modulus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

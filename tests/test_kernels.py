@@ -24,13 +24,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import WIDE_PRIMES, reference_matrix, shifted_sums, sympy_is_squarefree
+from reference import (
+    WIDE_PRIMES,
+    is_perfect_square,
+    reference_matrix,
+    shifted_sums,
+    sympy_is_squarefree,
+)
 
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, chi_table
 from hiddenpoly.poly import (
     MonicPoly,
-    is_perfect_square,
     is_squarefree,
     mul,
     poly_from_index,

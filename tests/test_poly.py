@@ -2,7 +2,9 @@
 
 Square-freeness is validated against degree-2 and degree-3 discriminant
 formulas, a route fully independent of the gcd implementation, and
-against sympy's square-free test over GF(p).
+against sympy's square-free test over GF(p).  The enumeration and
+perfect-square tests check reference.py's enumerate_monic and
+is_perfect_square, which other tests lean on.
 """
 
 import itertools
@@ -11,15 +13,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import WIDE_PRIMES, sympy_is_squarefree
+from reference import WIDE_PRIMES, enumerate_monic, is_perfect_square, sympy_is_squarefree
 
 from hiddenpoly.ffield import PrimeModulus
-from hiddenpoly.limits import BudgetExceeded
 from hiddenpoly.poly import (
     MonicPoly,
-    enumerate_monic,
     format_poly,
-    is_perfect_square,
     is_squarefree,
     parse_poly,
     poly_from_index,
@@ -217,11 +216,6 @@ class TestEnumeration:
                 assert n == p
             else:
                 assert n == p**d - p ** (d - 1)
-
-    def test_enum_cap(self):
-        # 3^17 > 2^26
-        with pytest.raises(BudgetExceeded):
-            next(enumerate_monic(17, PrimeModulus(3)))
 
 
 class TestFormatParse:

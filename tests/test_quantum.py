@@ -5,7 +5,9 @@ Gram matrix lives in translation-orbit form; the tests expand it to the
 dense candidate x candidate matrix and check it, and the exact block
 eigensolve behind alpha, against an independent dense route built from
 the plain-loop reference sign matrix and numpy's dense symmetric
-eigensolver.
+eigensolver.  reference.py's build_state and pair_overlap, the dense
+sign vector of one candidate and its exact rational overlaps, are
+checked against the Jacobi reduction.
 """
 
 import math
@@ -16,13 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_matrix
+from reference import build_state, enumerate_monic, pair_overlap, reference_matrix
 
-from hiddenpoly.ffield import PrimeModulus, legendre_ext
+from hiddenpoly.ffield import PrimeModulus, jacobi_symbol
 from hiddenpoly.limits import BudgetExceeded
 from hiddenpoly.poly import (
     MonicPoly,
-    enumerate_monic,
     is_squarefree,
     parse_poly,
     poly_from_index,
@@ -30,11 +31,9 @@ from hiddenpoly.poly import (
 )
 from hiddenpoly.quantum import (
     ALPHA_MARGIN,
-    build_state,
     choose_k,
     gram_matrix,
     measurement_distribution,
-    pair_overlap,
     povm_alpha,
     sigma_2d,
     sigma_bound,
@@ -74,6 +73,11 @@ def dense_route(p, d, k):
     return idx, inner, (inner / p) ** k
 
 
+def _chi_ext(v, p):
+    """The patched character by Jacobi reduction: +1 at 0."""
+    return jacobi_symbol(v, p) or 1
+
+
 class TestSignState:
     def test_signs_anchor(self):
         # patched character of f(x) = x over F_7, x = 0..6
@@ -86,7 +90,7 @@ class TestSignState:
         f = parse_poly("x^2 + 3*x + 1", m)
         signs = build_state(f)
         for x in range(13):
-            assert int(signs[x]) == legendre_ext(m.element(f.eval_int(x)))
+            assert int(signs[x]) == _chi_ext(f.eval_int(x), 13)
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +120,7 @@ class TestPairOverlap:
         for f in polys:
             for g in polys:
                 direct = sum(
-                    legendre_ext(m.element(f.eval_int(x))) * legendre_ext(m.element(g.eval_int(x)))
+                    _chi_ext(f.eval_int(x), 11) * _chi_ext(g.eval_int(x), 11)
                     for x in range(11)
                 )
                 assert pair_overlap(f, g) == Fraction(direct, 11)
