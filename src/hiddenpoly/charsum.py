@@ -187,7 +187,7 @@ def multilinear_form_sums(
     # in any order; a chunk takes whole sets when one set's p^d cells fit in
     # BLOCK_CELLS, and otherwise one set and a block of rows
     # chi2[s] = chi(s mod p) for 0 <= s < 2p: S_0 plus a shift below p
-    chi2 = np.tile(chi_table(modulus), 2)
+    chi2 = _kernels._chi2(p)
     s0 = np.arange(p, dtype=np.int64)
     place = p ** np.arange(d - 1, dtype=np.int64)
     rows = p ** (d - 1)

@@ -57,21 +57,12 @@ class OracleSession:
         self._lock = threading.Lock()
 
     @property
-    def hidden(self) -> MonicPoly:
-        """Ground truth, exposed for harnesses that must verify recovery."""
-        return self._hidden
-
-    @property
     def modulus(self) -> PrimeModulus:
         return self._hidden.modulus
 
     @property
     def p(self) -> int:
         return self._hidden.modulus.p
-
-    @property
-    def degree(self) -> int:
-        return self._hidden.degree
 
     @property
     def query_count(self) -> int:

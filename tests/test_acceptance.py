@@ -5,14 +5,12 @@ fixture; the conftest terminal-summary hook prints the lines after
 capture ends, so they appear in plain `pytest -v` runs. The checks are
 ordered: exact recovery, the sub-linear query window, the four
 character-sum bounds, the correlation bound, measurement success mass,
-tensor-state equivalence, the information floor, and CLI determinism.
+tensor-state equivalence and the information floor.  The CLI determinism
+verdict comes from the contract table's rows, in tests/test_contracts.py.
 """
 
-import json
 import math
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -252,30 +250,3 @@ class TestQueryFloor:
             f"floor formula matches exhaustive counts for quadratics at p <= 13",
         )
 
-
-class TestCliDeterminism:
-    def test_byte_identical_across_threads(self, verdicts):
-        commands = [
-            ["recover", "--p", "251", "--d", "2", "--seed", "7", "--algo", "two-stage",
-             "--json", "--no-timing"],
-            ["verify-bounds", "--lemma", "mult-weil", "--p", "5", "--seed", "3"],
-            ["bench", "--p", "101", "--d", "1", "--seeds", "2", "--no-timing"],
-        ]
-        ok = True
-        for base in commands:
-            outputs = set()
-            for threads in ("1", "2", "8"):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "hiddenpoly.cli", *base, "--threads", threads],
-                    capture_output=True,
-                    timeout=300,
-                )
-                ok = ok and proc.returncode == 0
-                outputs.add(proc.stdout)
-            ok = ok and len(outputs) == 1
-        _verdict(
-            verdicts,
-            ok,
-            "report determinism",
-            f"{len(commands)} commands byte-identical across thread counts 1, 2, 8",
-        )

@@ -234,24 +234,26 @@ class TestTwoStage:
         # scanning stage 1 in full holds p^2 int64 correlations and their
         # absolute values, 61 MiB at p = 2003
         m = PrimeModulus(2003)
-        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        hidden = random_squarefree(m, 2, random.Random(0))
+        session = OracleSession(hidden, rng_seed=0)
         tracemalloc.start()
         try:
             report = two_stage_recover(session, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.recovered == session.hidden
+        assert report.recovered == hidden
         assert peak < 16 * 2**20
 
     def test_budget_counts_the_prefix_scan(self):
         # p^2 candidates over min(N, ROUNDS[0]) points, then the survivors' later rounds
         m = PrimeModulus(101)
-        session = OracleSession(random_squarefree(m, 2, random.Random(0)), rng_seed=0)
+        hidden = random_squarefree(m, 2, random.Random(0))
+        session = OracleSession(hidden, rng_seed=0)
         with pytest.raises(BudgetExceeded):
             two_stage_recover(session, 2, budget=101**2 * reconstruct.ROUNDS[0] - 1)
         report = two_stage_recover(session, 2, budget=101**2 * reconstruct.ROUNDS[0])
-        assert report.recovered == session.hidden
+        assert report.recovered == hidden
 
 
 SIEVE_PRIMES = {1: (3, 5, 7, 11, 13, 17, 19, 23, 29, 31), 2: (3, 5, 7, 11, 13, 29, 31),
