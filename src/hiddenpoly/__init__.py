@@ -4,7 +4,7 @@ bounds that make recovery work and to simulate the k-copy quantum
 identification measurement classically.
 """
 
-from .ffield import PrimeModulus, chi_table, is_prime_u64, jacobi_symbol
+from .ffield import PrimeModulus, chi_table, is_prime_u64
 from .limits import DEFAULT_OP_BUDGET, BudgetExceeded
 from .oracle import OracleSession
 from .poly import (
@@ -41,7 +41,6 @@ __all__ = [
     "format_poly",
     "is_prime_u64",
     "is_squarefree",
-    "jacobi_symbol",
     "parse_poly",
     "poly_from_index",
     "poly_index",

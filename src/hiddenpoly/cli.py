@@ -49,7 +49,7 @@ def _err(message: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     # the file first: a path that cannot be written leaves stdout empty
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(text)
         except OSError as exc:
@@ -320,8 +320,11 @@ def main(argv=None) -> int:
         if args.budget is not None and args.budget < 1:
             raise ValueError("--budget must be at least 1")
         # refused before the work; _emit still reports a file that cannot be written
-        if args.out and not Path(args.out).parent.is_dir():
-            raise ValueError(f"cannot write --out {args.out}: No such file or directory")
+        if args.out is not None:
+            if Path(args.out).is_dir():  # '' is '.'
+                raise ValueError(f"cannot write --out {args.out}: Is a directory")
+            if not Path(args.out).parent.is_dir():
+                raise ValueError(f"cannot write --out {args.out}: No such file or directory")
         return args.func(args)
     except (BudgetExceeded, ValueError) as exc:
         _err(str(exc))

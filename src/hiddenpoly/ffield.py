@@ -3,8 +3,7 @@
 Residues are canonical integers in [0, p-1]; all arithmetic on them in
 the package runs on numpy int64 arrays or Python ints.  The program
 reads the quadratic character (Legendre symbol) from one table built
-from the squares, chi_table; jacobi_symbol, the binary Jacobi
-reduction, is the character of a single scalar oracle answer.
+from the squares, chi_table.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 __all__ = [
     "PrimeModulus",
     "is_prime_u64",
-    "jacobi_symbol",
     "check_int64_products",
     "chi_table",
 ]
@@ -72,24 +70,6 @@ class PrimeModulus:
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n, by binary reduction."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("n must be odd and positive")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def check_int64_products(p: int, terms: int = 1) -> None:

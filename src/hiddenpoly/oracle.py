@@ -7,11 +7,10 @@ wrong with probability 1 - gamma, uniformly over the two other values
 of {-1, 0, 1}.  Noise draws are a pure function of (rng_seed, x, draw
 index), one sha256 of tag + seed + x + draw each, so answers do not
 depend on global query order and concurrent callers see a consistent
-oracle.  One batched vote answers every query and stops drawing at a
-point once its plurality is decided.  query_block answers a whole array
-of points in one call, with the same answers and counts as the scalar calls;
-it reads the truth from chi_table, the scalar calls from jacobi_symbol.
-Points are integers, taken mod p.
+oracle.  query_block is the one implementation: it answers an array of
+points from the cached chi_table in one call, and one batched vote stops
+drawing at a point once its plurality is decided.  The scalar calls are
+query_block on one point.  Points are integers, taken mod p.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import threading
 
 import numpy as np
 
-from .ffield import PrimeModulus, chi_table, jacobi_symbol
+from .ffield import PrimeModulus, chi_table
 from .poly import MonicPoly, is_squarefree
 
 _MASK64 = (1 << 64) - 1
@@ -68,9 +67,6 @@ class OracleSession:
     def query_count(self) -> int:
         return self._count
 
-    def _truth(self, xv: int) -> int:
-        return jacobi_symbol(self._hidden.eval_int(xv), self.p)
-
     def _take_draws(self, xv: int, t: int) -> int:
         # caller holds the lock; returns the first of t fresh draw indices at xv
         draw = self._draws.get(xv, 0)
@@ -114,31 +110,24 @@ class OracleSession:
                 live, counts = live[~last], counts[~last]
         return out
 
-    def _answer(self, x, t: int) -> int:
-        xv = int(x) % self.p
-        with self._lock:
-            self._count += t
-            first = self._take_draws(xv, t) if self.gamma < 1.0 else 0
-        truth = self._truth(xv)
-        return truth if self.gamma == 1.0 else int(self._votes([xv], [truth], [first], t)[0])
-
     def query(self, x) -> int:
         """One oracle answer at x; increments the query counter by one."""
-        return self._answer(x, 1)
+        return int(self.query_block([int(x) % self.p])[0])
 
     def majority_estimate(self, x, t: int) -> int:
         """Plurality of t repeated queries at x; t odd, smallest value on ties."""
-        _check_votes(t)
-        return self._answer(x, t)
+        return int(self.query_block([int(x) % self.p], t)[0])
 
     def query_block(self, xs, reps: int = 1) -> np.ndarray:
-        """majority_estimate(x, reps) for every x of xs in order, as int8.
+        """The answer at every x of xs in order, as int8; reps odd.
 
-        Counters and noise draws advance by reps per point, exactly as
-        that sequence of scalar calls would, so the two are
-        interchangeable; draws after a decided plurality are skipped
-        unseen.  The truth comes from the cached p-entry character
-        table instead of a per-point Jacobi reduction.
+        At gamma = 1 that is chi(f(x)), read from the cached p-entry
+        character table.  Otherwise it is the plurality of draws first ..
+        first+reps-1 at x, smallest value on ties, where first counts the
+        draws earlier calls took at x; a repeated x takes the next reps.
+        The query counter and the draw indices advance by reps per point,
+        so splitting a block into calls changes nothing; draws after a
+        decided plurality are skipped unseen.
         """
         _check_votes(reps)
         xs = np.asarray(xs, dtype=np.int64) % self.p

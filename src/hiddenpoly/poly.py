@@ -45,33 +45,18 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    def eval_int(self, xv: int) -> int:
-        """Horner evaluation at one residue: the scalar reference for eval_array."""
-        p = self.modulus.p
-        acc = 1  # leading coefficient
-        for c in reversed(self.coeffs):
-            acc = (acc * xv + c) % p
-        return acc
-
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at every residue of an int64 array; int64 residues.
 
-        Where check_int64_products refuses p, acc * x + c could wrap in
-        int64, so the evaluation runs on Python integers (object dtype)
-        instead.
+        Refused by check_int64_products where acc * x + c could wrap int64.
         """
         p = self.modulus.p
+        check_int64_products(p)
         xs = np.asarray(xs, dtype=np.int64)
-        try:
-            check_int64_products(p)
-            dtype = np.int64
-        except ValueError:
-            dtype = object
-        xs = xs.astype(dtype, copy=False)
-        acc = np.ones(len(xs), dtype=dtype)
+        acc = np.ones(len(xs), dtype=np.int64)
         for c in reversed(self.coeffs):
             acc = (acc * xs + c) % p
-        return acc.astype(np.int64, copy=False)
+        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonicPoly):

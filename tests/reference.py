@@ -1,24 +1,26 @@
 """Plain-loop references for the checks of the program's array code.
 
-``legendre_euler`` is the quadratic character by Euler's criterion, a
-route independent of the program's squares table and Jacobi reduction.
-``reference_matrix`` evaluates each candidate with MonicPoly.eval_int and
-takes its character from legendre_euler, one point at a time, with none
-of the array code under test; the kernel tests and the quantum dense
-route both check against it.  ``shifted_sums`` gives the degree-1 window
-sums the same way, by whole shifts of that character table, at primes
-where the candidate loop would be slow.  ``enumerate_monic`` lists the
-monic candidates in index order, and ``is_perfect_square`` decides
-squares by extracting a root.  ``build_state`` and ``pair_overlap`` are
-the dense route to the quantum Gram matrix: one sign vector per
-candidate and its exact rational overlaps.  ``reference_answers`` and
-``reference_vote`` are the noisy oracle's answers and plurality vote,
-hashed and counted draw by draw.  ``sympy_is_squarefree`` decides
-square-freeness from sympy's square-free factorisation.
+``eval_int`` is Horner evaluation at one point in Python ints, and
+``legendre_euler`` the quadratic character by Euler's criterion, a route
+independent of the program's squares table.  ``reference_matrix``
+evaluates each candidate with eval_int and takes its character from
+legendre_euler, one point at a time, with none of the array code under
+test; the kernel tests and the quantum dense route both check against
+it.  ``shifted_sums`` gives the degree-1 window sums the same way, by
+whole shifts of that character table, at primes where the candidate
+loop would be slow.  ``enumerate_monic`` lists the monic candidates in
+index order, and ``is_perfect_square`` decides squares by extracting a
+root.  ``build_state`` and ``pair_overlap`` are the dense route to the
+quantum Gram matrix: one sign vector per candidate and its exact
+rational overlaps.  ``reference_answers`` and ``reference_vote`` are
+the noisy oracle's answers and plurality vote, hashed and counted draw
+by draw; every oracle call is held to them.  ``sympy_is_squarefree``
+decides square-freeness from sympy's square-free factorisation.
 ``reference_short_sums`` gives every prefix sum of chi(f(x)) one
 polynomial and one point at a time, and ``rows_to_csv`` writes the
 verify-bounds CSV one record at a time.  WIDE_PRIMES are the large
-primes the kernel and poly tests draw from.
+primes the kernel, poly and character tests draw from, on either side of the
+int64 limit.
 """
 
 import hashlib
@@ -33,6 +35,15 @@ from hiddenpoly.poly import MonicPoly, is_squarefree, mul, poly_from_index
 
 # either side of p(p-1) = 2^63 - 1, where int64 Horner would wrap, and 61/62/63-bit
 WIDE_PRIMES = (3037000493, 3037000507, 2**61 - 1, 2**62 - 57, 2**63 - 25)
+
+
+def eval_int(g, x):
+    """g(x) mod p for the MonicPoly g at the integer x, by Horner in Python ints."""
+    p = g.modulus.p
+    acc = 1  # leading coefficient
+    for c in reversed(g.coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def legendre_euler(a, p):
@@ -81,7 +92,7 @@ def build_state(g):
     if not is_squarefree(g):
         raise ValueError("candidate states exist only for square-free polynomials")
     p = g.modulus.p
-    return np.array([legendre_euler(g.eval_int(x), p) or 1 for x in range(p)], dtype=np.int8)
+    return np.array([legendre_euler(eval_int(g, x), p) or 1 for x in range(p)], dtype=np.int8)
 
 
 def pair_overlap(g, h):
@@ -102,7 +113,7 @@ def reference_matrix(p, d, xs, patched=False):
     rows = []
     for i in range(p**d):
         g = poly_from_index(d, modulus, i)
-        rows.append([chi[g.eval_int(int(x))] for x in xs])
+        rows.append([chi[eval_int(g, int(x))] for x in xs])
     return np.array(rows, dtype=np.int64).reshape(p**d, len(xs))
 
 
@@ -158,7 +169,7 @@ def reference_short_sums(polys):
     for f in polys:
         total, sums = 0, []
         for x in range(1, f.modulus.p):
-            total += legendre_euler(f.eval_int(x), f.modulus.p)
+            total += legendre_euler(eval_int(f, x), f.modulus.p)
             sums.append(total)
         out.append(sums)
     return out

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     enumerate_monic,
+    eval_int,
     legendre_euler,
     reference_matrix,
     reference_short_sums,
@@ -337,7 +338,7 @@ def _direct_moment(m, d, column, r):
     # loops in Python ints
     total = 0
     for f in enumerate_monic(d, m):
-        inner = sum(int(a) * _chi(m, f.eval_int(x)) for x, a in enumerate(column, 1))
+        inner = sum(int(a) * _chi(m, eval_int(f, x)) for x, a in enumerate(column, 1))
         total += inner ** (2 * r)
     return total
 

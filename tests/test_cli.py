@@ -531,8 +531,16 @@ class TestFileOutput:
         assert code == 2
         assert out == ""
         assert err == f"error: cannot write --out {target}: No such file or directory\n"
-        assert calls == []
         assert not target.parent.exists()
+        # an existing directory, and '' (which names '.'), cannot be written either
+        monkeypatch.chdir(tmp_path)
+        for target in (str(tmp_path), ""):
+            code, out, err = run(capsys, *command, "--out", target)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: cannot write --out {target}: Is a directory\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_quantum_run_does_not_import_numpy_ma():

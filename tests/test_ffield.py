@@ -1,9 +1,8 @@
 """Field arithmetic, primality, and quadratic-character tests.
 
-The program's two character routes, the squares table chi_table and the
-binary Jacobi reduction jacobi_symbol, are held to each other, to the
-Euler-criterion reference and to sympy's Legendre and Jacobi symbols,
-with hand-computed values frozen in as anchors.
+The program's one character, the squares table chi_table, is held to
+the Euler-criterion reference and to sympy's Legendre symbol, with
+hand-computed values frozen in as anchors.
 """
 
 import random
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import WIDE_PRIMES, build_state, legendre_euler
-from sympy.functions.combinatorial.numbers import jacobi_symbol as sympy_jacobi
 from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from hiddenpoly.ffield import (
@@ -22,7 +20,6 @@ from hiddenpoly.ffield import (
     check_int64_products,
     chi_table,
     is_prime_u64,
-    jacobi_symbol,
 )
 from hiddenpoly.poly import MonicPoly
 
@@ -68,42 +65,45 @@ class TestPrimeModulus:
         assert hash(PrimeModulus(7)) == hash(PrimeModulus(7))
 
 
+def _chi(p):
+    return chi_table(PrimeModulus(p)).tolist()
+
+
 class TestLegendre:
     def test_dual_route_agreement_exhaustive(self):
-        # the load-bearing check: Jacobi reduction vs the Euler-criterion reference
+        # the load-bearing check: the squares table vs the Euler-criterion reference
         for p in TEST_PRIMES:
-            for a in range(p):
-                assert jacobi_symbol(a, p) == legendre_euler(a, p), (p, a)
+            assert _chi(p) == [legendre_euler(a, p) for a in range(p)], p
 
     def test_euler_criterion_directly(self):
         # chi(a) = a^((p-1)/2) mod p, via the builtin pow as a third route
         for p in (7, 101, 1009):
+            chi = _chi(p)
             for a in range(1, p):
                 r = pow(a, (p - 1) // 2, p)
-                want = 1 if r == 1 else -1
-                assert jacobi_symbol(a, p) == want
+                assert chi[a] == (1 if r == 1 else -1)
 
     def test_zero(self):
         for p in (3, 7, 101):
-            assert jacobi_symbol(0, p) == 0
+            assert _chi(p)[0] == 0
 
     def test_multiplicative_seeded(self):
         rng = random.Random(4)
+        chi = _chi(1009)
         for _ in range(300):
             a, b = rng.randrange(1009), rng.randrange(1009)
-            assert jacobi_symbol(a * b, 1009) == jacobi_symbol(a, 1009) * jacobi_symbol(b, 1009)
+            assert chi[a * b % 1009] == chi[a] * chi[b]
 
     def test_balanced(self):
         # (p-1)/2 residues and (p-1)/2 non-residues
         for p in (7, 101, 251):
-            vals = [jacobi_symbol(a, p) for a in range(p)]
+            vals = _chi(p)
             assert sum(vals) == 0
             assert vals.count(1) == (p - 1) // 2
 
     def test_frozen_row_mod_11(self):
         # squares mod 11 are {1, 3, 4, 5, 9}
-        row = [jacobi_symbol(a, 11) for a in range(11)]
-        assert row == [0, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1]
+        assert _chi(11) == [0, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1]
 
     def test_patched_character(self):
         # the reference state of g = x is the patched character: +1 at 0, chi elsewhere
@@ -111,7 +111,7 @@ class TestLegendre:
             signs = build_state(MonicPoly((0,), PrimeModulus(p)))
             assert int(signs[0]) == 1
             for a in range(1, p):
-                assert int(signs[a]) == jacobi_symbol(a, p)
+                assert int(signs[a]) == int(legendre_symbol(a, p))
 
 
 class TestLegendreAgainstSympy:
@@ -119,47 +119,14 @@ class TestLegendreAgainstSympy:
     @given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)), st.integers(-10**9, 10**9))
     def test_matches_sympy(self, p, a):
         want = int(legendre_symbol(a % p, p))
-        assert jacobi_symbol(a, p) == want
+        assert _chi(p)[a % p] == want
         assert legendre_euler(a, p) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-10**18, 10**18))
-    def test_jacobi_matches_sympy_on_odd_composites(self, i, j, a):
-        n = (2 * i + 1) * (2 * j + 1)
-        assert jacobi_symbol(a, n) == int(sympy_jacobi(a % n, n))
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(WIDE_PRIMES), st.integers(0, 2**64))
     def test_matches_sympy_on_wide_primes(self, p, a):
-        want = int(sympy_jacobi(a % p, p))
-        assert jacobi_symbol(a, p) == want
-        assert legendre_euler(a, p) == want
-
-
-class TestJacobi:
-    def test_frozen_composite_values(self):
-        # hand-computed via factorization: (2/15)=(2/3)(2/5)=(-1)(-1)=1 etc.
-        assert jacobi_symbol(2, 15) == 1
-        assert jacobi_symbol(7, 15) == -1
-        assert jacobi_symbol(4, 15) == 1
-        assert jacobi_symbol(1, 9) == 1
-        assert jacobi_symbol(2, 9) == 1
-        assert jacobi_symbol(5, 21) == 1
-        assert jacobi_symbol(10, 21) == -1
-
-    def test_multiplicative_in_numerator(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            n = 2 * rng.randrange(1, 500) + 1
-            a, b = rng.randrange(n), rng.randrange(n)
-            assert jacobi_symbol(a * b, n) == jacobi_symbol(a, n) * jacobi_symbol(b, n)
-
-    def test_periodic_in_numerator(self):
-        rng = random.Random(6)
-        for _ in range(200):
-            n = 2 * rng.randrange(1, 500) + 1
-            a = rng.randrange(n)
-            assert jacobi_symbol(a, n) == jacobi_symbol(a + n, n)
+        # past the int64 limit no table exists; the reference still answers
+        assert legendre_euler(a, p) == int(legendre_symbol(a % p, p))
 
 
 class TestChiTables:

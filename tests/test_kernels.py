@@ -1,7 +1,7 @@
 """Property tests: every scan kernel against a plain per-candidate loop.
 
 The reference (``reference.reference_matrix``) evaluates each monic
-candidate with MonicPoly.eval_int and takes the character from
+candidate with reference.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, the window sums at
 every degree (at d >= 2 on both sides of the short/long crossover, and
 the short route's translation orbits with the crossover out of reach),
@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     WIDE_PRIMES,
+    eval_int,
     is_perfect_square,
     reference_matrix,
     shifted_sums,
@@ -799,16 +800,32 @@ def test_eval_array_matches_eval_int(problem, data):
     p, d, x0, m = problem
     g = poly_from_index(d, PrimeModulus(p), data.draw(st.integers(0, p**d - 1)))
     xs = window(p, x0, m)
-    assert g.eval_array(xs).tolist() == [g.eval_int(int(x)) for x in xs]
+    assert g.eval_array(xs).tolist() == [eval_int(g, int(x)) for x in xs]
 
 
 @SETTINGS
 @given(st.sampled_from(WIDE_PRIMES), st.integers(1, 4), st.data())
 def test_eval_array_exact_at_wide_primes(p, d, data):
+    # exact where every product fits int64, refused past the limit
     residues = st.integers(0, p - 1)
     g = MonicPoly(data.draw(st.lists(residues, min_size=d, max_size=d)), PrimeModulus(p))
     xs = data.draw(st.lists(residues, min_size=1, max_size=20))
-    assert g.eval_array(np.array(xs, dtype=np.int64)).tolist() == [g.eval_int(x) for x in xs]
+    if p <= 3037000499:
+        assert g.eval_array(np.array(xs, dtype=np.int64)).tolist() == [eval_int(g, x) for x in xs]
+    else:
+        with pytest.raises(ValueError, match="too large for int64"):
+            g.eval_array(np.array(xs, dtype=np.int64))
+
+
+def test_eval_array_wide_prime_regression():
+    # int64 Horner would wrap at these p: a refusal, never a wrong residue
+    g = MonicPoly([123456789, 987654321], PrimeModulus(3037000493))
+    xs = [0, 1, 3037000492]
+    assert g.eval_array(xs).tolist() == [eval_int(g, x) for x in xs]
+    for p in (3037000507, 2**61 - 1):
+        g = MonicPoly([123456789, 987654321], PrimeModulus(p))
+        with pytest.raises(ValueError, match="too large for int64"):
+            g.eval_array([p - 1])
 
 
 def test_chi_blocks_refuse_int64_overflow_before_allocating():
@@ -826,8 +843,3 @@ def test_chi_blocks_refuse_int64_overflow_before_allocating():
         tracemalloc.stop()
     assert peak < 2**20, peak
 
-
-def test_eval_array_wide_prime_regression():
-    p = 2**61 - 1
-    g = MonicPoly([123456789, 987654321], PrimeModulus(p))
-    assert g.eval_array([p - 1]).tolist() == [2305843008349496420] == [g.eval_int(p - 1)]

@@ -43,7 +43,9 @@ class TestExactOracle:
     def test_accepts_any_integer_representative(self):
         m = PrimeModulus(7)
         session = OracleSession(parse_poly("x + 3", m), rng_seed=0)
-        assert session.query(9) == session.query(2)
+        assert session.query(9) == session.query(2) == session.query(-5) == -1
+        # a Python int beyond int64 is reduced before it meets numpy: 2^70 + 2 = 4 mod 7
+        assert session.query(2**70 + 2) == session.majority_estimate(2**70 + 2, 3) == 0
 
 
 class TestValidation:
@@ -156,10 +158,6 @@ class TestMajorityVote:
         assert session.query_count == 51
 
 
-def _scalar(session, x, reps):
-    return session.query(x) if reps == 1 else session.majority_estimate(x, reps)
-
-
 class TestQueryBlock:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -170,22 +168,40 @@ class TestQueryBlock:
         st.data(),
     )
     def test_block_equals_scalar_calls(self, p, d, gamma, reps, data):
+        # query, majority_estimate and query_block, interleaved on one session,
+        # each answer the reference vote over the next draws at its point
         f = random_squarefree(PrimeModulus(p), d, random.Random(data.draw(st.integers(0, 99))))
         seed = data.draw(st.integers(0, 2**64 - 1))
-        block = OracleSession(f, gamma=gamma, rng_seed=seed)
-        scalar = OracleSession(f, gamma=gamma, rng_seed=seed)
+        session = OracleSession(f, gamma=gamma, rng_seed=seed)
+        taken = {}  # draws already taken at each point
+
+        def want(x, t):
+            xv = x % p
+            first = taken.get(xv, 0)
+            taken[xv] = first + t
+            truth = _direct_chi(f, xv)
+            return truth if gamma == 1.0 else reference_vote(seed, gamma, truth, xv, first, t)
+
         # repeats and representatives outside [0, p) included
-        xs = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=40))
-        got = block.query_block(np.array(xs, dtype=np.int64), reps)
-        assert got.tolist() == [_scalar(scalar, x, reps) for x in xs]
-        assert block.query_count == scalar.query_count == reps * len(xs)
-        # later calls, scalar and block, see the same draws on both sessions
-        more = data.draw(st.lists(st.integers(0, p - 1), max_size=20))
-        assert [block.query(x) for x in more] == [scalar.query(x) for x in more]
-        got = block.query_block(more, reps)
-        assert got.tolist() == [_scalar(scalar, x, reps) for x in more]
-        assert [_scalar(block, x, reps) for x in more] == [_scalar(scalar, x, reps) for x in more]
-        assert block.query_count == scalar.query_count
+        points = st.lists(st.integers(-2 * p, 2 * p), max_size=40)
+        xs = data.draw(points)
+        got = session.query_block(np.array(xs, dtype=np.int64), reps)
+        assert got.tolist() == [want(x, reps) for x in xs]
+        assert session.query_count == reps * len(xs)
+        count = session.query_count
+        for call in data.draw(st.lists(st.sampled_from(("query", "vote", "block")), max_size=20)):
+            more = data.draw(points)
+            if call == "query":
+                assert [session.query(x) for x in more] == [want(x, 1) for x in more]
+                count += len(more)
+            elif call == "vote":
+                got = [session.majority_estimate(x, reps) for x in more]
+                assert got == [want(x, reps) for x in more]
+                count += reps * len(more)
+            else:
+                assert session.query_block(more, reps).tolist() == [want(x, reps) for x in more]
+                count += reps * len(more)
+            assert session.query_count == count
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -2,12 +2,20 @@
 
 perfbench's tracer picks what it wraps from each module's ``__all__`` and
 skips a name that does not resolve, so a stale entry would go unseen.
+It also fetches ``OracleSession``'s ORACLE_METHODS by name, with no
+default; the round-trip test installs it over one traced CLI run.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import hiddenpoly
+from hiddenpoly import cli
+from hiddenpoly.oracle import OracleSession
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 PUBLIC = [
     "AlgorithmParams",
@@ -22,7 +30,6 @@ PUBLIC = [
     "format_poly",
     "is_prime_u64",
     "is_squarefree",
-    "jacobi_symbol",
     "parse_poly",
     "poly_from_index",
     "poly_index",
@@ -43,3 +50,26 @@ def test_every_all_entry_resolves():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
     assert hiddenpoly.__all__ == PUBLIC
+
+
+def test_perfbench_tracer_round_trip():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    owners = [getattr(hiddenpoly, layer) for layer in tracer_module.LAYERS] + [OracleSession]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracer_module.Tracer()
+    tracer.install(hiddenpoly)
+    try:
+        for method in tracer_module.ORACLE_METHODS:
+            assert getattr(OracleSession, method).__wrapped__ is before[-1][method]
+        argv = ["recover", "--p", "1009", "--d", "1", "--gamma", "0.9", "--reps", "5"]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {"cli.main", "cli.cmd_recover", "reconstruct.two_stage_recover"} <= names
+    for owner, saved in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys(), owner
+        assert all(now[name] is value for name, value in saved.items()), owner

@@ -4,7 +4,8 @@ Square-freeness is validated against degree-2 and degree-3 discriminant
 formulas, a route fully independent of the gcd implementation, and
 against sympy's square-free test over GF(p).  The enumeration and
 perfect-square tests check reference.py's enumerate_monic and
-is_perfect_square, which other tests lean on.
+is_perfect_square, and the evaluation test its eval_int, which other
+tests lean on.
 """
 
 import itertools
@@ -13,7 +14,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import WIDE_PRIMES, enumerate_monic, is_perfect_square, sympy_is_squarefree
+from reference import (
+    WIDE_PRIMES,
+    enumerate_monic,
+    eval_int,
+    is_perfect_square,
+    sympy_is_squarefree,
+)
 
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.poly import (
@@ -52,7 +59,7 @@ class TestMonicPoly:
                 f = MonicPoly(coeffs, m)
                 x = rng.randrange(p)
                 direct = (pow(x, d, p) + sum(c * pow(x, i, p) for i, c in enumerate(coeffs))) % p
-                assert f.eval_int(x) == direct
+                assert eval_int(f, x) == direct == int(f.eval_array([x])[0])
 
     def test_degree(self):
         m = PrimeModulus(7)

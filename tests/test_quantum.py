@@ -7,7 +7,7 @@ eigensolve behind alpha, against an independent dense route built from
 the plain-loop reference sign matrix and numpy's dense symmetric
 eigensolver.  reference.py's build_state and pair_overlap, the dense
 sign vector of one candidate and its exact rational overlaps, are
-checked against the Jacobi reduction.
+checked against the program's character table.
 """
 
 import math
@@ -18,9 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import build_state, enumerate_monic, pair_overlap, reference_matrix
+from reference import (
+    build_state,
+    enumerate_monic,
+    eval_int,
+    pair_overlap,
+    reference_matrix,
+)
 
-from hiddenpoly.ffield import PrimeModulus, jacobi_symbol
+from hiddenpoly.ffield import PrimeModulus, chi_table
 from hiddenpoly.limits import BudgetExceeded
 from hiddenpoly.poly import (
     MonicPoly,
@@ -74,8 +80,12 @@ def dense_route(p, d, k):
 
 
 def _chi_ext(v, p):
-    """The patched character by Jacobi reduction: +1 at 0."""
-    return jacobi_symbol(v, p) or 1
+    """The patched character from chi_table: +1 at 0.
+
+    build_state takes its signs from legendre_euler, so the check against
+    it reads the program's squares table instead.
+    """
+    return int(chi_table(PrimeModulus(p))[v]) or 1
 
 
 class TestSignState:
@@ -90,7 +100,7 @@ class TestSignState:
         f = parse_poly("x^2 + 3*x + 1", m)
         signs = build_state(f)
         for x in range(13):
-            assert int(signs[x]) == _chi_ext(f.eval_int(x), 13)
+            assert int(signs[x]) == _chi_ext(eval_int(f, x), 13)
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError):
@@ -120,7 +130,7 @@ class TestPairOverlap:
         for f in polys:
             for g in polys:
                 direct = sum(
-                    _chi_ext(f.eval_int(x), 11) * _chi_ext(g.eval_int(x), 11)
+                    _chi_ext(eval_int(f, x), 11) * _chi_ext(eval_int(g, x), 11)
                     for x in range(11)
                 )
                 assert pair_overlap(f, g) == Fraction(direct, 11)
