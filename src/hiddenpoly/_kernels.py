@@ -13,24 +13,28 @@ sums of consecutive candidates for weights in {-1, 0, 1}, and ``_scan``
 hands their blocks to one of two reductions: ``correlation_survivors``
 (two-stage, the pair sweep at bound 0) keeps the sums that reach a bound,
 ``masked_extrema`` (brute, short, the Weil sweep) the least and largest
-sum a mask selects and the indices that reach the largest.
+sum a mask selects and the indices that reach the largest.  Threads take
+contiguous ranges, each reduces its blocks into a list, and ``_scan``
+joins the lists in range order, so no result depends on the thread count.
 ``squarefree_mask`` clears every h^2 * k (deg h >= 1) that
-``_square_multiples`` lists by digit convolution.  At d >= 2 the window
-length picks one of two routes:
+``_square_multiples`` lists by digit convolution.  At d >= 2
+``masked_extrema`` always takes the long route below, and
+``correlation_survivors`` picks one of two by the window length:
 
-- short windows (HANKEL_RATIO * m < p and p does not divide d): the scan
-  runs over translation orbits.  x -> x + a keeps g monic and moves
-  s_{d-1} by d*a, so every candidate is g0_h(x + a) + E for exactly one
-  (h, a, E) in [0, p^(d-2)) x F_p x F_p, where g0_h, of index h*p, has
-  zero x^(d-1) and constant terms.  Its window sums are
-  c(h, a, E) = sum_j w_j T_h[x0 + a + j, E] with the table
+- short windows (HANKEL_RATIO * m < p and p does not divide d), and
+  windows of m >= 2^24: the scan runs over translation orbits.  x -> x + a
+  keeps g monic and moves s_{d-1} by d*a, so every candidate is
+  g0_h(x + a) + E for exactly one (h, a, E) in [0, p^(d-2)) x F_p x F_p,
+  where g0_h, of index h*p, has zero x^(d-1) and constant terms.  Its
+  window sums are c(h, a, E) = sum_j w_j T_h[x0 + a + j, E] with the table
   T_h[y, E] = chi2[g0_h(y mod p) + E].  A block of R consecutive a
   gathers the R + m - 1 rows of T_h it reads, at most about 2R at a time,
   then adds the +1 points' (R x p) slabs T_h[j : j + R] and subtracts the
   -1 points', in int8 when m < 2^7, int16 when m < 2^15 and int32
   otherwise, so no partial sum (at most m in magnitude) overflows.  Its
   row r is the orbit row of g0_h(x + a + r), whose index gives every
-  other one: E moves s_0 by E mod p and no other digit.
+  other one: E moves s_0 by E mod p and no other digit.  The survivors,
+  found in orbit order, are sorted by index at the end.
 - long windows (HANKEL_RATIO * m >= p and m < 2^24), and every window
   when p divides d (so p <= d): every sum of row h is
   c(h, s_0) = sum_u hist_h[u] * chi((u + s_0) mod p), where hist_h[u]
@@ -39,7 +43,8 @@ length picks one of two routes:
   Hankel matrix chi2[u + s_0], copied once per scan and shared by its
   threads.  Every partial sum is an integer of magnitude at most
   sum |hist_h| <= m < 2^24, so the product is exact in any summation
-  order and with any BLAS thread count.
+  order and with any BLAS thread count; ``masked_extrema`` refuses a
+  window of 2^24 or more points at d >= 2.
 
 Brute, short and the pair-identity and Weil sweeps pass m = p and take
 the long route, two-stage's first sieve round (m <= 16) the short one
@@ -251,19 +256,24 @@ def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.nd
     buf = np.zeros((-(-n // step) - 1) * step + size)
     buf[: n + m - 1] = _chi2(p)[t : t + n + m - 1]
     spectra = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(buf, size)[::step])
+    del buf  # each buffer is dropped once read: at m = p they are most of the scan's memory
     spectra *= spectrum
-    y = np.fft.irfft(spectra, size)[:, :step]
+    y = np.fft.irfft(spectra, size)
+    del spectra
+    y = y[:, :step].reshape(-1)[:n]
     c = np.rint(y)
-    residual = float(np.abs(y - c, out=y).max())
+    residual = float(np.abs(np.subtract(y, c, out=y), out=y).max())
     if residual >= 0.25:
         raise ArithmeticError(f"FFT window sums {residual} off an integer at p={p}, m={m}")
-    return c.reshape(-1)[:n]
+    return c
 
 
 def _hankel(p: int, d: int, m: int) -> np.ndarray | None:
-    """The long route's float32 matrix chi2[u + s_0] for u, s_0 < p; None on the other routes."""
-    if d == 1 or (HANKEL_RATIO * m < p and d % p) or m >= 1 << 24:
+    """The long route's float32 matrix chi2[u + s_0] for u, s_0 < p; None at d = 1."""
+    if d == 1:
         return None
+    if m >= 1 << 24:
+        raise ValueError("the long route sums exactly only windows below 2^24 points")
     return np.lib.stride_tricks.sliding_window_view(_chi2(p), p)[:p].astype(np.float32)
 
 
@@ -276,9 +286,9 @@ def _candidate_sums(
     exact integers: int32 on the long route, int8 or float64 at d = 1
     (module docstring).  At d >= 2, lo and hi are multiples of p, so the
     runs are whole rows.  hankel is _hankel(p, d, len(w)), built once per
-    scan and shared by its threads; when it is None at d >= 2, lo .. hi - 1
-    are positions o*p + E in orbit coordinates and the runs those of
-    ``_orbit_sums``, (first, c) with an array first.
+    scan and shared by its threads; None at d >= 2 takes the orbit route:
+    lo .. hi - 1 are positions o*p + E in orbit coordinates and the runs
+    those of ``_orbit_sums``, (first, c) with an array first.
     """
     m = len(w)
     if d == 1:
@@ -288,7 +298,8 @@ def _candidate_sums(
             plus, minus, run = np.flatnonzero(w > 0), np.flatnonzero(w < 0), SLICE_RUN
         else:
             size = 1 << (2 * m - 1).bit_length()
-            spectrum = np.conj(np.fft.rfft(w, size))
+            spectrum = np.fft.rfft(w, size)
+            np.conj(spectrum, out=spectrum)
             run = max(1, FFT_RUN // (size - m + 1)) * (size - m + 1)
         while lo < hi:
             t = (x0 + lo) % p
@@ -362,30 +373,22 @@ def _orbit_sums(p: int, d: int, x0: int, w: np.ndarray, lo: int, hi: int):
             o += hn * n
 
 
-def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, consume) -> None:
-    # consume(i, c) for every (i, c) of _candidate_sums over the candidates below
-    # rows * p; the orbit route scans every orbit row whatever rows, and consume
-    # drops what lies past it.  Up to os.cpu_count() threads take contiguous ranges
-    # (whole rows at d >= 2), each consumed in order, so the thread count never
-    # changes results
-    hankel = _hankel(p, d, len(w))
-    if d > 1 and hankel is None:
-        rows = p ** (d - 1)
+def _scan(p: int, d: int, x0: int, w: np.ndarray, rows: int, threads: int, hankel, reduce) -> list:
+    # [reduce(i, c) for every run (i, c) of _candidate_sums below rows * p], joined
+    # in range order from up to os.cpu_count() threads (module docstring); hankel
+    # None at d >= 2 takes the orbit route, whose rows are orbit rows
     unit = p if d > 1 else 1
     n, t = rows * p // unit, max(1, min(int(threads), os.cpu_count() or 1))
     bounds = [n * k // t * unit for k in range(t + 1)]
     ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
-    def run(lo: int, hi: int) -> None:
-        for i, c in _candidate_sums(p, d, x0, w, lo, hi, hankel):
-            consume(i, c)
+    def run(lo: int, hi: int) -> list:
+        return [reduce(i, c) for i, c in _candidate_sums(p, d, x0, w, lo, hi, hankel)]
 
     if len(ranges) == 1:
-        run(*ranges[0])
-        return
+        return run(*ranges[0])
     with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
-        for fut in [ex.submit(run, *r) for r in ranges]:
-            fut.result()
+        return [part for fut in [ex.submit(run, *r) for r in ranges] for part in fut.result()]
 
 
 def correlation_survivors(
@@ -399,20 +402,18 @@ def correlation_survivors(
     (bound 0: every sum).  Only the survivors are kept.
     """
     w = _window_weights(p, x0, m, weights)
-    found: dict[int, tuple] = {}
+    orbit = d > 1 and ((HANKEL_RATIO * m < p and d % p) or m >= 1 << 24)
 
-    def consume(i, c: np.ndarray) -> None:
+    def reduce(i, c: np.ndarray) -> tuple:
         k = np.flatnonzero(np.abs(c) >= bound)
         sums = c.reshape(-1)[k].astype(np.int64)
-        if np.ndim(i):  # orbit rows map back to indices per row: s_0 moves by E = k % p
-            found[int(i[0])] = (_orbit_indices(p, i[k // p], k % p), sums)
-        else:
-            found[i] = (k + i, sums)
+        if orbit:  # orbit rows map back to indices per row: s_0 moves by E = k % p
+            return _orbit_indices(p, i[k // p], k % p), sums
+        return k + i, sums
 
-    _scan(p, d, x0, w, p ** (d - 1), threads, consume)
-    parts = [found[i] for i in sorted(found)]
+    parts = _scan(p, d, x0, w, p ** (d - 1), threads, None if orbit else _hankel(p, d, m), reduce)
     idx, sums = np.concatenate([i for i, _ in parts]), np.concatenate([c for _, c in parts])
-    if (idx[1:] < idx[:-1]).any():  # the orbit route's survivors come in orbit order
+    if orbit:
         order = np.argsort(idx)
         idx, sums = idx[order], sums[order]
     return idx, sums
@@ -425,7 +426,8 @@ def masked_extrema(
 
     len(mask) sets the scanned indices, whole rows: a multiple of p from p
     to p^d.  min and max are ints, winners the ascending int64 indices that
-    reach max.  Blocks are reduced as they stream, so no sum array exists.
+    reach max.  Blocks are reduced as they stream, so no sum array exists;
+    at d >= 2 the scan takes the long route, so m must be below 2^24.
     """
     w, mask = _window_weights(p, x0, m, weights), np.asarray(mask, dtype=bool)
     n = len(mask)
@@ -433,30 +435,21 @@ def masked_extrema(
         raise ValueError("mask must cover whole rows: a multiple of p from p to p^d")
     if not mask.any():
         raise ValueError("mask selects no candidate")
-    found: dict[int, tuple] = {}
 
-    def consume(i, c: np.ndarray) -> None:
-        c = c.reshape(-1)
-        if np.ndim(i):  # orbit rows map back to indices per row: s_0 moves by E
-            idx = _orbit_indices(p, i[:, None], np.arange(p)).reshape(-1)
-            inside = idx < n  # the orbit route scans past the mask's rows
-            idx, c = idx[inside], c[inside]
-            key, sel = int(i[0]), mask[idx]
-        else:
-            key, sel = i, mask[i : i + len(c)]
+    def reduce(i: int, c: np.ndarray) -> tuple | None:
+        sel = mask[i : i + len(c)]
         values = c[sel]
-        if values.size:
-            top = values.max()
-            k = np.flatnonzero(c == top)
-            k = k[sel[k]]
-            found[key] = (int(values.min()), int(top), idx[k] if np.ndim(i) else k + i)
+        if not values.size:
+            return None
+        top = values.max()
+        k = np.flatnonzero(c == top)
+        return int(values.min()), int(top), k[sel[k]] + i
 
-    _scan(p, d, x0, w, n // p, threads, consume)
-    # partials joined by block start, so the thread count never changes the result
-    parts = [found[key] for key in sorted(found)]
+    parts = [part for part in _scan(p, d, x0, w, n // p, threads, _hankel(p, d, m), reduce) if part]
+    # blocks come in index order, so the winners do too
     top = max(hi for _, hi, _ in parts)
     winners = np.concatenate([k for _, hi, k in parts if hi == top])
-    return min(lo for lo, _, _ in parts), top, np.sort(winners)
+    return min(lo for lo, _, _ in parts), top, winners
 
 
 def _mul_rows(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,10 +33,8 @@ and sums its moments in int64 base-2^b digits, joined as Python ints.
 
 Every sweep returns one ``BoundTable`` per prime: the lemma id, p and
 equal-length columns ``d``, ``params``, ``measured``, ``bound`` and
-``passed``, so no record is built per checked instance.
-``BoundTable.rows()`` gives the same instances as ``BoundCheckRow``
-records.  ``BoundCheckRow`` and ``LinearForm`` are NamedTuples;
-``BoundTable`` is a NamedTuple of lists.
+``passed``, so no record is built per checked instance.  ``LinearForm``
+is a NamedTuple; ``BoundTable`` is a NamedTuple of lists.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from .poly import MonicPoly, format_poly, mul, random_squarefree
 
 __all__ = [
     "LinearForm",
-    "BoundCheckRow",
     "BoundTable",
     "short_char_sums",
     "multilinear_form_sums",
@@ -84,18 +81,6 @@ SHORT_WEIL_CONSTANT = 1.0
 GROUP_BINS = 1 << 12
 
 
-class BoundCheckRow(NamedTuple):
-    """One checked instance: a measured value against its bound formula."""
-
-    lemma: str
-    p: int
-    d: int
-    params: str
-    measured: float
-    bound: float
-    passed: bool
-
-
 class BoundTable(NamedTuple):
     """One sweep's checked instances at one prime, as equal-length columns."""
 
@@ -106,11 +91,6 @@ class BoundTable(NamedTuple):
     measured: list[float]
     bound: list[float]
     passed: list[bool]
-
-    def rows(self) -> list[BoundCheckRow]:
-        """The same instances, one BoundCheckRow each, in order."""
-        return [BoundCheckRow(self.lemma, self.p, *cells)
-                for cells in zip(self.d, self.params, self.measured, self.bound, self.passed)]
 
 
 class LinearForm(NamedTuple):

@@ -144,11 +144,16 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
         PrimeModulus(p)  # validate every prime before any sweep runs
     tables = _bound_tables(args)
     _emit(_tables_to_csv(tables), args.out)
-    violations = [r for t in tables if not all(t.passed) for r in t.rows() if not r.passed]
+    violations = [
+        f"  {t.lemma} p={t.p} d={d} {params}: measured={measured} bound={bound}"
+        for t in tables
+        for d, params, measured, bound, passed in zip(t.d, t.params, t.measured, t.bound, t.passed)
+        if not passed
+    ]
     if violations:
         _err(f"{len(violations)} bound violation(s)")
-        for r in violations[:20]:
-            _err(f"  {r.lemma} p={r.p} d={r.d} {r.params}: measured={r.measured} bound={r.bound}")
+        for line in violations[:20]:
+            _err(line)
         return 1
     return 0
 

@@ -140,6 +140,6 @@ class OracleSession:
         return self._votes(xs, truth, firsts, reps)
 
 
-def _check_votes(t: int) -> None:
-    if t < 1 or t % 2 == 0:
-        raise ValueError("t must be a positive odd integer")
+def _check_votes(reps: int) -> None:
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError("reps must be a positive odd integer")

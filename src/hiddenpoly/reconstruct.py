@@ -25,9 +25,10 @@ the window; it reduces each scanned block to its square-free maximum and
 winners, so only the p^d bool mask spans the candidates.  Every solver
 records in RecoveryReport.work the candidate x window cells of the
 unpruned scans: all p^d monic candidates over the scanned window,
-square-free or not, and a fallback each candidate of its pool.  For
-two-stage that is p^d * N + survivors * M whatever the sieve skips, so
-the count follows from the report fields alone.
+square-free or not, and a fallback each candidate of its pool, or all
+p^d when the pool is empty.  For two-stage that is p^d * N + survivors
+* M whatever the sieve skips, so the count follows from the report
+fields alone.
 
 Oracle answers over a window are queried once, cached, and reused by
 every candidate, so query counts are exact.  Correctness is guaranteed
@@ -137,8 +138,6 @@ class _WindowCache:
     """Caches oracle answers per residue so each point is queried once."""
 
     def __init__(self, session: OracleSession, reps: int = 1):
-        if reps < 1 or (reps > 1 and reps % 2 == 0):
-            raise ValueError("reps must be 1 or a positive odd integer")
         self.session = session
         self.reps = reps
         self.queries_before = session.query_count
@@ -292,6 +291,9 @@ def two_stage_recover(
     If several candidates clear stage 2 (or none do, which cannot happen
     for an exact oracle), falls back to the full-range correlation argmax
     over the surviving pool; ties go to the smallest index, flagged ambiguous.
+    When noise leaves no stage-1 survivor, the pool is every square-free
+    candidate, decoded as brute decodes on the answers already queried.  A
+    noisy session is charged for that decode before its first query.
     """
     modulus = session.modulus
     p = modulus.p
@@ -299,6 +301,8 @@ def two_stage_recover(
     # refused before the window cache and the oracle's character table, each
     # of which holds p entries
     check_ops(p**d * min(params.N, ROUNDS[0]), budget, "stage-1 prefix scan")
+    if session.gamma < 1:
+        check_ops(p**d * p, budget, "noisy fallback decode")
     cache = _WindowCache(session, reps)
 
     t0 = time.perf_counter()
@@ -322,14 +326,19 @@ def two_stage_recover(
         # ambiguity: decide on the full range among the surviving pool
         t2 = time.perf_counter()
         pool = surv2 or surv1
-        sums = _kernels.index_sums(p, d, pool, np.arange(p, dtype=np.int64), cache.window(0, p))
-        winners = [pool[i] for i in np.flatnonzero(sums == sums.max())] if pool else []
-        work += len(pool) * p
+        if pool:
+            sums = _kernels.index_sums(p, d, pool, np.arange(p, dtype=np.int64), cache.window(0, p))
+            winners = [pool[i] for i in np.flatnonzero(sums == sums.max())]
+            work += len(pool) * p
+        else:  # brute's decode: noise took f out of stage 1
+            mask = _kernels.squarefree_mask(p, d, budget)
+            winners = _kernels.masked_extrema(p, d, 0, p, cache.window(0, p), mask, threads)[2].tolist()
+            work += p**d * p
         stage_seconds["fallback"] = time.perf_counter() - t2
 
     return RecoveryReport(
         algorithm="two-stage",
-        recovered=poly_from_index(d, modulus, winners[0]) if winners else None,
+        recovered=poly_from_index(d, modulus, winners[0]),
         survivors_stage1=len(surv1),
         survivors_stage2=len(surv2),
         total_queries=cache.queries,

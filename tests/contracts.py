@@ -78,6 +78,9 @@ ROWS = (
             **REFUSED_FAST),
     refusal("refuse-two-stage-d2-budget", "recover --p 1009 --d 2 --algo two-stage --budget 1000",
             **REFUSED_FAST),
+    # a noisy two-stage job is charged its p^(d+1)-cell fallback decode before any query
+    refusal("refuse-two-stage-noisy-d2-p1009", "recover --p 1009 --d 2 --gamma 0.9 --reps 5",
+            **REFUSED_FAST),
     # before the p-entry window cache and character table
     refusal("refuse-recover-d1-p100000007", "recover --p 100000007 --d 1", **REFUSED_FAST),
     refusal("refuse-quantum-d2-p10007", "quantum --p 10007 --d 2", **REFUSED_FAST),
@@ -128,6 +131,10 @@ ROWS = (
     Row("noisy-d1-p10007", "recover --p 10007 --d 1 --gamma 0.9 --reps 5 --seed 0 --no-timing "
         "--json", threads=(1, 2),
         report="total_queries == 50035 and recovered == 'x + 6311' and match is True"),
+    # noise takes f out of stage 1; the fallback decodes every candidate on the cached answers
+    Row("noisy-d1-p101-empty-pool", "recover --p 101 --d 1 --gamma 0.9 --reps 3 --seed 0 "
+        "--no-timing --json", threads=(1, 2, 8),
+        report="survivors_stage1 == 0 and total_queries == 303 and match is True", light=True),
     # quantum: the measured outcome carries the POVM weight
     Row("quantum-d2-p37", "quantum --p 37 --d 2 --seed 0 --json --no-timing",
         report=QUANTUM + " and alpha * lambda_max <= 1"),

@@ -175,8 +175,17 @@ def reference_short_sums(polys):
     return out
 
 
+def table_rows(tables):
+    """Each checked instance of the BoundTables as a plain tuple, in report order.
+
+    (lemma, p, d, params, measured, bound, passed), zipped from the columns.
+    """
+    return [(t.lemma, t.p, *cells)
+            for t in tables for cells in zip(t.d, t.params, t.measured, t.bound, t.passed)]
+
+
 def rows_to_csv(rows):
-    """The verify-bounds CSV of BoundCheckRow records, one f-string per record."""
+    """The verify-bounds CSV of table_rows tuples, one f-string per row."""
     lines = [
         f"{lemma},{p},{d},{params.replace(',', ';')},{measured!r},{bound!r},"
         f"{'pass' if passed else 'fail'}"

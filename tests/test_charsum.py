@@ -21,12 +21,11 @@ from reference import (
     reference_matrix,
     reference_short_sums,
     shifted_sums,
+    table_rows,
 )
 
 from hiddenpoly import _kernels, charsum
 from hiddenpoly.charsum import (
-    BoundCheckRow,
-    BoundTable,
     LinearForm,
     moment_bound,
     moment_sums,
@@ -53,11 +52,6 @@ def _direct_sum(f, xs):
         v = (pow(x, f.degree, p) + sum(c * pow(x, i, p) for i, c in enumerate(f.coeffs))) % p
         total += _chi(f.modulus, v)
     return total
-
-
-def _rows(tables):
-    # the sweep's checked instances as records, in report order
-    return [row for table in tables for row in table.rows()]
 
 
 def _complete_sum(f):
@@ -143,14 +137,14 @@ class TestPairIdentity:
         # every sweep row against a plain loop over (x+a)(x+b); threads change nothing
         tables = charsum.sweep_pair_identity((7, 11))
         assert charsum.sweep_pair_identity((7, 11), threads=3) == tables
-        rows = _rows(tables)
+        rows = table_rows(tables)
         assert len(rows) == 7**2 + 11**2
-        for row in rows:
-            a, b = (int(part.split("=")[1]) for part in row.params.split(";"))
-            f = MonicPoly((a * b, a + b), PrimeModulus(row.p))
-            assert row.measured == _direct_sum(f, range(row.p))
-            assert row.bound == (row.p - 1 if a == b else -1)
-            assert row.passed
+        for _, p, _, params, measured, bound, passed in rows:
+            a, b = (int(part.split("=")[1]) for part in params.split(";"))
+            f = MonicPoly((a * b, a + b), PrimeModulus(p))
+            assert measured == _direct_sum(f, range(p))
+            assert bound == (p - 1 if a == b else -1)
+            assert passed
 
     def test_rows_match_a_plain_loop_in_order(self):
         # the sweep's rows, built from one array read, against rows built one
@@ -162,33 +156,20 @@ class TestPairIdentity:
                     measured = _direct_sum(MonicPoly((a * b % p, (a + b) % p), PrimeModulus(p)),
                                            range(p))
                     expected = p - 1 if a == b else -1
-                    want.append(BoundCheckRow("pair-identity", p, 1, f"a={a};b={b}",
-                                              float(measured), float(expected),
-                                              measured == expected))
-            got = _rows(charsum.sweep_pair_identity((p,)))
+                    want.append(("pair-identity", p, 1, f"a={a};b={b}", float(measured),
+                                 float(expected), measured == expected))
+            got = table_rows(charsum.sweep_pair_identity((p,)))
             assert got == want
             assert [type(v) for v in got[0]] == [str, int, int, str, float, float, bool]
 
 
 class TestRecords:
     def test_immutable_and_hashable(self):
-        row = BoundCheckRow("weil", 7, 2, "x", 1.0, 2.0, True)
         form = LinearForm((1, 2), 3)
-        for record, field in ((row, "measured"), (form, "constant")):
-            with pytest.raises(AttributeError):
-                setattr(record, field, 0)
-        assert len({row, BoundCheckRow("weil", 7, 2, "x", 1.0, 2.0, True)}) == 1
+        with pytest.raises(AttributeError):
+            form.constant = 0
         assert len({form, LinearForm((1, 2), 3), LinearForm((1, 2), 4)}) == 2
-        assert row._fields == ("lemma", "p", "d", "params", "measured", "bound", "passed")
         assert form._fields == ("coefficients", "constant")
-
-    def test_table_rows_read_the_columns(self):
-        # one record per column position, lemma and p repeated, in order
-        table = BoundTable("weil", 7, [1, 2], ["x", "y"], [1.0, 3.0], [2.0, 2.0], [True, False])
-        assert table.rows() == [BoundCheckRow("weil", 7, 1, "x", 1.0, 2.0, True),
-                                BoundCheckRow("weil", 7, 2, "y", 3.0, 2.0, False)]
-        assert BoundTable("weil", 7, [], [], [], [], []).rows() == []
-        assert table._fields == ("lemma", "p", "d", "params", "measured", "bound", "passed")
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_forms_equal_after_reduction_are_refused(self, d):
@@ -576,17 +557,13 @@ class TestSweeps:
     def test_pair_sweep_shape_and_pass(self):
         tables = charsum.sweep_pair_identity((7,))
         assert [(t.lemma, t.p) for t in tables] == [("pair-identity", 7)]
-        rows = _rows(tables)
-        assert len(rows) == 49
-        assert all(isinstance(r, BoundCheckRow) for r in rows)
-        assert all(r.passed for r in rows)
-        assert all(r.lemma == "pair-identity" for r in rows)
+        assert tables[0]._fields == ("lemma", "p", "d", "params", "measured", "bound", "passed")
+        assert len(tables[0].d) == 49 and all(tables[0].passed)
 
     def test_weil_sweep_small(self):
-        rows = _rows(charsum.sweep_weil((5, 7)))
-        assert all(r.passed for r in rows)
-        degrees = {r.d for r in rows}
-        assert degrees == {1, 2, 3, 4}
+        tables = charsum.sweep_weil((5, 7))
+        assert all(all(t.passed) for t in tables)
+        assert {d for t in tables for d in t.d} == {1, 2, 3, 4}
 
     @settings(max_examples=20, deadline=None)
     @example(p=3)  # 3 | D = 3: the full-scan path
@@ -598,15 +575,15 @@ class TestSweeps:
         # the sweep scans affine-orbit representatives; the max |sum| over
         # non-squares must equal the full scan's at every degree, D = 1 included
         ones = np.ones(p, dtype=np.int64)
-        rows = _rows(charsum.sweep_weil((p,)))
-        assert [r.d for r in rows] == [1, 2, 3, 4]
-        for row in rows:
-            _, sums = _kernels.correlation_survivors(p, row.d, 0, p, ones, 0)
-            nonsquare = np.ones(p**row.d, dtype=bool)
-            if row.d % 2 == 0:  # the squares g^2 of every monic root g, by poly arithmetic
-                roots = enumerate_monic(row.d // 2, PrimeModulus(p))
+        (table,) = charsum.sweep_weil((p,))
+        assert table.d == [1, 2, 3, 4]
+        for d, measured in zip(table.d, table.measured):
+            _, sums = _kernels.correlation_survivors(p, d, 0, p, ones, 0)
+            nonsquare = np.ones(p**d, dtype=bool)
+            if d % 2 == 0:  # the squares g^2 of every monic root g, by poly arithmetic
+                roots = enumerate_monic(d // 2, PrimeModulus(p))
                 nonsquare[[poly_index(mul(g, g)) for g in roots]] = False
-            assert row.measured == np.abs(sums[nonsquare]).max()
+            assert measured == np.abs(sums[nonsquare]).max()
 
     def _scanned(self, monkeypatch, primes):
         # the cells each degree scans: the length of the mask it reduces over
@@ -635,7 +612,7 @@ class TestSweeps:
     def test_weil_budget_counts_the_scanned_rows(self):
         # least non-residue 3 at p = 127: 1 + 1 + 4 + 4 * 127 rows of p^2 cells,
         # plus 9 p^2 for the perfect squares
-        assert len(_rows(charsum.sweep_weil((127,), budget=523 * 127**2))) == 4
+        assert len(table_rows(charsum.sweep_weil((127,), budget=523 * 127**2))) == 4
         with pytest.raises(BudgetExceeded, match="needs ~8435467 elementary operations"):
             charsum.sweep_weil((127,), budget=523 * 127**2 - 1)
 
@@ -643,19 +620,19 @@ class TestSweeps:
         a = charsum.sweep_weil_short((11, 31), seed=0)
         b = charsum.sweep_weil_short((11, 31), seed=0)
         assert a == b
-        assert all(r.passed for r in _rows(a))
+        assert all(all(t.passed) for t in a)
         assert [len(t.d) for t in a] == [40, 40]
 
     def test_mult_weil_sweep(self):
-        rows = _rows(charsum.sweep_mult_weil((5, 7), seed=0))
-        assert all(r.passed for r in rows)
-        assert {r.lemma for r in rows} == {"mult-weil"}
+        tables = charsum.sweep_mult_weil((5, 7), seed=0)
+        assert all(all(t.passed) for t in tables)
+        assert {t.lemma for t in tables} == {"mult-weil"}
 
     def test_moment_sweep(self):
-        rows = _rows(charsum.sweep_moment((7,), seed=0))
-        assert all(r.passed for r in rows)
+        tables = charsum.sweep_moment((7,), seed=0)
+        assert all(all(t.passed) for t in tables)
         # r grid at p=7: {1, 2, ceil(ln 7)} collapses to {1, 2}
-        assert {r.d for r in rows} == {1, 2}
+        assert {d for t in tables for d in t.d} == {1, 2}
 
     def test_default_sweep_all_pass(self, capsys):
         # the full default grid, through the CLI that reports it

@@ -6,8 +6,9 @@ legendre_euler, one point at a time.  chi_blocks, the window sums at
 every degree (at d >= 2 on both sides of the short/long crossover, and
 the short route's translation orbits with the crossover out of reach),
 the list kernel's sums over any index list and the array Horner
-evaluation must reproduce it exactly, and the masked extrema the sums
-they reduce, over every row or a leading slice of rows; the translation
+evaluation must reproduce it exactly, and the masked extrema, which take
+the long route at every d >= 2, the sums they reduce, over every row or a
+leading slice of rows, at any thread count and block size; the translation
 map must match g(x + a) built with poly arithmetic, and the index-set
 helpers the per-polynomial tests.  At d = 1 the window sums take int8
 slice sums below SLICE_BELOW points and an overlap-save FFT from there
@@ -227,20 +228,19 @@ def orbit_problems(draw):
     p = draw(st.sampled_from([q for q in PRIMES if q <= ORBIT_MAX_P[d]]))
     x0, m = draw(st.integers(0, p - 1)), draw(st.integers(1, p))
     weights = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m))
-    rows = draw(st.integers(1, p ** (d - 1)))
-    return p, d, x0, np.array(weights, dtype=np.int64), rows, draw(st.integers(0, m + 1))
+    return p, d, x0, np.array(weights, dtype=np.int64), draw(st.integers(0, m + 1))
 
 
 @settings(max_examples=30, deadline=None)
-@example((3, 3, 2, np.array([1, 0, -1]), 4, 1))  # p | d: the long route whatever m
+@example((3, 3, 2, np.array([1, 0, -1]), 1))  # p | d: the long route whatever m
 @given(orbit_problems())
 def test_orbit_route_matches_reference(problem):
-    # the crossover moved out of reach sends every window to the orbit route
-    # unless p divides d; windows wrap past p - 1 for x0 + m > p and weights
-    # carry zeros.  Every sum, a leading slice of rows and the survivors of a
+    # the crossover moved out of reach sends every correlation_survivors window
+    # to the orbit route unless p divides d; windows wrap past p - 1 for
+    # x0 + m > p and weights carry zeros.  Every sum and the survivors of a
     # bound, in the production blocks on 1 and 3 threads and in blocks of one
     # orbit row on 3
-    p, d, x0, weights, rows, bound = problem
+    p, d, x0, weights, bound = problem
     m = len(weights)
     expected = full_reference(p, d)[:, window(p, x0, m)] @ weights
     keep = np.flatnonzero(np.abs(expected) >= bound)
@@ -253,9 +253,6 @@ def test_orbit_route_matches_reference(problem):
                 got = all_sums(p, d, x0, m, weights, threads=threads)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, expected)
-                mask = np.ones(rows * p, dtype=bool)
-                part = _kernels.masked_extrema(p, d, x0, m, weights, mask, threads)
-                assert_extrema(part, masked_reference(expected, mask))
                 idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, bound, threads)
                 assert idx.dtype == sums.dtype == np.int64
                 assert np.array_equal(idx, keep)
@@ -290,10 +287,10 @@ def extrema_problems(draw):
 @given(extrema_problems())
 def test_masked_extrema_match_reference(problem):
     # against index_sums over every index below len(mask), masked, then min,
-    # max and argmax: on the d = 1 slice and FFT routes, the d >= 2 Hankel
-    # route (always when p | d) and orbit route, in the production blocks and
-    # in blocks of one row or run, on 1, 2 and 8 threads; the winners come
-    # ascending however the blocks are ordered
+    # max and argmax: on the d = 1 slice and FFT routes and at d >= 2 the
+    # Hankel route, which the crossover moved out of reach does not change,
+    # in the production blocks and in blocks of one row or run, on 1, 2 and 8
+    # threads; the winners come ascending
     p, d, x0, weights, mask = problem
     m = len(weights)
     sums = _kernels.index_sums(p, d, np.arange(len(mask)), window(p, x0, m), weights)
@@ -305,12 +302,49 @@ def test_masked_extrema_match_reference(problem):
         for small in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_kernels, name, value)
+                calls = route_spy(mp)
                 if small:
                     for cells in ("SLICE_RUN", "FFT_RUN", "HANKEL_CELLS", "SCAN_CELLS"):
                         mp.setattr(_kernels, cells, 1)
                 for threads in (1, 2, 8):
                     got = _kernels.masked_extrema(p, d, x0, m, weights, mask, threads)
                     assert_extrema(got, expected)
+            assert calls == []
+
+
+def test_long_route_refuses_windows_past_float32_exactness():
+    # a window of 2^24 or more points has no exact float32 Hankel product, so
+    # masked_extrema, which takes that route at every d >= 2, refuses it
+    with pytest.raises(ValueError, match="2\\^24"):
+        _kernels._hankel(16777259, 2, 1 << 24)
+    assert _kernels._hankel(16777259, 1, 1 << 24) is None
+
+
+# one case per route: d = 1 slices and FFT, d >= 2 orbits and Hankel products
+REDUCTION_CASES = [(101, 1, 3, 24), (257, 1, 200, 200), (31, 2, 29, 5), (31, 2, 29, 31),
+                   (13, 3, 11, 3), (7, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("p, d, x0, m", REDUCTION_CASES)
+def test_reductions_ignore_threads_and_block_size(monkeypatch, p, d, x0, m):
+    # both reductions return exactly what one thread in production blocks
+    # returns, on 1, 2 and 3 ranges and in one-cell blocks (one run or row)
+    rng = np.random.default_rng(p * d + m)
+    weights = rng.integers(-1, 2, size=m)
+    mask = rng.random(p**d) < 0.5
+    mask[0] = True
+    bound = int(np.quantile(np.abs(all_sums(p, d, x0, m, weights)), 0.9))
+    want_idx, want_sums = _kernels.correlation_survivors(p, d, x0, m, weights, bound)
+    want = _kernels.masked_extrema(p, d, x0, m, weights, mask)
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 3)
+    for small in (False, True):
+        if small:
+            for cells in ("SLICE_RUN", "FFT_RUN", "HANKEL_CELLS", "SCAN_CELLS"):
+                monkeypatch.setattr(_kernels, cells, 1)
+        for threads in (1, 2, 3):
+            idx, sums = _kernels.correlation_survivors(p, d, x0, m, weights, bound, threads)
+            assert np.array_equal(idx, want_idx) and np.array_equal(sums, want_sums)
+            assert_extrema(_kernels.masked_extrema(p, d, x0, m, weights, mask, threads), want)
 
 
 def test_masked_extrema_refuse_a_mask_off_whole_rows_or_empty():
@@ -446,8 +480,8 @@ def test_short_route_past_the_int8_range(monkeypatch):
 
 
 def test_window_sums_past_the_int16_range(monkeypatch):
-    # m >= 2^15: the long route's float32 product, then, with the crossover
-    # moved out of reach, the short route's int32 accumulator.  A public call
+    # m >= 2^15: the long route's float32 product, then, with no Hankel
+    # matrix, the short route's int32 accumulator.  A public call
     # needs p > 2^15 there, where a single row is a block of m * p > 2^30
     # cells, so the generator runs directly on a window that wraps the field
     # of 13 about 3077 times: each square (x + a)^2 sums to m minus the visits
@@ -459,9 +493,8 @@ def test_window_sums_past_the_int16_range(monkeypatch):
     expected = reference_matrix(p, d, xs[:p]).sum(axis=1) * (m // p)
     expected += reference_matrix(p, d, xs[: m % p]).sum(axis=1)
     calls = route_spy(monkeypatch)
-    for ratio in (_kernels.HANKEL_RATIO, 0):
-        monkeypatch.setattr(_kernels, "HANKEL_RATIO", ratio)
-        runs = _kernels._candidate_sums(p, d, 0, weights, 0, p * p, _kernels._hankel(p, d, m))
+    for hankel in (_kernels._hankel(p, d, m), None):
+        runs = _kernels._candidate_sums(p, d, 0, weights, 0, p * p, hankel)
         got = np.zeros(p * p, dtype=np.int64)
         for i, c in runs:
             if np.ndim(i):
@@ -470,7 +503,7 @@ def test_window_sums_past_the_int16_range(monkeypatch):
                 got[i : i + len(c)] = c
         assert got.max() > np.iinfo(np.int16).max
         assert np.array_equal(got, expected)
-        assert bool(calls) is (ratio == 0)
+        assert bool(calls) is (hankel is None)
 
 
 def test_long_window_scan_peak_memory():

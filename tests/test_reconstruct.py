@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import enumerate_monic, eval_int, legendre_euler
 
@@ -375,8 +375,44 @@ class TestNoisyRecovery:
     def test_even_reps_rejected(self):
         m = PrimeModulus(101)
         session = OracleSession(parse_poly("x + 3", m), gamma=0.9, rng_seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reps"):
             two_stage_recover(session, 1, reps=2)
+        assert session.query_count == 0
+
+    @settings(max_examples=40, deadline=None)
+    @example(p=101, d=1, gamma=0.9, reps=3, seed=0)  # stage 1 empties
+    @example(p=31, d=2, gamma=0.6, reps=1, seed=0)  # stage 1 empties
+    @given(p=st.sampled_from([11, 13, 31, 53, 101]), d=st.integers(1, 2),
+           gamma=st.sampled_from([0.6, 0.75, 0.9]), reps=st.sampled_from([1, 3, 5]),
+           seed=st.integers(0, 2**16))
+    def test_empty_pool_decodes_as_brute(self, p, d, gamma, reps, seed):
+        # when noise leaves no stage-1 survivor, the fallback answers what brute
+        # answers: each point's first reps draws, decoded over every square-free
+        # candidate, with no query past the p points
+        m = PrimeModulus(p)
+        hidden = random_squarefree(m, d, random.Random(seed))
+        report = two_stage_recover(OracleSession(hidden, gamma=gamma, rng_seed=seed), d,
+                                   reps=reps)
+        if report.survivors_stage1 == 0:
+            brute = brute_force_recover(OracleSession(hidden, gamma=gamma, rng_seed=seed), d,
+                                        reps=reps)
+            assert report.fallback and report.recovered is not None
+            assert (report.recovered, report.ambiguous) == (brute.recovered, brute.ambiguous)
+            assert report.total_queries == brute.total_queries == reps * p
+            params = AlgorithmParams.for_problem(m, d)
+            assert report.work == p**d * params.N + p**d * p
+
+    @pytest.mark.parametrize("reps", [1, 5])
+    def test_noisy_job_refused_before_any_query(self, reps):
+        # the empty-pool decode's p^3 cells pass the default budget at d = 2,
+        # p = 1009, so a noisy session is refused before the oracle is asked
+        m = PrimeModulus(1009)
+        session = OracleSession(random_squarefree(m, 2, random.Random(0)), gamma=0.9)
+        calls = []
+        session.query_block = lambda *args: calls.append(args)
+        with pytest.raises(BudgetExceeded, match="noisy fallback decode needs ~1027243729"):
+            two_stage_recover(session, 2, reps=reps)
+        assert calls == [] and session.query_count == 0
 
 
 class TestReportShape:
