@@ -4,13 +4,15 @@ Candidates are addressed by index = sum_i s_i p^i (the package-wide
 lexicographic order).  Row h fixes (s_1, ..., s_{d-1}) to its base-p
 digits, and ``_row_offsets`` gives u_j = g(x_j) - s_0 mod p for any array
 of rows, so chi(g(x_j)) = chi2[u_j + s_0] in the doubled int8 character
-table chi2, the only table kept.  ``chi_blocks`` (the moment sweep)
-gathers whole rows, the s_0 axis a slice of chi2; ``index_rows`` gathers
-any list of candidates, which ``index_sums`` (two-stage) reduces against
-weights in int64.  ``translate_index`` maps an index and a shift a to the
-index of g(x + a).  ``_candidate_sums`` turns rows into the exact window
-sums of consecutive candidates for weights in {-1, 0, 1}, and ``_scan``
-hands their blocks to one of two reductions: ``correlation_survivors``
+table chi2, the program's one evaluator of chi(g(x)).  ``chi_blocks``
+(the moment sweep) gathers whole rows, the s_0 axis a slice of chi2;
+``index_rows`` gathers any list of candidates: the oracle's exact answers
+(f's one row), the weil-short sweep's sums and the Gram matrix's sign
+rows, and ``index_sums`` (two-stage) reduces its rows against weights in
+int64.  ``translate_index`` maps an index and a shift a to the index of
+g(x + a).  ``_candidate_sums`` turns rows into the exact window sums of
+consecutive candidates for weights in {-1, 0, 1}, and ``_scan`` hands
+their blocks to one of two reductions: ``correlation_survivors``
 (two-stage, the pair sweep at bound 0) keeps the sums that reach a bound,
 ``masked_extrema`` (brute, short, the Weil sweep) the least and largest
 sum a mask selects and the indices that reach the largest.  Threads take
@@ -21,9 +23,9 @@ joins the lists in range order, so no result depends on the thread count.
 ``masked_extrema`` always takes the long route below, and
 ``correlation_survivors`` picks one of two by the window length:
 
-- short windows (HANKEL_RATIO * m < p and p does not divide d), and
-  windows of m >= 2^24: the scan runs over translation orbits.  x -> x + a
-  keeps g monic and moves s_{d-1} by d*a, so every candidate is
+- short windows (HANKEL_RATIO * m < p and p does not divide d): the scan
+  runs over translation orbits.  x -> x + a keeps g monic and moves
+  s_{d-1} by d*a, so every candidate is
   g0_h(x + a) + E for exactly one (h, a, E) in [0, p^(d-2)) x F_p x F_p,
   where g0_h, of index h*p, has zero x^(d-1) and constant terms.  Its
   window sums are c(h, a, E) = sum_j w_j T_h[x0 + a + j, E] with the table
@@ -35,16 +37,16 @@ joins the lists in range order, so no result depends on the thread count.
   row r is the orbit row of g0_h(x + a + r), whose index gives every
   other one: E moves s_0 by E mod p and no other digit.  The survivors,
   found in orbit order, are sorted by index at the end.
-- long windows (HANKEL_RATIO * m >= p and m < 2^24), and every window
-  when p divides d (so p <= d): every sum of row h is
+- long windows (HANKEL_RATIO * m >= p), and every window when p divides
+  d (so p <= d): every sum of row h is
   c(h, s_0) = sum_u hist_h[u] * chi((u + s_0) mod p), where hist_h[u]
   sums the weights of the points with u_j = u.  So a block of rows is one
   float32 product of its (rows x p) histogram matrix with the p x p
   Hankel matrix chi2[u + s_0], copied once per scan and shared by its
   threads.  Every partial sum is an integer of magnitude at most
   sum |hist_h| <= m < 2^24, so the product is exact in any summation
-  order and with any BLAS thread count; ``masked_extrema`` refuses a
-  window of 2^24 or more points at d >= 2.
+  order and with any BLAS thread count.  Both reductions refuse a
+  long-route window of 2^24 or more points before they read its weights.
 
 Brute, short and the pair-identity and Weil sweeps pass m = p and take
 the long route, two-stage's first sieve round (m <= 16) the short one
@@ -128,9 +130,11 @@ def _row_offsets(p: int, d: int, xs: np.ndarray):
     Row h fixes (s_1, ..., s_{d-1}) to the base-p digits of h, so u is x^d
     plus digit * x^i for i = 1 .. d-1, added by broadcasting (at d = 1 the
     residues xs themselves).  Each of the d terms is at most a product of
-    two residues, so p must pass check_int64_products(p, d).
+    two residues: p must pass check_int64_products(p, d) and p^d fit int64.
     """
     check_int64_products(p, d)
+    if p**d > np.iinfo(np.int64).max:
+        raise ValueError(f"p={p} is too large for int64 candidate indices: p^{d} exceeds 2^63 - 1")
     xp = np.empty((d + 1, len(xs)), dtype=np.int64)
     xp[0], xp[1] = 1, xs
     for i in range(2, d + 1):
@@ -223,9 +227,12 @@ def index_sums(p: int, d: int, idx, xs, weights) -> np.ndarray:
     return sums
 
 
-def _window_weights(p: int, x0: int, m: int, weights) -> np.ndarray:
+def _window_weights(p: int, x0: int, m: int, weights, long: bool) -> np.ndarray:
+    # long: the window takes the long route, exact below 2^24 points (refused unread)
     if not (1 <= m <= p and 0 <= x0 < p):
         raise ValueError("window must be a contiguous run of at most p residues")
+    if long and m >= 1 << 24:
+        raise ValueError("the long route sums exactly only windows below 2^24 points")
     w = np.asarray(weights)
     if w.shape != (m,):
         raise ValueError("weights must match the window length")
@@ -268,12 +275,10 @@ def _sliding_sums(p: int, m: int, spectrum: np.ndarray, t: int, n: int) -> np.nd
     return c
 
 
-def _hankel(p: int, d: int, m: int) -> np.ndarray | None:
+def _hankel(p: int, d: int) -> np.ndarray | None:
     """The long route's float32 matrix chi2[u + s_0] for u, s_0 < p; None at d = 1."""
     if d == 1:
         return None
-    if m >= 1 << 24:
-        raise ValueError("the long route sums exactly only windows below 2^24 points")
     return np.lib.stride_tricks.sliding_window_view(_chi2(p), p)[:p].astype(np.float32)
 
 
@@ -285,7 +290,7 @@ def _candidate_sums(
     c[k] = sum_j w[j] * chi(g_{i+k}(x0 + j mod p)) for candidate i + k, as
     exact integers: int32 on the long route, int8 or float64 at d = 1
     (module docstring).  At d >= 2, lo and hi are multiples of p, so the
-    runs are whole rows.  hankel is _hankel(p, d, len(w)), built once per
+    runs are whole rows.  hankel is _hankel(p, d), built once per
     scan and shared by its threads; None at d >= 2 takes the orbit route:
     lo .. hi - 1 are positions o*p + E in orbit coordinates and the runs
     those of ``_orbit_sums``, (first, c) with an array first.
@@ -401,8 +406,8 @@ def correlation_survivors(
     Returns the ascending i with |corr[i]| >= bound and corr[i], both int64
     (bound 0: every sum).  Only the survivors are kept.
     """
-    w = _window_weights(p, x0, m, weights)
-    orbit = d > 1 and ((HANKEL_RATIO * m < p and d % p) or m >= 1 << 24)
+    orbit = d > 1 and HANKEL_RATIO * m < p and d % p
+    w = _window_weights(p, x0, m, weights, d > 1 and not orbit)
 
     def reduce(i, c: np.ndarray) -> tuple:
         k = np.flatnonzero(np.abs(c) >= bound)
@@ -411,7 +416,7 @@ def correlation_survivors(
             return _orbit_indices(p, i[k // p], k % p), sums
         return k + i, sums
 
-    parts = _scan(p, d, x0, w, p ** (d - 1), threads, None if orbit else _hankel(p, d, m), reduce)
+    parts = _scan(p, d, x0, w, p ** (d - 1), threads, None if orbit else _hankel(p, d), reduce)
     idx, sums = np.concatenate([i for i, _ in parts]), np.concatenate([c for _, c in parts])
     if orbit:
         order = np.argsort(idx)
@@ -429,7 +434,7 @@ def masked_extrema(
     reach max.  Blocks are reduced as they stream, so no sum array exists;
     at d >= 2 the scan takes the long route, so m must be below 2^24.
     """
-    w, mask = _window_weights(p, x0, m, weights), np.asarray(mask, dtype=bool)
+    w, mask = _window_weights(p, x0, m, weights, d > 1), np.asarray(mask, dtype=bool)
     n = len(mask)
     if n % p or not p <= n <= p**d:
         raise ValueError("mask must cover whole rows: a multiple of p from p to p^d")
@@ -445,7 +450,7 @@ def masked_extrema(
         k = np.flatnonzero(c == top)
         return int(values.min()), int(top), k[sel[k]] + i
 
-    parts = [part for part in _scan(p, d, x0, w, n // p, threads, _hankel(p, d, m), reduce) if part]
+    parts = [part for part in _scan(p, d, x0, w, n // p, threads, _hankel(p, d), reduce) if part]
     # blocks come in index order, so the winners do too
     top = max(hi for _, hi, _ in parts)
     winners = np.concatenate([k for _, hi, k in parts if hi == top])

@@ -15,7 +15,8 @@ Bounds covered by the sweep drivers (the CSV lemma ids in parentheses):
 
 Each sweep calls a primitive that is cross-checked against a plain loop:
 ``sweep_weil_short`` calls ``short_char_sums``, once per (p, d) on all 20
-products, ``sweep_mult_weil`` ``multilinear_form_sums``, ``sweep_moment``
+products g*h, read as chi(g) chi(h) by one ``_kernels.index_rows`` gather,
+``sweep_mult_weil`` ``multilinear_form_sums``, ``sweep_moment``
 ``moment_sums``, and
 ``sweep_pair_identity`` and ``sweep_weil`` the all-F complete-sum scan
 kernel: the pair sweep reads every monic quadratic's sum once, through
@@ -47,9 +48,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .ffield import PrimeModulus, chi_table
+from .ffield import PrimeModulus
 from .limits import check_ops
-from .poly import MonicPoly, format_poly, mul, random_squarefree
+from .poly import MonicPoly, format_poly, poly_index, random_squarefree
 
 __all__ = [
     "LinearForm",
@@ -104,25 +105,23 @@ class LinearForm(NamedTuple):
     constant: int
 
 
-def short_char_sums(polys: Sequence[MonicPoly]) -> np.ndarray:
-    """Every short sum of every f: out[k, M-1] = sum_{x=1}^{M} chi(polys[k](x)), 1 <= M < p.
+def short_char_sums(*factors: Sequence[MonicPoly]) -> np.ndarray:
+    """Every short sum of every f: out[k, M-1] = sum_{x=1}^{M} chi(f_k(x)), 1 <= M < p.
 
-    The polynomials share one field and may differ in degree; they are
-    evaluated together, one Horner step per power over all of them.  int64.
+    f_k is the product of entry k of every argument.  chi is completely
+    multiplicative, so the factors' characters, of one field and one degree
+    d, are one ``_kernels.index_rows`` gather: p^d, not p^(d * len(factors)),
+    must fit int64.
     """
-    if len({f.modulus.p for f in polys}) != 1:
+    flat = [f for polys in factors for f in polys]
+    if len({f.modulus.p for f in flat}) != 1:
         raise ValueError("short_char_sums needs polynomials over one field")
-    modulus = polys[0].modulus
-    chi = chi_table(modulus)  # also refuses a p where acc * x + c could wrap int64
-    # coeffs[k] = polys[k]'s coefficients from x^top down, zero above its degree
-    top = max(f.degree for f in polys)
-    coeffs = np.array([(*[0] * (top - f.degree), 1, *f.coeffs[::-1]) for f in polys],
-                      dtype=np.int64)
-    xs = np.arange(1, modulus.p, dtype=np.int64)
-    acc = np.zeros((len(polys), len(xs)), dtype=np.int64)
-    for column in coeffs.T:
-        acc = (acc * xs + column[:, None]) % modulus.p
-    return np.cumsum(chi[acc], axis=1, dtype=np.int64)
+    if len({f.degree for f in flat}) != 1 or len({len(polys) for polys in factors}) != 1:
+        raise ValueError("short_char_sums needs polynomials of one degree, as many per argument")
+    p, d = flat[0].modulus.p, flat[0].degree
+    chi = _kernels.index_rows(p, d, [poly_index(f) for f in flat], np.arange(1, p, dtype=np.int64))
+    chi = chi.reshape(len(factors), -1, p - 1).prod(axis=0, dtype=np.int8)
+    return np.cumsum(chi, axis=1, dtype=np.int64)
 
 
 def multilinear_form_sums(
@@ -366,8 +365,8 @@ def sweep_weil(
     tables = []
     degrees = range(1, 5)
     for p in primes:
-        modulus = PrimeModulus(p)  # validate
-        nonresidue = int(np.argmax(chi_table(modulus) < 0))  # the least one
+        PrimeModulus(p)  # validate
+        nonresidue = int(np.argmax(_kernels._chi2(p) < 0))  # the least one
         scans = [p ** (degree - 1) if degree == 1 or degree % p == 0
                  else 1 if degree == 2 else (nonresidue + 1) * p ** (degree - 3)
                  for degree in degrees]
@@ -407,7 +406,7 @@ def sweep_weil_short(
     tables = []
     for p in primes:
         modulus = PrimeModulus(p)
-        # 20 pairs per degree, 2d Horner steps each over p points
+        # 20 pairs per degree, two factors of d offset terms each over p points
         check_ops(20 * (2 + 4) * p, budget, "weil-short sweep")
         ds, params, measured = [], [], []
         for d in (1, 2):
@@ -419,7 +418,7 @@ def sweep_weil_short(
                 while h == g:
                     h = random_squarefree(modulus, d, rng)
                 pairs.append((g, h))
-            sums = short_char_sums([mul(g, h) for g, h in pairs])
+            sums = short_char_sums([g for g, _ in pairs], [h for _, h in pairs])
             ds += [d] * len(pairs)
             params += [f"g={format_poly(g)};h={format_poly(h)};worst M" for g, h in pairs]
             measured += np.abs(sums).max(axis=1).astype(np.float64).tolist()

@@ -8,9 +8,10 @@ of {-1, 0, 1}.  Noise draws are a pure function of (rng_seed, x, draw
 index), one sha256 of tag + seed + x + draw each, so answers do not
 depend on global query order and concurrent callers see a consistent
 oracle.  query_block is the one implementation: it answers an array of
-points from the cached chi_table in one call, and one batched vote stops
-drawing at a point once its plurality is decided.  The scalar calls are
-query_block on one point.  Points are integers, taken mod p.
+points in one call, the truth read as f's row by ``_kernels.index_rows``
+under its int64 limits, and one batched vote stops drawing at a point
+once its plurality is decided.  The scalar calls are query_block on one
+point.  Points are integers, taken mod p.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import threading
 
 import numpy as np
 
-from .ffield import PrimeModulus, chi_table
-from .poly import MonicPoly, is_squarefree
+from . import _kernels
+from .ffield import PrimeModulus
+from .poly import MonicPoly, is_squarefree, poly_index
 
 _MASK64 = (1 << 64) - 1
 _PACK = struct.Struct("<QQ").pack
@@ -121,17 +123,17 @@ class OracleSession:
     def query_block(self, xs, reps: int = 1) -> np.ndarray:
         """The answer at every x of xs in order, as int8; reps odd.
 
-        At gamma = 1 that is chi(f(x)), read from the cached p-entry
-        character table.  Otherwise it is the plurality of draws first ..
-        first+reps-1 at x, smallest value on ties, where first counts the
-        draws earlier calls took at x; a repeated x takes the next reps.
-        The query counter and the draw indices advance by reps per point,
-        so splitting a block into calls changes nothing; draws after a
-        decided plurality are skipped unseen.
+        At gamma = 1 that is chi(f(x)), the row of f's index that
+        ``_kernels.index_rows`` gathers.  Otherwise it is the plurality of
+        draws first .. first+reps-1 at x, smallest value on ties, where
+        first counts the draws earlier calls took at x; a repeated x takes
+        the next reps.  The query counter and the draw indices advance by
+        reps per point, so splitting a block into calls changes nothing;
+        draws after a decided plurality are skipped unseen.
         """
         _check_votes(reps)
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        truth = chi_table(self.modulus)[self._hidden.eval_array(xs)]
+        truth = _kernels.index_rows(self.p, self._hidden.degree, [poly_index(self._hidden)], xs)[0]
         with self._lock:
             self._count += reps * len(xs)
             if self.gamma == 1.0:

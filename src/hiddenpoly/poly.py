@@ -1,10 +1,12 @@
-"""Monic polynomials over F_p: evaluation, square-freeness, indexing.
+"""Monic polynomials over F_p: arithmetic, square-freeness, indexing.
 
 A degree-d monic polynomial is stored as the coefficient tuple
 (s_0, ..., s_{d-1}) with the leading coefficient 1 implicit.  The
 candidate space of all monic degree-d polynomials is ordered
 lexicographically by (s_{d-1}, ..., s_0), i.e. by the integer index
 sum_i s_i * p^i; every scan in the package uses that same order.
+Values chi(g(x)) are read by that index through ``_kernels``, so no
+evaluation lives here.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-import numpy as np
-
-from .ffield import PrimeModulus, check_int64_products
+from .ffield import PrimeModulus
 
 __all__ = [
     "MonicPoly",
@@ -44,19 +44,6 @@ class MonicPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs)
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        """Horner evaluation at every residue of an int64 array; int64 residues.
-
-        Refused by check_int64_products where acc * x + c could wrap int64.
-        """
-        p = self.modulus.p
-        check_int64_products(p)
-        xs = np.asarray(xs, dtype=np.int64)
-        acc = np.ones(len(xs), dtype=np.int64)
-        for c in reversed(self.coeffs):
-            acc = (acc * xs + c) % p
-        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonicPoly):

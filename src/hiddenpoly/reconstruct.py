@@ -210,6 +210,15 @@ def _stage1_sieve(
     return idx.tolist(), sums.tolist()
 
 
+def _squarefree_winners(
+    cache: _WindowCache, d: int, x0: int, m: int, threads: int, budget: int | None
+) -> np.ndarray:
+    # brute's decode: the square-free argmax indices, ascending, on the cached window
+    p = cache.session.p
+    mask = _kernels.squarefree_mask(p, d, budget)
+    return _kernels.masked_extrema(p, d, x0, m, cache.window(x0, m), mask, threads)[2]
+
+
 def _argmax_recover(
     algorithm: str,
     session: OracleSession,
@@ -228,9 +237,7 @@ def _argmax_recover(
     check_ops(p**d * m, budget, f"{algorithm} scan")
     cache = _WindowCache(session, reps)
     t0 = time.perf_counter()
-    mask = _kernels.squarefree_mask(p, d, budget)
-    weights = cache.window(x0, m)
-    _, _, winners = _kernels.masked_extrema(p, d, x0, m, weights, mask, threads=threads)
+    winners = _squarefree_winners(cache, d, x0, m, threads, budget)
     return RecoveryReport(
         algorithm=algorithm,
         recovered=poly_from_index(d, modulus, int(winners[0])),
@@ -331,8 +338,7 @@ def two_stage_recover(
             winners = [pool[i] for i in np.flatnonzero(sums == sums.max())]
             work += len(pool) * p
         else:  # brute's decode: noise took f out of stage 1
-            mask = _kernels.squarefree_mask(p, d, budget)
-            winners = _kernels.masked_extrema(p, d, 0, p, cache.window(0, p), mask, threads)[2].tolist()
+            winners = _squarefree_winners(cache, d, 0, p, threads, budget).tolist()
             work += p**d * p
         stage_seconds["fallback"] = time.perf_counter() - t2
 

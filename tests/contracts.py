@@ -78,6 +78,8 @@ ROWS = (
             **REFUSED_FAST),
     refusal("refuse-two-stage-d2-budget", "recover --p 1009 --d 2 --algo two-stage --budget 1000",
             **REFUSED_FAST),
+    # p^5 does not fit int64: the budget refuses before any index or query exists
+    refusal("refuse-two-stage-d5-p10007", "recover --p 10007 --d 5", **REFUSED_FAST),
     # a noisy two-stage job is charged its p^(d+1)-cell fallback decode before any query
     refusal("refuse-two-stage-noisy-d2-p1009", "recover --p 1009 --d 2 --gamma 0.9 --reps 5",
             **REFUSED_FAST),

@@ -38,7 +38,7 @@ from hiddenpoly.charsum import (
 from hiddenpoly.cli import main
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.limits import BudgetExceeded
-from hiddenpoly.poly import MonicPoly, mul, parse_poly, poly_index
+from hiddenpoly.poly import MonicPoly, mul, parse_poly, poly_index, random_squarefree
 
 
 def _chi(m, v):
@@ -113,23 +113,49 @@ class TestShortSum:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_batch_matches_a_plain_loop(self, data):
-        # a batch of 1-20 polynomials of degrees 1-4, repeats included, in one
-        # Horner pass, against the reference loop one polynomial at a time
+        # a batch of 1-20 polynomials of one degree 1-4, repeats included, in one
+        # gather, against the reference loop one polynomial at a time; then the
+        # same batch times a batch of cofactors, against the loop over the products
         p = data.draw(st.sampled_from((3, 5, 7, 11, 13, 31, 101)))
+        d = data.draw(st.integers(1, 4))
         m = PrimeModulus(p)
-        poly = st.integers(1, 4).flatmap(
-            lambda d: st.tuples(*[st.integers(0, p - 1)] * d)).map(lambda c: MonicPoly(c, m))
+        poly = st.tuples(*[st.integers(0, p - 1)] * d).map(lambda c: MonicPoly(c, m))
         pool = data.draw(st.lists(poly, min_size=1, max_size=10))
         polys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
         sums = short_char_sums(polys)
         assert sums.shape == (len(polys), p - 1) and sums.dtype == np.int64
         assert sums.tolist() == reference_short_sums(polys)
+        cofactors = data.draw(st.lists(st.sampled_from(pool), min_size=len(polys),
+                                       max_size=len(polys)))
+        products = [mul(f, g) for f, g in zip(polys, cofactors)]
+        assert short_char_sums(polys, cofactors).tolist() == reference_short_sums(products)
+
+    def test_products_past_the_int64_index_range(self):
+        # at p = 55109 a quartic's index p^4 passes 2^63: the sweep's products g*h
+        # are summed from their quadratic factors, and a quartic alone is refused
+        m = PrimeModulus(55109)
+        rng = random.Random(0)
+        g, h = (random_squarefree(m, 2, rng) for _ in range(2))
+        assert short_char_sums([g], [h]).tolist() == reference_short_sums([mul(g, h)])
+        with pytest.raises(ValueError, match="too large for int64"):
+            short_char_sums([mul(g, h)])
+        (table,) = charsum.sweep_weil_short((55109,))
+        assert len(table.passed) == 40 and all(table.passed)
 
     def test_batch_needs_one_field(self):
         with pytest.raises(ValueError, match="one field"):
             short_char_sums([parse_poly("x", PrimeModulus(7)), parse_poly("x", PrimeModulus(11))])
         with pytest.raises(ValueError, match="one field"):
             short_char_sums([])
+
+    def test_batch_needs_one_degree(self):
+        m = PrimeModulus(7)
+        with pytest.raises(ValueError, match="one degree"):
+            short_char_sums([parse_poly("x + 1", m), parse_poly("x^2 + 1", m)])
+        with pytest.raises(ValueError, match="one degree"):
+            short_char_sums([parse_poly("x + 1", m)], [parse_poly("x^2 + 1", m)])
+        with pytest.raises(ValueError, match="as many per argument"):
+            short_char_sums([parse_poly("x + 1", m)] * 2, [parse_poly("x + 2", m)])
 
 
 class TestPairIdentity:

@@ -5,16 +5,20 @@ candidate with reference.eval_int and takes the character from
 legendre_euler, one point at a time.  chi_blocks, the window sums at
 every degree (at d >= 2 on both sides of the short/long crossover, and
 the short route's translation orbits with the crossover out of reach),
-the list kernel's sums over any index list and the array Horner
-evaluation must reproduce it exactly, and the masked extrema, which take
-the long route at every d >= 2, the sums they reduce, over every row or a
-leading slice of rows, at any thread count and block size; the translation
-map must match g(x + a) built with poly arithmetic, and the index-set
-helpers the per-polynomial tests.  At d = 1 the window sums take int8
-slice sums below SLICE_BELOW points and an overlap-save FFT from there
-on; the property tests run both, the FFT by moving SLICE_BELOW out of
-reach.  At primes too large for that loop, both routes are checked
-against ``reference.shifted_sums`` and the Legendre autocorrelation.
+and the list kernel's sums over any index list must reproduce it
+exactly, and the masked extrema, which take the long route at every
+d >= 2, the sums they reduce, over every row or a leading slice of rows,
+at any thread count and block size; the translation map must match
+g(x + a) built with poly arithmetic, and the index-set helpers the
+per-polynomial tests.  The oracle's exact answers are the same gather
+(``index_rows`` at f's index), checked against eval_int and
+legendre_euler, also at the primes past the int64 guards, where a
+refusal must come instead of a wrong residue.  At d = 1 the window sums
+take int8 slice sums below SLICE_BELOW points and an overlap-save FFT
+from there on; the property tests run both, the FFT by moving
+SLICE_BELOW out of reach.  At primes too large for that loop, both
+routes are checked against ``reference.shifted_sums`` and the Legendre
+autocorrelation.
 """
 
 import tracemalloc
@@ -23,12 +27,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
     WIDE_PRIMES,
     eval_int,
     is_perfect_square,
+    legendre_euler,
     reference_matrix,
     shifted_sums,
     sympy_is_squarefree,
@@ -36,6 +41,7 @@ from reference import (
 
 from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus, chi_table
+from hiddenpoly.oracle import OracleSession
 from hiddenpoly.poly import (
     MonicPoly,
     is_squarefree,
@@ -314,10 +320,22 @@ def test_masked_extrema_match_reference(problem):
 
 def test_long_route_refuses_windows_past_float32_exactness():
     # a window of 2^24 or more points has no exact float32 Hankel product, so
-    # masked_extrema, which takes that route at every d >= 2, refuses it
-    with pytest.raises(ValueError, match="2\\^24"):
-        _kernels._hankel(16777259, 2, 1 << 24)
-    assert _kernels._hankel(16777259, 1, 1 << 24) is None
+    # both reductions refuse one on the long route (masked_extrema's at every
+    # d >= 2) before they read its weights or mask: both are zero-stride views,
+    # which any read would copy or scan
+    p, m = 16777259, 1 << 24
+    weights, mask = np.broadcast_to(np.int8(1), (m,)), np.broadcast_to(True, (p,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^24"):
+            _kernels.masked_extrema(p, 2, 0, m, weights, mask)
+        with pytest.raises(ValueError, match="2\\^24"):
+            _kernels.correlation_survivors(p, 2, 0, m, weights, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert _kernels._hankel(p, 1) is None  # d = 1 has no long-route limit
 
 
 # one case per route: d = 1 slices and FFT, d >= 2 orbits and Hankel products
@@ -493,7 +511,7 @@ def test_window_sums_past_the_int16_range(monkeypatch):
     expected = reference_matrix(p, d, xs[:p]).sum(axis=1) * (m // p)
     expected += reference_matrix(p, d, xs[: m % p]).sum(axis=1)
     calls = route_spy(monkeypatch)
-    for hankel in (_kernels._hankel(p, d, m), None):
+    for hankel in (_kernels._hankel(p, d), None):
         runs = _kernels._candidate_sums(p, d, 0, weights, 0, p * p, hankel)
         got = np.zeros(p * p, dtype=np.int64)
         for i, c in runs:
@@ -827,38 +845,70 @@ def test_perfect_square_indices_match_square_test(problem):
     assert sorted(got.tolist()) == squares  # an index set: order is free, no repeats
 
 
+def reference_chi(g, xs):
+    return [legendre_euler(eval_int(g, int(x)), g.modulus.p) for x in xs]
+
+
+def euler_chi2(p):
+    # stands in for _kernels._chi2 at primes whose 2p-entry table would not fit
+    # in memory: entry u is chi(u mod p), by Euler's criterion when it is read
+    class Table:
+        def __getitem__(self, u):
+            u = np.asarray(u)
+            return np.array([legendre_euler(int(v), p) for v in u.ravel()],
+                            dtype=np.int8).reshape(u.shape)
+
+    return Table()
+
+
 @SETTINGS
 @given(problems(), st.data())
-def test_eval_array_matches_eval_int(problem, data):
+def test_oracle_and_index_rows_match_eval_int(problem, data):
+    # the exact oracle answers with the gather of its hidden f's index
     p, d, x0, m = problem
-    g = poly_from_index(d, PrimeModulus(p), data.draw(st.integers(0, p**d - 1)))
+    idx = data.draw(st.integers(0, p**d - 1))
+    g = poly_from_index(d, PrimeModulus(p), idx)
     xs = window(p, x0, m)
-    assert g.eval_array(xs).tolist() == [eval_int(g, int(x)) for x in xs]
+    assert _kernels.index_rows(p, d, [idx], xs)[0].tolist() == reference_chi(g, xs)
+    if is_squarefree(g):
+        assert OracleSession(g).query_block(xs).tolist() == reference_chi(g, xs)
 
 
 @SETTINGS
 @given(st.sampled_from(WIDE_PRIMES), st.integers(1, 4), st.data())
-def test_eval_array_exact_at_wide_primes(p, d, data):
-    # exact where every product fits int64, refused past the limit
+def test_oracle_exact_at_wide_primes(p, d, data):
+    # exact where the kernels' int64 guards admit (p, d), refused past them
     residues = st.integers(0, p - 1)
     g = MonicPoly(data.draw(st.lists(residues, min_size=d, max_size=d)), PrimeModulus(p))
-    xs = data.draw(st.lists(residues, min_size=1, max_size=20))
-    if p <= 3037000499:
-        assert g.eval_array(np.array(xs, dtype=np.int64)).tolist() == [eval_int(g, x) for x in xs]
-    else:
-        with pytest.raises(ValueError, match="too large for int64"):
-            g.eval_array(np.array(xs, dtype=np.int64))
+    assume(is_squarefree(g))
+    xs = np.array(data.draw(st.lists(residues, min_size=1, max_size=20)), dtype=np.int64)
+    session, admitted = OracleSession(g), d * p * (p - 1) < 2**63 and p**d < 2**63
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_chi2", euler_chi2)
+        if admitted:
+            expected = reference_chi(g, xs)
+            assert session.query_block(xs).tolist() == expected
+            assert _kernels.index_rows(p, d, [poly_index(g)], xs)[0].tolist() == expected
+        else:
+            with pytest.raises(ValueError, match="too large for int64"):
+                session.query_block(xs)
+            with pytest.raises(ValueError, match="too large for int64"):
+                _kernels.index_rows(p, d, [poly_index(g)], xs)
+    assert session.query_count == (len(xs) if admitted else 0)
 
 
-def test_eval_array_wide_prime_regression():
-    # int64 Horner would wrap at these p: a refusal, never a wrong residue
-    g = MonicPoly([123456789, 987654321], PrimeModulus(3037000493))
-    xs = [0, 1, 3037000492]
-    assert g.eval_array(xs).tolist() == [eval_int(g, x) for x in xs]
-    for p in (3037000507, 2**61 - 1):
-        g = MonicPoly([123456789, 987654321], PrimeModulus(p))
+def test_oracle_wide_prime_regression(monkeypatch):
+    # past the kernels' int64 guards: a refusal, never a wrong residue.  At
+    # p = 3037000493 one residue product fits int64, so d = 1 stays exact, but
+    # a sum of two could wrap, so d = 2 is refused
+    monkeypatch.setattr(_kernels, "_chi2", euler_chi2)
+    p, xs = 3037000493, [0, 1, 3037000492]
+    g = MonicPoly([123456789], PrimeModulus(p))
+    assert OracleSession(g).query_block(xs).tolist() == reference_chi(g, xs)
+    for p, d in ((3037000493, 2), (3037000507, 1), (3037000507, 2), (2**61 - 1, 1)):
+        g = MonicPoly([123456789, 987654321][:d], PrimeModulus(p))
         with pytest.raises(ValueError, match="too large for int64"):
-            g.eval_array([p - 1])
+            OracleSession(g).query_block([p - 1])
 
 
 def test_chi_blocks_refuse_int64_overflow_before_allocating():

@@ -23,6 +23,15 @@ def _direct_chi(f, x):
 
 
 class TestExactOracle:
+    def test_refuses_indices_past_int64_at_first_query(self):
+        # p^4 exceeds 2^63 at p = 65537 while every offset term fits int64: the
+        # session constructs, and its first query is a ValueError, never an
+        # OverflowError, before any query is counted
+        session = OracleSession(random_squarefree(PrimeModulus(65537), 4, random.Random(0)))
+        with pytest.raises(ValueError, match="candidate indices"):
+            session.query_block([1, 2, 3])
+        assert session.query_count == 0
+
     def test_answers_match_character(self):
         for p in (7, 101):
             m = PrimeModulus(p)

@@ -3,9 +3,13 @@
 perfbench's tracer picks what it wraps from each module's ``__all__`` and
 skips a name that does not resolve, so a stale entry would go unseen.
 It also fetches ``OracleSession``'s ORACLE_METHODS by name, with no
-default; the round-trip test installs it over one traced CLI run.
+default; the round-trip test installs it over one traced CLI run.  The
+source test parses the package: chi(g(x)) has one evaluator, the
+kernels' table, so only ``_kernels._chi2`` calls ``chi_table`` and
+``poly`` holds no array code.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -16,6 +20,7 @@ from hiddenpoly import cli
 from hiddenpoly.oracle import OracleSession
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SOURCES = sorted(Path(hiddenpoly.__file__).parent.glob("*.py"))
 
 PUBLIC = [
     "AlgorithmParams",
@@ -73,3 +78,26 @@ def test_perfbench_tracer_round_trip():
         now = vars(owner)
         assert now.keys() == saved.keys(), owner
         assert all(now[name] is value for name, value in saved.items()), owner
+
+
+def _calls(node, name: str, scope: str):
+    # the dotted scope of every call of `name`, by a bare name or as an attribute
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, name, scope)
+
+
+def test_one_evaluator_of_the_character():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert {"_kernels", "oracle", "charsum", "poly"} <= trees.keys()
+    callers = [scope for stem, tree in trees.items() for scope in _calls(tree, "chi_table", stem)]
+    assert callers == ["_kernels._chi2"]
+    imported = {alias.name for node in ast.walk(trees["poly"]) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(trees["poly"])
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}, imported

@@ -5,7 +5,8 @@ formulas, a route fully independent of the gcd implementation, and
 against sympy's square-free test over GF(p).  The enumeration and
 perfect-square tests check reference.py's enumerate_monic and
 is_perfect_square, and the evaluation test its eval_int, which other
-tests lean on.
+tests lean on, beside the program's own route: the kernels' gather by
+index.
 """
 
 import itertools
@@ -19,9 +20,11 @@ from reference import (
     enumerate_monic,
     eval_int,
     is_perfect_square,
+    legendre_euler,
     sympy_is_squarefree,
 )
 
+from hiddenpoly import _kernels
 from hiddenpoly.ffield import PrimeModulus
 from hiddenpoly.poly import (
     MonicPoly,
@@ -59,7 +62,10 @@ class TestMonicPoly:
                 f = MonicPoly(coeffs, m)
                 x = rng.randrange(p)
                 direct = (pow(x, d, p) + sum(c * pow(x, i, p) for i, c in enumerate(coeffs))) % p
-                assert eval_int(f, x) == direct == int(f.eval_array([x])[0])
+                assert eval_int(f, x) == direct
+                # the program evaluates by index, through the scan kernels' gather
+                chi = _kernels.index_rows(p, d, [poly_index(f)], [x])[0, 0]
+                assert chi == legendre_euler(direct, p)
 
     def test_degree(self):
         m = PrimeModulus(7)
